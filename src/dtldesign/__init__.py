@@ -22,57 +22,11 @@ from .calibrate import (
     SearchLimitError,
     calibrate_boundaries,
     find_sample_size,
-    obf_shape,
 )
-from .characteristics import (
-    OperatingCharacteristics,
-    comparator_multiarm,
-    comparator_separate_trials,
-    expected_sample_size,
-    full_report,
-    max_total_patients,
-    multiarm_lfc_power,
-    power_lfc,
-    pwer,
-    stage_total_patients,
-    stop_stage_probabilities,
-    type_i_global_null,
-)
-from .covariance import (
-    EffectConfig,
-    StatCoord,
-    TrialDesign,
-    build_moment_problem,
-    corr_between,
-    cov_diff_diff,
-    cov_z,
-    cov_z_diff,
-    difference,
-    mean_of,
-    single,
-)
-from .endpoint import (
-    BinaryEndpointSpec,
-    NormalEffectSpec,
-    binary_to_normal,
-    risk_decrease_to_log_odds,
-    treated_rate_from_log_odds,
-)
-from .events import (
-    CapacityError,
-    DropOrder,
-    EventProblemSet,
-    global_null_typeI_problems,
-    power_lfc_problems,
-    pwer_problem,
-    reject_problems,
-    set_probability,
-    stop_event_rectangles,
-    stop_stage_problems,
-    total_probability,
-    win_event_rectangles,
-    win_problems,
-)
+from .characteristics import full_report
+from .covariance import EffectConfig, TrialDesign
+from .endpoint import BinaryEndpointSpec, binary_to_normal
+from .events import CapacityError
 from .mvn import (
     NotPositiveSemiDefiniteError,
     OrthantProblem,
@@ -80,14 +34,10 @@ from .mvn import (
     mvn_rectangle_prob,
     standardize,
 )
-from .simulate import (
-    SimulationResult,
-    TrialOutcome,
-    draw_statistics,
-    estimate_characteristics,
-    simulate_trial,
-)
+from .simulate import estimate_characteristics
 
+# The pipeline of the README example, the integrator, and the public
+# exceptions; everything else is imported from its module.
 __all__ = [
     "BinaryEndpointSpec",
     "BoundaryShape",
@@ -95,59 +45,19 @@ __all__ = [
     "CalibrationConfig",
     "CapacityError",
     "ConvergenceError",
-    "DropOrder",
     "EffectConfig",
-    "EventProblemSet",
-    "NormalEffectSpec",
     "NotPositiveSemiDefiniteError",
-    "OperatingCharacteristics",
     "OrthantProblem",
     "ProbabilityEstimate",
     "SearchLimitError",
-    "SimulationResult",
-    "StatCoord",
     "TrialDesign",
-    "TrialOutcome",
     "binary_to_normal",
-    "build_moment_problem",
     "calibrate_boundaries",
-    "comparator_multiarm",
-    "comparator_separate_trials",
-    "corr_between",
-    "cov_diff_diff",
-    "cov_z",
-    "cov_z_diff",
-    "difference",
-    "draw_statistics",
     "estimate_characteristics",
-    "expected_sample_size",
     "find_sample_size",
     "full_report",
-    "global_null_typeI_problems",
-    "max_total_patients",
-    "mean_of",
-    "multiarm_lfc_power",
     "mvn_rectangle_prob",
-    "obf_shape",
-    "power_lfc",
-    "power_lfc_problems",
-    "pwer",
-    "pwer_problem",
-    "reject_problems",
-    "risk_decrease_to_log_odds",
-    "set_probability",
-    "simulate_trial",
-    "single",
-    "stage_total_patients",
     "standardize",
-    "stop_event_rectangles",
-    "stop_stage_problems",
-    "stop_stage_probabilities",
-    "total_probability",
-    "treated_rate_from_log_odds",
-    "type_i_global_null",
-    "win_event_rectangles",
-    "win_problems",
 ]
 
 __version__ = "0.1.0"

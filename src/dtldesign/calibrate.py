@@ -141,8 +141,9 @@ def obf_shape(stages: int, c: float) -> tuple[float, ...]:
 
 
 def _pwer(design: TrialDesign, *, target: float, seed: int) -> float:
-    problem = pwer_problem(design)
-    est = mvn_rectangle_prob(problem, target_abs_error=target, seed=seed)
+    """Pairwise type I error: one minus the arm's no-crossing probability."""
+    est = mvn_rectangle_prob(pwer_problem(design), target_abs_error=target,
+                             seed=seed)
     if not est.converged:
         raise ConvergenceError(
             f"PWER integration stalled at error bound {est.error_bound:.2e}")
@@ -206,6 +207,29 @@ def calibrate_boundaries(design_template: TrialDesign,
         "error target")
 
 
+def _smallest_passing_n(power_at, target: float, max_n: int) -> int:
+    """Smallest n in 1..max_n with power_at(n) >= target, for a
+    nondecreasing power_at.
+
+    n doubles until the target is met, then a binary search runs between
+    the last failing and the first passing n.  No n is visited twice.
+    """
+    n_lo, n_hi = 0, 1
+    while (power := power_at(n_hi)) < target:
+        if n_hi >= max_n:
+            raise SearchLimitError(
+                f"power {power:.4f} at n={n_hi} still below {target} "
+                f"(max_n={max_n})")
+        n_lo, n_hi = n_hi, min(2 * n_hi, max_n)
+    while n_hi - n_lo > 1:
+        n_mid = (n_lo + n_hi) // 2
+        if power_at(n_mid) >= target:
+            n_hi = n_mid
+        else:
+            n_lo = n_mid
+    return n_hi
+
+
 def _lfc_power(design: TrialDesign, theta_prime: float, theta_zero: float,
                *, target: float, seed: int) -> tuple[float, float]:
     sets = power_lfc_problems(design, theta_prime, theta_zero)
@@ -235,27 +259,11 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
     visited: dict[int, tuple[float, float]] = {}
 
     def power_at(n: int) -> float:
-        if n not in visited:
-            visited[n] = _lfc_power(design.with_n(n), theta_prime,
-                                    theta_zero, target=target_abs_error,
-                                    seed=seed)
+        visited[n] = _lfc_power(design.with_n(n), theta_prime, theta_zero,
+                                target=target_abs_error, seed=seed)
         return visited[n][0]
 
-    n_hi = 1
-    while power_at(n_hi) < cfg.power_target:
-        if n_hi >= cfg.max_n:
-            raise SearchLimitError(
-                f"power {power_at(n_hi):.4f} at n={n_hi} still below "
-                f"{cfg.power_target} (max_n={cfg.max_n})")
-        n_hi = min(2 * n_hi, cfg.max_n)
-    n_lo = n_hi // 2      # power(n_lo) < target whenever n_lo >= 1
-
-    while n_hi - n_lo > 1:
-        n_mid = (n_lo + n_hi) // 2
-        if power_at(n_mid) >= cfg.power_target:
-            n_hi = n_mid
-        else:
-            n_lo = n_mid
+    n = _smallest_passing_n(power_at, cfg.power_target, cfg.max_n)
 
     grid = sorted(visited)
     for a, b in zip(grid, grid[1:]):
@@ -264,4 +272,4 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
             raise ConvergenceError(
                 f"power not nondecreasing on the visited grid: "
                 f"power({a})={pa:.6f} vs power({b})={pb:.6f}")
-    return design.with_n(n_hi)
+    return design.with_n(n)

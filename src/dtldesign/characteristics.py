@@ -27,19 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .calibrate import ConvergenceError, SearchLimitError
+from .calibrate import ConvergenceError, _pwer, _smallest_passing_n
 from .covariance import EffectConfig, TrialDesign
 from .endpoint import NormalEffectSpec
 from .events import (
-    EventProblemSet,
     global_null_typeI_problems,
-    pwer_problem,
     set_probability,
     stop_stage_problems,
     total_probability,
     win_problems,
 )
-from .mvn import OrthantProblem, mvn_rectangle_prob
+from .mvn import OrthantProblem, ProbabilityEstimate, mvn_rectangle_prob
 
 __all__ = [
     "OperatingCharacteristics",
@@ -61,11 +59,15 @@ __all__ = [
 # the per-problem target at the evaluation cap (the three-sigma bound is
 # conservative); that is fine as long as the total stays inside the
 # allowance, which sits two orders below the coarsest reported digit.
+# The allowance is also how far a reported probability may stray outside
+# [0, 1].
 DEFAULT_TARGET = 2e-6
 DEFAULT_MAX_EVALUATIONS = 1 << 26
 ERROR_ALLOWANCE = 5e-5
+# target for characteristics that are one low-dimensional problem (PWER,
+# the single-look comparator's power)
+SINGLE_PROBLEM_TARGET = 1e-7
 
-_PROB_SLACK = 5e-5        # integration noise allowance on [0, 1]
 _PARTITION_SLACK = 2e-5   # stop-stage probabilities must sum to one
 
 
@@ -88,21 +90,21 @@ class OperatingCharacteristics:
         for name, p in (("pwer", self.pwer),
                         ("power_lfc", self.power_lfc),
                         ("type_i_global_null", self.type_i_global_null)):
-            if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
+            if not -ERROR_ALLOWANCE <= p <= 1.0 + ERROR_ALLOWANCE:
                 raise ValueError(f"{name}={p} is not a probability")
         if self.max_n < 1:
             raise ValueError("max_n must be positive")
         if set(self.ess) != set(self.stop_probs):
             raise ValueError("ess and stop_probs must share their keys")
         # per-stage probability noise times the largest stage cost
-        ess_slack = _PROB_SLACK * self.max_n * max(
+        ess_slack = ERROR_ALLOWANCE * self.max_n * max(
             (len(p) for p in self.stop_probs.values()), default=1)
         for name, value in self.ess.items():
             if not 0.0 <= value <= self.max_n + ess_slack:
                 raise ValueError(
                     f"ess[{name!r}]={value} outside [0, max_n={self.max_n}]")
         for name, probs in self.stop_probs.items():
-            if any(not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK
+            if any(not -ERROR_ALLOWANCE <= p <= 1.0 + ERROR_ALLOWANCE
                    for p in probs):
                 raise ValueError(f"stop_probs[{name!r}] not probabilities")
             if abs(math.fsum(probs) - 1.0) > _PARTITION_SLACK:
@@ -110,21 +112,14 @@ class OperatingCharacteristics:
                     f"stop_probs[{name!r}] sum to {math.fsum(probs)}, not 1")
 
 
-def pwer(design: TrialDesign, *, target_abs_error: float = 1e-7,
+def pwer(design: TrialDesign, *,
+         target_abs_error: float = SINGLE_PROBLEM_TARGET,
          seed: int = 0) -> float:
     """Pairwise type I error: P(recommend a given ineffective arm)."""
-    est = mvn_rectangle_prob(pwer_problem(design),
-                             target_abs_error=target_abs_error, seed=seed)
-    if not est.converged:
-        raise ConvergenceError(
-            f"PWER integration stalled at {est.error_bound:.2e}")
-    return 1.0 - est.value
+    return _pwer(design, target=target_abs_error, seed=seed)
 
 
-def _total(sets: list[EventProblemSet], *, target_abs_error: float,
-           seed: int, max_evaluations: int, what: str) -> float:
-    est = total_probability(sets, target_abs_error=target_abs_error,
-                            seed=seed, max_evaluations=max_evaluations)
+def _checked(est: ProbabilityEstimate, what: str) -> float:
     if est.error_bound > ERROR_ALLOWANCE:
         raise ConvergenceError(
             f"{what} error bound {est.error_bound:.2e} exceeds the "
@@ -147,8 +142,10 @@ def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
     effects = EffectConfig.least_favorable(design.arms, theta_prime,
                                            theta_zero)
     sets = win_problems(design, effects, focal_arm=1)
-    return _total(sets, target_abs_error=target_abs_error, seed=seed,
-                  max_evaluations=max_evaluations, what="power")
+    return _checked(total_probability(sets, target_abs_error=target_abs_error,
+                                      seed=seed,
+                                      max_evaluations=max_evaluations),
+                    "power")
 
 
 def type_i_global_null(design: TrialDesign, *,
@@ -158,8 +155,10 @@ def type_i_global_null(design: TrialDesign, *,
                        ) -> float:
     """P(reject a given null) when no treatment works."""
     sets = global_null_typeI_problems(design)
-    return _total(sets, target_abs_error=target_abs_error, seed=seed,
-                  max_evaluations=max_evaluations, what="type I")
+    return _checked(total_probability(sets, target_abs_error=target_abs_error,
+                                      seed=seed,
+                                      max_evaluations=max_evaluations),
+                    "type I")
 
 
 def stop_stage_probabilities(design: TrialDesign, effects: EffectConfig,
@@ -168,16 +167,11 @@ def stop_stage_probabilities(design: TrialDesign, effects: EffectConfig,
                              max_evaluations: int = DEFAULT_MAX_EVALUATIONS
                              ) -> tuple[float, ...]:
     """P(trial ends at stage j) for j = 1..J; sums to one."""
-    out = []
-    for pset in stop_stage_problems(design, effects):
-        est = set_probability(pset, target_abs_error=target_abs_error,
-                              seed=seed, max_evaluations=max_evaluations)
-        if est.error_bound > ERROR_ALLOWANCE:
-            raise ConvergenceError(
-                f"stop-stage {pset.stage} error bound "
-                f"{est.error_bound:.2e} exceeds the allowance "
-                f"{ERROR_ALLOWANCE:.0e}; raise max_evaluations")
-        out.append(est.value)
+    out = [_checked(set_probability(pset, target_abs_error=target_abs_error,
+                                    seed=seed,
+                                    max_evaluations=max_evaluations),
+                    f"stop-stage {pset.stage}")
+           for pset in stop_stage_problems(design, effects)]
     total = math.fsum(out)
     if abs(total - 1.0) > _PARTITION_SLACK:
         raise ConvergenceError(
@@ -236,7 +230,7 @@ def _multiarm_problem(arms: int, n: int, crit: float, theta_prime: float,
 
 def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
                        theta_zero: float, sigma: float, *,
-                       target_abs_error: float = 1e-7,
+                       target_abs_error: float = SINGLE_PROBLEM_TARGET,
                        seed: int = 0) -> float:
     """LFC power of the single-look K-arm comparator at n per arm.
 
@@ -268,29 +262,11 @@ def comparator_multiarm(arms: int, alpha: float, power_target: float,
     if arms > 1 and not theta_prime > theta_zero:
         raise ValueError("need theta_prime > theta_zero")
 
-    visited: dict[int, float] = {}
-
-    def power_at(n: int) -> float:
-        if n not in visited:
-            visited[n] = multiarm_lfc_power(arms, n, alpha, theta_prime,
-                                            theta_zero, sigma, seed=seed)
-        return visited[n]
-
-    n_hi = 1
-    while power_at(n_hi) < power_target:
-        if n_hi >= max_n:
-            raise SearchLimitError(
-                f"comparator power {power_at(n_hi):.4f} at n={n_hi} "
-                f"still below {power_target}")
-        n_hi = min(2 * n_hi, max_n)
-    n_lo = n_hi // 2
-    while n_hi - n_lo > 1:
-        n_mid = (n_lo + n_hi) // 2
-        if power_at(n_mid) >= power_target:
-            n_hi = n_mid
-        else:
-            n_lo = n_mid
-    return n_hi, (arms + 1) * n_hi
+    n = _smallest_passing_n(
+        lambda n: multiarm_lfc_power(arms, n, alpha, theta_prime,
+                                     theta_zero, sigma, seed=seed),
+        power_target, max_n)
+    return n, (arms + 1) * n
 
 
 def comparator_separate_trials(arms: int, alpha: float, power_target: float,

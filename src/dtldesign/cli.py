@@ -42,8 +42,9 @@ from .characteristics import (
     multiarm_lfc_power,
     stage_total_patients,
 )
-from .covariance import EffectConfig, TrialDesign, build_moment_problem, single
+from .covariance import EffectConfig, TrialDesign
 from .events import (
+    pwer_problem,
     reject_problems,
     set_probability,
     stop_stage_problems,
@@ -74,10 +75,12 @@ _REQUIRED = ("design.arms", "endpoint.type", "calibration.alpha",
              "calibration.power")
 _SHAPES = {"obf": "obrien_fleming", "pocock": "pocock", "custom": "custom"}
 
-# integration targets when --tol is not given; the simulate default is
-# looser because its yardstick is Monte Carlo noise, not reporting precision
-_DESIGN_TOL = 1e-5
-_SIMULATE_TOL = 1e-5
+# integration target of the n search and of simulate's analytic column
+# when --tol is not given
+_DEFAULT_TOL = 1e-5
+# the analytic column integrates with this seed whatever --seed says, so it
+# does not move when only the simulation is reseeded
+_ANALYTIC_SEED = 0
 
 
 class ParseError(ValueError):
@@ -217,7 +220,8 @@ def parse_config(text: str) -> ParsedConfig:
         alpha=_take(entries, "calibration", "alpha", float, required=True),
         power_target=_take(entries, "calibration", "power", float,
                            required=True),
-        omega=_take(entries, "calibration", "omega", float, default=1e-5))
+        omega=_take(entries, "calibration", "omega", float,
+                    default=CalibrationConfig.omega))
 
     effects: dict[str, EffectConfig] = {}
     for (section, key) in [k for k in entries if k[0] == "effects"]:
@@ -421,7 +425,7 @@ def _calibrated_design(parsed: ParsedConfig, shape: BoundaryShape,
     design = calibrate_boundaries(template, shape, cal, seed=cfg.seed)
     return find_sample_size(design, parsed.normal.theta_prime,
                             parsed.normal.theta_zero, cal, seed=cfg.seed,
-                            target_abs_error=cfg.tol or _DESIGN_TOL)
+                            target_abs_error=cfg.tol or _DEFAULT_TOL)
 
 
 def _read_config(path: str) -> ParsedConfig:
@@ -472,19 +476,14 @@ def _cmd_evaluate(cfg: RunConfig) -> tuple[dict, str]:
 
 def _analytic_block(design: TrialDesign, effects: EffectConfig,
                     tol: float) -> dict:
-    kw = {"target_abs_error": tol, "seed": 0}
+    kw = {"target_abs_error": tol, "seed": _ANALYTIC_SEED}
     win = total_probability(win_problems(design, effects), **kw)
     rej = total_probability(reject_problems(design, effects), **kw)
     stops = [set_probability(s, **kw)
              for s in stop_stage_problems(design, effects)]
     ess = sum(est.value * stage_total_patients(design, j)
               for j, est in enumerate(stops, start=1))
-    coords = [single(1, j) for j in range(1, design.stages + 1)]
-    never = mvn_rectangle_prob(
-        build_moment_problem(design, effects, coords,
-                             [-math.inf] * design.stages,
-                             list(design.boundaries)),
-        target_abs_error=tol, seed=0)
+    never = mvn_rectangle_prob(pwer_problem(design, effects), **kw)
     block = {"power": win.value, "reject": rej.value,
              "focal_crossing": 1.0 - never.value, "ess": ess}
     for j, est in enumerate(stops, start=1):
@@ -494,7 +493,7 @@ def _analytic_block(design: TrialDesign, effects: EffectConfig,
 
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, str]:
     design, endpoint, _, effects = _load_designed(cfg.config_path)
-    tol = cfg.tol or _SIMULATE_TOL
+    tol = cfg.tol or _DEFAULT_TOL
     configs = {}
     for name, effect in effects.items():
         sim = estimate_characteristics(design, effect, cfg.reps,
@@ -636,7 +635,10 @@ def main(argv=None) -> int:
                        help="config file (evaluate/simulate also take a "
                             "design record)")
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="replicate seed; the analytic column always "
+                            f"integrates with seed {_ANALYTIC_SEED}"
+                       if name == "simulate" else "integration seed")
         p.add_argument("--tol", type=float,
                        help="integration target override")
         if name == "simulate":

@@ -29,9 +29,6 @@ __all__ = [
     "single",
     "difference",
     "corr_between",
-    "cov_z",
-    "cov_z_diff",
-    "cov_diff_diff",
     "mean_of",
     "build_moment_problem",
 ]
@@ -180,33 +177,6 @@ def corr_between(a: StatCoord, b: StatCoord) -> float:
         for sb, kb in _signed_arms(b):
             total += sa * sb * (r if ka == kb else 0.5 * r)
     return total
-
-
-def cov_z(design: TrialDesign, a: StatCoord, b: StatCoord) -> float:
-    """Covariance of two single statistics."""
-    if a.kind != "single" or b.kind != "single":
-        raise ValueError("cov_z takes two single coordinates")
-    a.validate(design)
-    b.validate(design)
-    return corr_between(a, b)
-
-
-def cov_z_diff(design: TrialDesign, a: StatCoord, b: StatCoord) -> float:
-    """Covariance of a single statistic with a difference."""
-    if a.kind != "single" or b.kind != "difference":
-        raise ValueError("cov_z_diff takes a single and a difference")
-    a.validate(design)
-    b.validate(design)
-    return corr_between(a, b)
-
-
-def cov_diff_diff(design: TrialDesign, a: StatCoord, b: StatCoord) -> float:
-    """Covariance of two difference statistics."""
-    if a.kind != "difference" or b.kind != "difference":
-        raise ValueError("cov_diff_diff takes two differences")
-    a.validate(design)
-    b.validate(design)
-    return corr_between(a, b)
 
 
 def mean_of(design: TrialDesign, effects: EffectConfig, c: StatCoord) -> float:

@@ -136,12 +136,12 @@ class _RectBuilder:
         return tuple(out)
 
 
-def _check_inputs(design: TrialDesign, effects: EffectConfig, cap: int,
-                  focal_arm: int | None = None) -> None:
+def _check_inputs(design: TrialDesign, cap: int, focal_arm: int | None = None,
+                  effects: EffectConfig | None = None) -> None:
     if design.arms > cap:
         raise CapacityError(
             f"{design.arms} arms exceeds the enumeration cap of {cap}")
-    if len(effects.deltas) != design.arms:
+    if effects is not None and len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     if focal_arm is not None and not 1 <= focal_arm <= design.arms:
         raise ValueError(f"focal arm {focal_arm} outside 1..{design.arms}")
@@ -285,20 +285,87 @@ def _drops_before_decision(design: TrialDesign, stage: int) -> int:
     return stage if stage < design.stages else design.stages - 1
 
 
-def pwer_problem(design: TrialDesign) -> OrthantProblem:
-    """Marginal no-crossing rectangle for one arm under its null.
+def _crosses(design: TrialDesign, arm: int, stage: int):
+    return (single(arm, stage), design.boundaries[stage - 1], math.inf)
+
+
+# One generator per event family: for the ending stage j it yields each
+# drop order with the extra constraints that order carries, and
+# _path_rects adds the shared no-earlier-stop and end-at-stage constraints.
+# The public docstrings below say what each event is; the stop event has
+# no focal arm.
+
+def _stop_paths(design: TrialDesign, j: int, focal_arm: None):
+    for perm in itertools.permutations(range(1, design.arms + 1),
+                                       _drops_before_decision(design, j)):
+        yield DropOrder(perm), ()
+
+
+def _win_paths(design: TrialDesign, j: int, focal_arm: int):
+    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
+    for perm in itertools.permutations(others,
+                                       _drops_before_decision(design, j)):
+        order = DropOrder(perm)
+        if j < design.stages:
+            yield order, [(difference(focal_arm, s, j), 0.0, math.inf)
+                          for s in order.survivors(design) if s != focal_arm]
+        else:
+            yield order, [_crosses(design, focal_arm, j)]
+
+
+def _reject_paths(design: TrialDesign, j: int, focal_arm: int):
+    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
+    if j < design.stages:
+        # focal survives the stage-j drop; its crossing is part of the
+        # all-survivors-cross stop constraint
+        for perm in itertools.permutations(others, j):
+            yield DropOrder(perm), ()
+        for perm in itertools.permutations(others, j - 1):
+            yield DropOrder(perm + (focal_arm,)), [
+                _crosses(design, focal_arm, j)]
+    else:
+        for perm in itertools.permutations(others, j - 1):
+            yield DropOrder(perm), [_crosses(design, focal_arm, j)]
+
+
+def _stage_rects(design: TrialDesign, paths, focal_arm: int | None):
+    """Raw rectangles of one event family, one list per stage 1..J."""
+    for j in range(1, design.stages + 1):
+        yield [rect for order, extras in paths(design, j, focal_arm)
+               for rect in _path_rects(design, order, j, extras)]
+
+
+def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
+                focal_arm: int | None, cap: int,
+                label: str) -> list[EventProblemSet]:
+    """Collapsed per-stage problem sets of one event family."""
+    _check_inputs(design, cap, focal_arm, effects)
+    fixed = frozenset() if focal_arm is None else frozenset((focal_arm,))
+    gamma = _symmetry_maps(effects.deltas, fixed=fixed)
+    return [EventProblemSet(j, _collapse(design, effects, rects, gamma),
+                            label=f"{label}@{j}")
+            for j, rects in enumerate(_stage_rects(design, paths, focal_arm),
+                                      start=1)]
+
+
+def pwer_problem(design: TrialDesign,
+                 effects: EffectConfig | None = None) -> OrthantProblem:
+    """Marginal no-crossing rectangle for arm 1, under the global null by
+    default.
 
     The pairwise error rate used for calibration is 1 - P(this problem):
     the chance the arm's statistic ever clears its boundary when delta = 0,
     ignoring selection.  Selection only removes crossing opportunities, so
     this bounds the realized per-arm type I error at every effect
-    configuration.
+    configuration.  Under other effects it is the chance arm 1 never
+    crosses.
     """
+    if effects is None:
+        effects = EffectConfig.global_null(design.arms)
     stages = design.stages
     coords = [single(1, j) for j in range(1, stages + 1)]
-    return build_moment_problem(design, EffectConfig.global_null(design.arms),
-                                coords, [-math.inf] * stages,
-                                list(design.boundaries))
+    return build_moment_problem(design, effects, coords,
+                                [-math.inf] * stages, list(design.boundaries))
 
 
 def win_problems(design: TrialDesign, effects: EffectConfig,
@@ -307,25 +374,7 @@ def win_problems(design: TrialDesign, effects: EffectConfig,
     """Per-stage events: trial ends at that stage with the focal arm
     recommended (it survived every drop so far, cleared the boundary, and
     beat every other crossing survivor)."""
-    _check_inputs(design, effects, cap, focal_arm)
-    gamma = _symmetry_maps(effects.deltas, fixed=frozenset((focal_arm,)))
-    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
-    sets = []
-    for j in range(1, design.stages + 1):
-        drops = _drops_before_decision(design, j)
-        paths = []
-        for perm in itertools.permutations(others, drops):
-            order = DropOrder(perm)
-            if j < design.stages:
-                extras = [(difference(focal_arm, s, j), 0.0, math.inf)
-                          for s in order.survivors(design) if s != focal_arm]
-            else:
-                extras = [(single(focal_arm, j), design.boundaries[-1],
-                           math.inf)]
-            paths += _path_rects(design, order, j, extras)
-        sets.append(EventProblemSet(j, _collapse(design, effects, paths,
-                                                 gamma), label=f"win@{j}"))
-    return sets
+    return _event_sets(design, effects, _win_paths, focal_arm, cap, "win")
 
 
 def power_lfc_problems(design: TrialDesign, theta_prime: float,
@@ -344,18 +393,7 @@ def stop_stage_problems(design: TrialDesign, effects: EffectConfig, *,
                         cap: int = PERMUTATION_CAP) -> list[EventProblemSet]:
     """Per-stage events: the trial ends at that stage.  The stage events
     partition the sample space, so the probabilities sum to one."""
-    _check_inputs(design, effects, cap)
-    gamma = _symmetry_maps(effects.deltas)
-    arms = range(1, design.arms + 1)
-    sets = []
-    for j in range(1, design.stages + 1):
-        drops = _drops_before_decision(design, j)
-        paths = []
-        for perm in itertools.permutations(arms, drops):
-            paths += _path_rects(design, DropOrder(perm), j, [])
-        sets.append(EventProblemSet(j, _collapse(design, effects, paths,
-                                                 gamma), label=f"stop@{j}"))
-    return sets
+    return _event_sets(design, effects, _stop_paths, None, cap, "stop")
 
 
 def reject_problems(design: TrialDesign, effects: EffectConfig,
@@ -364,31 +402,8 @@ def reject_problems(design: TrialDesign, effects: EffectConfig,
     """Per-stage events: the trial ends at that stage and the focal arm
     clears the boundary there.  The focal arm may be a crossing survivor or
     the arm dropped at the ending stage; both ways its null is rejected."""
-    _check_inputs(design, effects, cap, focal_arm)
-    gamma = _symmetry_maps(effects.deltas, fixed=frozenset((focal_arm,)))
-    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
-    sets = []
-    stages = design.stages
-    for j in range(1, stages + 1):
-        paths = []
-        if j < stages:
-            for perm in itertools.permutations(others, j):
-                # focal survives the stage-j drop; its crossing is part of
-                # the all-survivors-cross stop constraint
-                paths += _path_rects(design, DropOrder(perm), j, [])
-            u = design.boundaries[j - 1]
-            for perm in itertools.permutations(others, j - 1):
-                order = DropOrder(perm + (focal_arm,))
-                paths += _path_rects(design, order, j,
-                                     [(single(focal_arm, j), u, math.inf)])
-        else:
-            for perm in itertools.permutations(others, stages - 1):
-                paths += _path_rects(
-                    design, DropOrder(perm), j,
-                    [(single(focal_arm, j), design.boundaries[-1], math.inf)])
-        sets.append(EventProblemSet(j, _collapse(design, effects, paths,
-                                                 gamma), label=f"reject@{j}"))
-    return sets
+    return _event_sets(design, effects, _reject_paths, focal_arm, cap,
+                       "reject")
 
 
 def global_null_typeI_problems(design: TrialDesign, *,
@@ -411,18 +426,8 @@ def stop_event_rectangles(design: TrialDesign, *,
     what a simulated path can be tested against directly: across all stages
     the rectangles tile the sample space up to boundary ties.
     """
-    if design.arms > cap:
-        raise CapacityError(
-            f"{design.arms} arms exceeds the enumeration cap of {cap}")
-    arms = range(1, design.arms + 1)
-    out = []
-    for j in range(1, design.stages + 1):
-        drops = _drops_before_decision(design, j)
-        rects = []
-        for perm in itertools.permutations(arms, drops):
-            rects += _path_rects(design, DropOrder(perm), j, [])
-        out.append(tuple(rects))
-    return out
+    _check_inputs(design, cap)
+    return [tuple(rects) for rects in _stage_rects(design, _stop_paths, None)]
 
 
 def win_event_rectangles(design: TrialDesign, focal_arm: int = 1, *,
@@ -430,27 +435,9 @@ def win_event_rectangles(design: TrialDesign, focal_arm: int = 1, *,
     """Raw constraint rectangles of the focal-arm win events, one tuple per
     stage, without the relabeling collapse.  A path lies in at most one of
     these rectangles over all stages combined."""
-    if design.arms > cap:
-        raise CapacityError(
-            f"{design.arms} arms exceeds the enumeration cap of {cap}")
-    if not 1 <= focal_arm <= design.arms:
-        raise ValueError(f"focal arm {focal_arm} outside 1..{design.arms}")
-    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
-    out = []
-    for j in range(1, design.stages + 1):
-        drops = _drops_before_decision(design, j)
-        rects = []
-        for perm in itertools.permutations(others, drops):
-            order = DropOrder(perm)
-            if j < design.stages:
-                extras = [(difference(focal_arm, s, j), 0.0, math.inf)
-                          for s in order.survivors(design) if s != focal_arm]
-            else:
-                extras = [(single(focal_arm, j), design.boundaries[-1],
-                           math.inf)]
-            rects += _path_rects(design, order, j, extras)
-        out.append(tuple(rects))
-    return out
+    _check_inputs(design, cap, focal_arm)
+    return [tuple(rects)
+            for rects in _stage_rects(design, _win_paths, focal_arm)]
 
 
 def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,

@@ -21,9 +21,6 @@ from dtldesign.covariance import (
     TrialDesign,
     build_moment_problem,
     corr_between,
-    cov_diff_diff,
-    cov_z,
-    cov_z_diff,
     difference,
     mean_of,
     single,
@@ -137,51 +134,43 @@ class TestStatCoord:
 class TestPairRules:
     def test_same_arm_across_stages(self):
         # var-normalised cumulative statistics: sqrt(jmin/jmax)
-        assert cov_z(DESIGN, single(1, 1), single(1, 2)) == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert cov_z(DESIGN, single(2, 1), single(2, 3)) == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
-        assert cov_z(DESIGN, single(1, 2), single(1, 3)) == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+        assert corr_between(single(1, 1), single(1, 2)) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        assert corr_between(single(2, 1), single(2, 3)) == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
+        assert corr_between(single(1, 2), single(1, 3)) == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
 
     def test_different_arms_shared_control(self):
-        assert cov_z(DESIGN, single(1, 1), single(2, 1)) == pytest.approx(0.5, abs=1e-15)
-        assert cov_z(DESIGN, single(1, 1), single(2, 2)) == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-15)
+        assert corr_between(single(1, 1), single(2, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert corr_between(single(1, 1), single(2, 2)) == pytest.approx(0.5 * math.sqrt(0.5), abs=1e-15)
 
     def test_single_vs_difference(self):
         # Z_{1,1} with Z_{1,1}-Z_{2,1}: 1 - 1/2
-        assert cov_z_diff(DESIGN, single(1, 1), difference(1, 2, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert corr_between(single(1, 1), difference(1, 2, 1)) == pytest.approx(0.5, abs=1e-15)
         # Z_{2,1} with Z_{1,1}-Z_{2,1}: 1/2 - 1
-        assert cov_z_diff(DESIGN, single(2, 1), difference(1, 2, 1)) == pytest.approx(-0.5, abs=1e-15)
+        assert corr_between(single(2, 1), difference(1, 2, 1)) == pytest.approx(-0.5, abs=1e-15)
         # no shared arm: Z_{3,1} with Z_{1,2}-Z_{2,2}: r/2 - r/2
-        assert cov_z_diff(DESIGN, single(3, 1), difference(1, 2, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert corr_between(single(3, 1), difference(1, 2, 2)) == pytest.approx(0.0, abs=1e-15)
         # shared arm across stages: Z_{1,1} with Z_{1,2}-Z_{2,2}
         r = math.sqrt(0.5)
-        assert cov_z_diff(DESIGN, single(1, 1), difference(1, 2, 2)) == pytest.approx(r - 0.5 * r, abs=1e-15)
+        assert corr_between(single(1, 1), difference(1, 2, 2)) == pytest.approx(r - 0.5 * r, abs=1e-15)
 
     def test_difference_vs_difference_all_cases(self):
         r = math.sqrt(0.5)
         # matched pair across stages
-        assert cov_diff_diff(DESIGN, difference(1, 2, 1), difference(1, 2, 2)) == pytest.approx(r, abs=1e-15)
+        assert corr_between(difference(1, 2, 1), difference(1, 2, 2)) == pytest.approx(r, abs=1e-15)
         # swapped pair
-        assert cov_diff_diff(DESIGN, difference(1, 2, 1), difference(2, 1, 2)) == pytest.approx(-r, abs=1e-15)
+        assert corr_between(difference(1, 2, 1), difference(2, 1, 2)) == pytest.approx(-r, abs=1e-15)
         # share first arms only
-        assert cov_diff_diff(DESIGN, difference(1, 2, 1), difference(1, 3, 2)) == pytest.approx(0.5 * r, abs=1e-15)
+        assert corr_between(difference(1, 2, 1), difference(1, 3, 2)) == pytest.approx(0.5 * r, abs=1e-15)
         # first of one is second of the other
-        assert cov_diff_diff(DESIGN, difference(1, 2, 2), difference(2, 3, 1)) == pytest.approx(-0.5 * r, abs=1e-15)
+        assert corr_between(difference(1, 2, 2), difference(2, 3, 1)) == pytest.approx(-0.5 * r, abs=1e-15)
         # identical coordinates have unit correlation
-        assert cov_diff_diff(DESIGN, difference(1, 2, 1), difference(1, 2, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert corr_between(difference(1, 2, 1), difference(1, 2, 1)) == pytest.approx(1.0, abs=1e-15)
         # same stage, one shared arm
-        assert cov_diff_diff(DESIGN, difference(1, 3, 1), difference(2, 3, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert corr_between(difference(1, 3, 1), difference(2, 3, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_disjoint_difference_pairs(self):
-        d4 = TrialDesign(4, 4, 10, (4.0, 3.0, 2.5, 2.0), 0.025, 1.0)
-        assert cov_diff_diff(d4, difference(1, 2, 1), difference(3, 4, 2)) == pytest.approx(0.0, abs=1e-15)
-
-    def test_kind_checked_wrappers_reject_mismatches(self):
-        with pytest.raises(ValueError):
-            cov_z(DESIGN, single(1, 1), difference(1, 2, 1))
-        with pytest.raises(ValueError):
-            cov_z_diff(DESIGN, difference(1, 2, 1), single(1, 1))
-        with pytest.raises(ValueError):
-            cov_diff_diff(DESIGN, single(1, 1), difference(1, 2, 1))
+        # needs four arms: Z_{1,1}-Z_{2,1} with Z_{3,2}-Z_{4,2}
+        assert corr_between(difference(1, 2, 1), difference(3, 4, 2)) == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetry(self):
         a, b = single(2, 1), difference(1, 2, 3)

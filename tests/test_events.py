@@ -22,8 +22,10 @@ from dtldesign.events import (
     pwer_problem,
     reject_problems,
     set_probability,
+    stop_event_rectangles,
     stop_stage_problems,
     total_probability,
+    win_event_rectangles,
     win_problems,
 )
 from dtldesign.mvn import mvn_rectangle_prob
@@ -260,6 +262,41 @@ def test_stop_stages_partition_unity(k, seed):
     sets = stop_stage_problems(design, effects)
     est = total_probability(sets, target_abs_error=2e-6, seed=seed)
     assert est.value == pytest.approx(1.0, abs=2e-5)
+
+
+# ---------------------------------------------------------------------------
+# collapsed sets and raw rectangles come from one enumeration
+
+
+def _obf_design(k):
+    return TrialDesign(k, k, 50, tuple(2.0 * math.sqrt(k / j)
+                                       for j in range(1, k + 1)), 0.025, 1.0)
+
+
+_COLLAPSE_EFFECTS = {
+    "lfc": lambda k: EffectConfig.least_favorable(k, THETA_P, THETA_0),
+    "all_equal": lambda k: EffectConfig.all_relevant(k, THETA_P),
+}
+
+
+@pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
+@pytest.mark.parametrize("k", [3, 4])
+def test_stop_weights_count_raw_rectangles(k, effects):
+    design = _obf_design(k)
+    sets = stop_stage_problems(design, _COLLAPSE_EFFECTS[effects](k))
+    rects = stop_event_rectangles(design)
+    assert [sum(w for w, _ in s.problems) for s in sets] == \
+        [len(r) for r in rects]
+
+
+@pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
+@pytest.mark.parametrize("k", [3, 4])
+def test_win_weights_count_raw_rectangles(k, effects):
+    design = _obf_design(k)
+    sets = win_problems(design, _COLLAPSE_EFFECTS[effects](k))
+    rects = win_event_rectangles(design)
+    assert [sum(w for w, _ in s.problems) for s in sets] == \
+        [len(r) for r in rects]
 
 
 # ---------------------------------------------------------------------------
