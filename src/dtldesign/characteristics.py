@@ -127,6 +127,10 @@ def _checked(est: ProbabilityEstimate, what: str) -> float:
     return est.value
 
 
+def _checked_total(sets, what: str, **integration) -> float:
+    return _checked(total_probability(sets, **integration), what)
+
+
 def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
               *, target_abs_error: float = DEFAULT_TARGET, seed: int = 0,
               max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> float:
@@ -141,11 +145,9 @@ def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
         raise ValueError("need theta_prime >= theta_zero")
     effects = EffectConfig.least_favorable(design.arms, theta_prime,
                                            theta_zero)
-    sets = win_problems(design, effects, focal_arm=1)
-    return _checked(total_probability(sets, target_abs_error=target_abs_error,
-                                      seed=seed,
-                                      max_evaluations=max_evaluations),
-                    "power")
+    return _checked_total(win_problems(design, effects, focal_arm=1), "power",
+                          target_abs_error=target_abs_error, seed=seed,
+                          max_evaluations=max_evaluations)
 
 
 def type_i_global_null(design: TrialDesign, *,
@@ -154,11 +156,9 @@ def type_i_global_null(design: TrialDesign, *,
                        max_evaluations: int = DEFAULT_MAX_EVALUATIONS
                        ) -> float:
     """P(reject a given null) when no treatment works."""
-    sets = global_null_typeI_problems(design)
-    return _checked(total_probability(sets, target_abs_error=target_abs_error,
-                                      seed=seed,
-                                      max_evaluations=max_evaluations),
-                    "type I")
+    return _checked_total(global_null_typeI_problems(design), "type I",
+                          target_abs_error=target_abs_error, seed=seed,
+                          max_evaluations=max_evaluations)
 
 
 def stop_stage_probabilities(design: TrialDesign, effects: EffectConfig,

@@ -631,10 +631,12 @@ def main(argv=None) -> int:
     }
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True,
+        p.add_argument("--config", dest="config_path", metavar="CONFIG",
+                       required=True,
                        help="config file (evaluate/simulate also take a "
                             "design record)")
-        p.add_argument("--out", help="write the JSON report here")
+        p.add_argument("--out", dest="out_path", metavar="OUT",
+                       help="write the JSON report here")
         p.add_argument("--seed", type=int, default=0,
                        help="replicate seed; the analytic column always "
                             f"integrates with seed {_ANALYTIC_SEED}"
@@ -642,7 +644,7 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float,
                        help="integration target override")
         if name == "simulate":
-            p.add_argument("--reps", type=int, default=100_000)
+            p.add_argument("--reps", type=int, default=RunConfig.reps)
         if name in ("design", "compare"):
             p.add_argument("--alpha", type=float,
                            help="override calibration.alpha")
@@ -650,14 +652,7 @@ def main(argv=None) -> int:
                            help="override calibration.power")
             p.add_argument("--omega", type=float,
                            help="override calibration.omega")
-    ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command, config_path=ns.config,
-                    out_path=ns.out, seed=ns.seed,
-                    reps=getattr(ns, "reps", 100_000), tol=ns.tol,
-                    alpha=getattr(ns, "alpha", None),
-                    power=getattr(ns, "power", None),
-                    omega=getattr(ns, "omega", None))
-    return run(cfg)
+    return run(RunConfig(**vars(parser.parse_args(argv))))
 
 
 if __name__ == "__main__":

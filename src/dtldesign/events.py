@@ -109,38 +109,23 @@ def _coord_key(c: StatCoord):
     return (c.stage, c.kind, c.arm_a, c.arm_b)
 
 
-class _RectBuilder:
-    """Accumulates interval constraints per coordinate, intersecting repeats."""
+def _rect(constraints):
+    """Sorted (coord, lo, hi) description, or None for an empty rectangle.
 
-    def __init__(self):
-        self.bounds: dict[StatCoord, list[float]] = {}
-
-    def add(self, coord: StatCoord, lo: float, hi: float) -> None:
-        if lo == -math.inf and hi == math.inf:
-            return
-        cur = self.bounds.get(coord)
-        if cur is None:
-            self.bounds[coord] = [lo, hi]
-        else:
-            cur[0] = max(cur[0], lo)
-            cur[1] = min(cur[1], hi)
-
-    def items(self):
-        """Sorted (coord, lo, hi) description, or None for an empty rectangle."""
-        out = []
-        for coord, (lo, hi) in sorted(self.bounds.items(),
-                                      key=lambda kv: _coord_key(kv[0])):
-            if not lo < hi:
-                return None
-            out.append((coord, lo, hi))
-        return tuple(out)
+    Each coordinate appears at most once in `constraints`; an infinite
+    boundary gives an (inf, inf) constraint, which empties the rectangle.
+    """
+    rect = tuple(sorted(constraints, key=lambda c: _coord_key(c[0])))
+    if any(not lo < hi for _, lo, hi in rect):
+        return None
+    return rect
 
 
-def _check_inputs(design: TrialDesign, cap: int, focal_arm: int | None = None,
+def _check_inputs(design: TrialDesign, focal_arm: int | None = None,
                   effects: EffectConfig | None = None) -> None:
-    if design.arms > cap:
-        raise CapacityError(
-            f"{design.arms} arms exceeds the enumeration cap of {cap}")
+    if design.arms > PERMUTATION_CAP:
+        raise CapacityError(f"{design.arms} arms exceeds the enumeration "
+                            f"cap of {PERMUTATION_CAP}")
     if effects is not None and len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     if focal_arm is not None and not 1 <= focal_arm <= design.arms:
@@ -198,23 +183,10 @@ def _path_rects(design: TrialDesign, order: DropOrder, end_stage: int,
         u = design.boundaries[end_stage - 1]
         stop_cons = [(single(a, end_stage), u, math.inf)
                      for a in order.survivors(design)]
-    out = []
-    for combo in itertools.product(
-            *_no_stop_options(design, order, end_stage - 1)):
-        b = _RectBuilder()
-        for c in base:
-            b.add(*c)
-        for group in combo:
-            for c in group:
-                b.add(*c)
-        for c in stop_cons:
-            b.add(*c)
-        for c in extras:
-            b.add(*c)
-        items = b.items()
-        if items is not None:
-            out.append(items)
-    return out
+    combos = itertools.product(*_no_stop_options(design, order, end_stage - 1))
+    rects = (_rect([*base, *itertools.chain(*combo), *stop_cons, *extras])
+             for combo in combos)
+    return [rect for rect in rects if rect is not None]
 
 
 def _symmetry_maps(deltas, fixed=frozenset()):
@@ -329,17 +301,17 @@ def _reject_paths(design: TrialDesign, j: int, focal_arm: int):
 
 
 def _stage_rects(design: TrialDesign, paths, focal_arm: int | None):
-    """Raw rectangles of one event family, one list per stage 1..J."""
+    """Raw rectangles of one event family, one tuple per stage 1..J."""
     for j in range(1, design.stages + 1):
-        yield [rect for order, extras in paths(design, j, focal_arm)
-               for rect in _path_rects(design, order, j, extras)]
+        yield tuple(rect for order, extras in paths(design, j, focal_arm)
+                    for rect in _path_rects(design, order, j, extras))
 
 
 def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
-                focal_arm: int | None, cap: int,
+                focal_arm: int | None,
                 label: str) -> list[EventProblemSet]:
     """Collapsed per-stage problem sets of one event family."""
-    _check_inputs(design, cap, focal_arm, effects)
+    _check_inputs(design, focal_arm, effects)
     fixed = frozenset() if focal_arm is None else frozenset((focal_arm,))
     gamma = _symmetry_maps(effects.deltas, fixed=fixed)
     return [EventProblemSet(j, _collapse(design, effects, rects, gamma),
@@ -369,54 +341,47 @@ def pwer_problem(design: TrialDesign,
 
 
 def win_problems(design: TrialDesign, effects: EffectConfig,
-                 focal_arm: int = 1, *,
-                 cap: int = PERMUTATION_CAP) -> list[EventProblemSet]:
+                 focal_arm: int = 1) -> list[EventProblemSet]:
     """Per-stage events: trial ends at that stage with the focal arm
     recommended (it survived every drop so far, cleared the boundary, and
     beat every other crossing survivor)."""
-    return _event_sets(design, effects, _win_paths, focal_arm, cap, "win")
+    return _event_sets(design, effects, _win_paths, focal_arm, "win")
 
 
 def power_lfc_problems(design: TrialDesign, theta_prime: float,
-                       theta_zero: float, *,
-                       cap: int = PERMUTATION_CAP) -> list[EventProblemSet]:
+                       theta_zero: float) -> list[EventProblemSet]:
     """Win events for arm 1 under the least favorable configuration
     (arm 1 at theta_prime, all rivals at theta_zero)."""
     if not theta_prime > theta_zero:
         raise ValueError("theta_prime must exceed theta_zero")
     effects = EffectConfig.least_favorable(design.arms, theta_prime,
                                            theta_zero)
-    return win_problems(design, effects, focal_arm=1, cap=cap)
+    return win_problems(design, effects, focal_arm=1)
 
 
-def stop_stage_problems(design: TrialDesign, effects: EffectConfig, *,
-                        cap: int = PERMUTATION_CAP) -> list[EventProblemSet]:
+def stop_stage_problems(design: TrialDesign,
+                        effects: EffectConfig) -> list[EventProblemSet]:
     """Per-stage events: the trial ends at that stage.  The stage events
     partition the sample space, so the probabilities sum to one."""
-    return _event_sets(design, effects, _stop_paths, None, cap, "stop")
+    return _event_sets(design, effects, _stop_paths, None, "stop")
 
 
 def reject_problems(design: TrialDesign, effects: EffectConfig,
-                    focal_arm: int = 1, *,
-                    cap: int = PERMUTATION_CAP) -> list[EventProblemSet]:
+                    focal_arm: int = 1) -> list[EventProblemSet]:
     """Per-stage events: the trial ends at that stage and the focal arm
     clears the boundary there.  The focal arm may be a crossing survivor or
     the arm dropped at the ending stage; both ways its null is rejected."""
-    return _event_sets(design, effects, _reject_paths, focal_arm, cap,
-                       "reject")
+    return _event_sets(design, effects, _reject_paths, focal_arm, "reject")
 
 
-def global_null_typeI_problems(design: TrialDesign, *,
-                               cap: int = PERMUTATION_CAP
-                               ) -> list[EventProblemSet]:
+def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:
     """Reject events for a fixed arm when every effect is zero; summed over
     stages this is the realized per-arm type I error under the global null."""
     effects = EffectConfig.global_null(design.arms)
-    return reject_problems(design, effects, focal_arm=1, cap=cap)
+    return reject_problems(design, effects, focal_arm=1)
 
 
-def stop_event_rectangles(design: TrialDesign, *,
-                          cap: int = PERMUTATION_CAP):
+def stop_event_rectangles(design: TrialDesign):
     """Raw constraint rectangles of the end-at-stage events, one tuple per
     stage, without the relabeling collapse.
 
@@ -426,18 +391,30 @@ def stop_event_rectangles(design: TrialDesign, *,
     what a simulated path can be tested against directly: across all stages
     the rectangles tile the sample space up to boundary ties.
     """
-    _check_inputs(design, cap)
-    return [tuple(rects) for rects in _stage_rects(design, _stop_paths, None)]
+    _check_inputs(design)
+    return list(_stage_rects(design, _stop_paths, None))
 
 
-def win_event_rectangles(design: TrialDesign, focal_arm: int = 1, *,
-                         cap: int = PERMUTATION_CAP):
+def win_event_rectangles(design: TrialDesign, focal_arm: int = 1):
     """Raw constraint rectangles of the focal-arm win events, one tuple per
     stage, without the relabeling collapse.  A path lies in at most one of
     these rectangles over all stages combined."""
-    _check_inputs(design, cap, focal_arm)
-    return [tuple(rects)
-            for rects in _stage_rects(design, _win_paths, focal_arm)]
+    _check_inputs(design, focal_arm)
+    return list(_stage_rects(design, _win_paths, focal_arm))
+
+
+def _weighted_sum(terms) -> ProbabilityEstimate:
+    """Sum of (weight, estimate) pairs; converged if every term converged."""
+    value = 0.0
+    bound = 0.0
+    evaluations = 0
+    converged = True
+    for w, est in terms:
+        value += w * est.value
+        bound += w * est.error_bound
+        evaluations += est.evaluations
+        converged = converged and est.converged
+    return ProbabilityEstimate(value, bound, evaluations, converged)
 
 
 def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
@@ -449,34 +426,21 @@ def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
     per-problem seeds derived from (seed, stage, index), so the estimate is
     independent of any execution schedule.
     """
-    value = 0.0
-    bound = 0.0
-    evaluations = 0
-    converged = True
-    for idx, (w, prob) in enumerate(pset.problems):
-        sub = int(np.random.SeedSequence(
+    def sub_seed(idx):
+        return int(np.random.SeedSequence(
             (seed, pset.stage, idx)).generate_state(1)[0])
-        est = mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
-                                 seed=sub, max_evaluations=max_evaluations)
-        value += w * est.value
-        bound += w * est.error_bound
-        evaluations += est.evaluations
-        converged = converged and est.converged
-    return ProbabilityEstimate(value, bound, evaluations, converged)
+
+    return _weighted_sum(
+        (w, mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
+                               seed=sub_seed(idx),
+                               max_evaluations=max_evaluations))
+        for idx, (w, prob) in enumerate(pset.problems))
 
 
 def total_probability(psets, *, target_abs_error: float = 1e-6, seed: int = 0,
                       max_evaluations: int = 1 << 24) -> ProbabilityEstimate:
     """Sum of set_probability over one family of per-stage event sets."""
-    value = 0.0
-    bound = 0.0
-    evaluations = 0
-    converged = True
-    for pset in psets:
-        est = set_probability(pset, target_abs_error=target_abs_error,
-                              seed=seed, max_evaluations=max_evaluations)
-        value += est.value
-        bound += est.error_bound
-        evaluations += est.evaluations
-        converged = converged and est.converged
-    return ProbabilityEstimate(value, bound, evaluations, converged)
+    return _weighted_sum(
+        (1, set_probability(pset, target_abs_error=target_abs_error,
+                            seed=seed, max_evaluations=max_evaluations))
+        for pset in psets)

@@ -39,6 +39,9 @@ _UNIT_HI = 1.0 - 1e-16
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
+# Independent Sobol scramblings behind each error estimate.
+_RANDOMIZATIONS = 12
+
 
 class NotPositiveSemiDefiniteError(ValueError):
     """Correlation matrix has an eigenvalue below the accepted tolerance."""
@@ -229,7 +232,6 @@ def mvn_rectangle_prob(problem: OrthantProblem,
                        target_abs_error: float = 1e-5,
                        seed: int = 0,
                        *,
-                       randomizations: int = 12,
                        max_evaluations: int = 1 << 24) -> ProbabilityEstimate:
     """Estimate P(lower <= Z <= upper) for Z ~ N(mean, corr).
 
@@ -241,7 +243,6 @@ def mvn_rectangle_prob(problem: OrthantProblem,
             (problem, target_abs_error, seed); the independent randomizations
             use fixed sub-seeds derived from `seed`, so any parallel
             evaluation schedule would produce the same estimate.
-        randomizations: independent Sobol scramblings for the error estimate.
         max_evaluations: cap on total integrand evaluations; when hit, the
             current estimate is returned with converged=False.
 
@@ -268,10 +269,10 @@ def mvn_rectangle_prob(problem: OrthantProblem,
         return ProbabilityEstimate(max(p, 0.0), 0.0, 1, True)
     L, a, b = _pivoted_cholesky(corr, a, b)
 
-    children = np.random.SeedSequence(seed).spawn(randomizations)
+    children = np.random.SeedSequence(seed).spawn(_RANDOMIZATIONS)
     engines = [qmc.Sobol(d - 1, scramble=True, seed=np.random.default_rng(c))
                for c in children]
-    sums = np.zeros(randomizations)
+    sums = np.zeros(_RANDOMIZATIONS)
     n_per = 0
     batch = 128
     evaluations = 0
@@ -280,15 +281,15 @@ def mvn_rectangle_prob(problem: OrthantProblem,
             pts = engine.random(batch)
             sums[r] += float(_sov_integrand(L, a, b, pts).sum())
         n_per += batch
-        evaluations += randomizations * batch
+        evaluations += _RANDOMIZATIONS * batch
         estimates = sums / n_per
         value = float(estimates.mean())
-        error = 3.0 * float(estimates.std(ddof=1)) / math.sqrt(randomizations)
+        error = 3.0 * float(estimates.std(ddof=1)) / math.sqrt(_RANDOMIZATIONS)
         if error <= target_abs_error:
             converged = True
             break
         batch = n_per  # double the total each round (keeps counts powers of 2)
-        if evaluations + randomizations * batch > max_evaluations:
+        if evaluations + _RANDOMIZATIONS * batch > max_evaluations:
             converged = False
             break
     value = min(max(value, 0.0), 1.0)

@@ -299,6 +299,38 @@ def test_win_weights_count_raw_rectangles(k, effects):
         [len(r) for r in rects]
 
 
+def _boundaries(k, kind):
+    finite = _obf_design(k).boundaries
+    if kind == "finite":
+        return finite
+    if kind == "dtl":
+        return (math.inf,) * (k - 1) + finite[-1:]
+    # mixed: stopping disabled at the odd interims only
+    return tuple(math.inf if j % 2 and j < k else u
+                 for j, u in enumerate(finite, start=1))
+
+
+@pytest.mark.parametrize("kind", ["finite", "dtl", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
+    # each path constrains a coordinate at most once, so a rectangle is its
+    # sorted constraint list, pruned when an infinite boundary empties it
+    design = _obf_design(k).with_boundaries(_boundaries(k, kind))
+    families = [stop_event_rectangles(design)] + [
+        win_event_rectangles(design, focal) for focal in sorted({1, k})]
+    n_rects = 0
+    for stages in families:
+        for rects in stages:
+            for rect in rects:
+                coords = [c for c, _, _ in rect]
+                assert len(set(coords)) == len(coords)
+                assert all(lo < hi for _, lo, hi in rect)
+                keys = [(c.stage, c.kind, c.arm_a, c.arm_b) for c in coords]
+                assert keys == sorted(keys)
+                n_rects += 1
+    assert n_rects > 0
+
+
 # ---------------------------------------------------------------------------
 # rejection events under the global null
 
@@ -394,12 +426,6 @@ class TestCapacity:
             win_problems(big, EffectConfig.global_null(9))
         with pytest.raises(CapacityError):
             global_null_typeI_problems(big)
-
-    def test_cap_is_adjustable(self):
-        d4 = TrialDesign(4, 4, 10, (math.inf, math.inf, math.inf, 2.0),
-                         0.025, 1.0)
-        with pytest.raises(CapacityError):
-            stop_stage_problems(d4, EffectConfig.global_null(4), cap=3)
 
     def test_effects_length_checked(self):
         with pytest.raises(ValueError):
