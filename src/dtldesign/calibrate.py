@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _SHAPE_KINDS = ("obrien_fleming", "pocock", "custom")
+_MAX_BISECTIONS = 200  # scale bisections before calibrate_boundaries gives up
 
 
 class BracketError(ValueError):
@@ -154,8 +155,7 @@ def calibrate_boundaries(design_template: TrialDesign,
                          shape: BoundaryShape = BoundaryShape(),
                          cfg: CalibrationConfig = CalibrationConfig(0.025, 0.9),
                          *,
-                         seed: int = 0,
-                         max_iterations: int = 200) -> TrialDesign:
+                         seed: int = 0) -> TrialDesign:
     """Bisect the boundary scale until PWER falls in [alpha - omega, alpha].
 
     PWER is continuous and strictly decreasing in the scale, so plain
@@ -192,7 +192,7 @@ def calibrate_boundaries(design_template: TrialDesign,
             f"PWER at c_hi={c_hi} is {p_hi:.6f}, above the window "
             f"[{window_lo:.6f}, {window_hi:.6f}]; raise c_hi")
 
-    for _ in range(max_iterations):
+    for _ in range(_MAX_BISECTIONS):
         c_mid = 0.5 * (c_lo + c_hi)
         d_mid, p_mid = at(c_mid)
         if window_lo <= p_mid <= window_hi:

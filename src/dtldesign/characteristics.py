@@ -55,14 +55,10 @@ __all__ = [
 ]
 
 # Per-problem integration target, and the weighted set-level error bound
-# beyond which a result is refused.  A problem may stall a shade above
-# the per-problem target at the evaluation cap (the three-sigma bound is
-# conservative); that is fine as long as the total stays inside the
-# allowance, which sits two orders below the coarsest reported digit.
-# The allowance is also how far a reported probability may stray outside
-# [0, 1].
+# beyond which a result is refused; a smaller target is the remedy.  The
+# allowance sits two orders below the coarsest reported digit, and is also
+# how far a reported probability may stray outside [0, 1].
 DEFAULT_TARGET = 2e-6
-DEFAULT_MAX_EVALUATIONS = 1 << 26
 ERROR_ALLOWANCE = 5e-5
 # target for characteristics that are one low-dimensional problem (PWER,
 # the single-look comparator's power)
@@ -123,7 +119,8 @@ def _checked(est: ProbabilityEstimate, what: str) -> float:
     if est.error_bound > ERROR_ALLOWANCE:
         raise ConvergenceError(
             f"{what} error bound {est.error_bound:.2e} exceeds the "
-            f"allowance {ERROR_ALLOWANCE:.0e}; raise max_evaluations")
+            f"allowance {ERROR_ALLOWANCE:.0e}; lower target_abs_error "
+            "(--tol on the CLI)")
     return est.value
 
 
@@ -132,8 +129,8 @@ def _checked_total(sets, what: str, **integration) -> float:
 
 
 def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
-              *, target_abs_error: float = DEFAULT_TARGET, seed: int = 0,
-              max_evaluations: int = DEFAULT_MAX_EVALUATIONS) -> float:
+              *, target_abs_error: float = DEFAULT_TARGET,
+              seed: int = 0) -> float:
     """P(recommend arm 1) when arm 1 sits at theta_prime and the rest at
     theta_zero.
 
@@ -146,30 +143,23 @@ def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
     effects = EffectConfig.least_favorable(design.arms, theta_prime,
                                            theta_zero)
     return _checked_total(win_problems(design, effects, focal_arm=1), "power",
-                          target_abs_error=target_abs_error, seed=seed,
-                          max_evaluations=max_evaluations)
+                          target_abs_error=target_abs_error, seed=seed)
 
 
 def type_i_global_null(design: TrialDesign, *,
                        target_abs_error: float = DEFAULT_TARGET,
-                       seed: int = 0,
-                       max_evaluations: int = DEFAULT_MAX_EVALUATIONS
-                       ) -> float:
+                       seed: int = 0) -> float:
     """P(reject a given null) when no treatment works."""
     return _checked_total(global_null_typeI_problems(design), "type I",
-                          target_abs_error=target_abs_error, seed=seed,
-                          max_evaluations=max_evaluations)
+                          target_abs_error=target_abs_error, seed=seed)
 
 
 def stop_stage_probabilities(design: TrialDesign, effects: EffectConfig,
                              *, target_abs_error: float = DEFAULT_TARGET,
-                             seed: int = 0,
-                             max_evaluations: int = DEFAULT_MAX_EVALUATIONS
-                             ) -> tuple[float, ...]:
+                             seed: int = 0) -> tuple[float, ...]:
     """P(trial ends at stage j) for j = 1..J; sums to one."""
     out = [_checked(set_probability(pset, target_abs_error=target_abs_error,
-                                    seed=seed,
-                                    max_evaluations=max_evaluations),
+                                    seed=seed),
                     f"stop-stage {pset.stage}")
            for pset in stop_stage_problems(design, effects)]
     total = math.fsum(out)
@@ -197,14 +187,11 @@ def max_total_patients(design: TrialDesign) -> int:
 
 def expected_sample_size(design: TrialDesign, effects: EffectConfig, *,
                          target_abs_error: float = DEFAULT_TARGET,
-                         seed: int = 0,
-                         max_evaluations: int = DEFAULT_MAX_EVALUATIONS
-                         ) -> float:
+                         seed: int = 0) -> float:
     """E(total patients) under the given true effects."""
     probs = stop_stage_probabilities(design, effects,
                                      target_abs_error=target_abs_error,
-                                     seed=seed,
-                                     max_evaluations=max_evaluations)
+                                     seed=seed)
     return _ess_from_stop_probs(design, probs)
 
 
@@ -290,9 +277,8 @@ def comparator_separate_trials(arms: int, alpha: float, power_target: float,
 
 def full_report(design: TrialDesign, endpoint: NormalEffectSpec,
                 named_effect_configs: dict[str, EffectConfig], *,
-                target_abs_error: float = DEFAULT_TARGET, seed: int = 0,
-                max_evaluations: int = DEFAULT_MAX_EVALUATIONS
-                ) -> OperatingCharacteristics:
+                target_abs_error: float = DEFAULT_TARGET,
+                seed: int = 0) -> OperatingCharacteristics:
     """Assemble the full report for one design.
 
     Expected sample size and stop-stage probabilities are computed for
@@ -303,19 +289,16 @@ def full_report(design: TrialDesign, endpoint: NormalEffectSpec,
     stops: dict[str, tuple[float, ...]] = {}
     for name, effects in named_effect_configs.items():
         probs = stop_stage_probabilities(
-            design, effects, target_abs_error=target_abs_error, seed=seed,
-            max_evaluations=max_evaluations)
+            design, effects, target_abs_error=target_abs_error, seed=seed)
         stops[name] = probs
         ess[name] = _ess_from_stop_probs(design, probs)
     return OperatingCharacteristics(
         pwer=pwer(design, seed=seed),
         power_lfc=power_lfc(design, endpoint.theta_prime,
                             endpoint.theta_zero,
-                            target_abs_error=target_abs_error, seed=seed,
-                            max_evaluations=max_evaluations),
+                            target_abs_error=target_abs_error, seed=seed),
         type_i_global_null=type_i_global_null(
-            design, target_abs_error=target_abs_error, seed=seed,
-            max_evaluations=max_evaluations),
+            design, target_abs_error=target_abs_error, seed=seed),
         max_n=max_total_patients(design),
         ess=ess,
         stop_probs=stops,

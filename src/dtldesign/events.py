@@ -418,8 +418,7 @@ def _weighted_sum(terms) -> ProbabilityEstimate:
 
 
 def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
-                    seed: int = 0,
-                    max_evaluations: int = 1 << 24) -> ProbabilityEstimate:
+                    seed: int = 0) -> ProbabilityEstimate:
     """Weighted probability of one event set.
 
     Problems are integrated in their stored (canonically sorted) order with
@@ -432,15 +431,14 @@ def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
 
     return _weighted_sum(
         (w, mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
-                               seed=sub_seed(idx),
-                               max_evaluations=max_evaluations))
+                               seed=sub_seed(idx)))
         for idx, (w, prob) in enumerate(pset.problems))
 
 
-def total_probability(psets, *, target_abs_error: float = 1e-6, seed: int = 0,
-                      max_evaluations: int = 1 << 24) -> ProbabilityEstimate:
+def total_probability(psets, *, target_abs_error: float = 1e-6,
+                      seed: int = 0) -> ProbabilityEstimate:
     """Sum of set_probability over one family of per-stage event sets."""
     return _weighted_sum(
         (1, set_probability(pset, target_abs_error=target_abs_error,
-                            seed=seed, max_evaluations=max_evaluations))
+                            seed=seed))
         for pset in psets)

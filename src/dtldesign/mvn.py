@@ -3,10 +3,12 @@
 The integrator uses the separation-of-variables transform of Genz (1992):
 a pivoted Cholesky factorization visits coordinates in order of increasing
 conditional truncated mass, after which the rectangle probability becomes a
-smooth integral over the (d-1)-dimensional unit cube.  That integral is
-evaluated with scrambled Sobol points, averaged over independent
-randomizations to obtain a standard-error estimate.  Infinite bounds map to
-the cube endpoints exactly, so no truncation is involved.
+smooth integral over the (rank-1)-dimensional unit cube: as in Genz &
+Bretz (2009), a linearly dependent coordinate becomes one more bound on the
+last pivot it loads on.  That integral is evaluated with scrambled Sobol
+points, averaged over independent randomizations to obtain a standard-error
+estimate.  Infinite bounds map to the cube endpoints exactly, so no
+truncation is involved.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ __all__ = [
 ]
 
 # Matrices with min eigenvalue >= -PSD_RTOL * max eigenvalue are accepted;
-# exact rank deficiency is then handled by the pivoted factorization.
+# exact rank deficiency is then folded into the pivot bounds.
 PSD_RTOL = 1e-10
 
-# Conditional variances below this are treated as exactly singular pivots.
+# Conditional variances at or below this mark a linearly dependent coordinate.
 _SINGULAR_TOL = 1e-12
 
 # ndtri arguments are clipped strictly inside (0, 1).
@@ -41,6 +43,9 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 # Independent Sobol scramblings behind each error estimate.
 _RANDOMIZATIONS = 12
+
+# Integrand evaluations after which a problem returns with converged=False.
+_MAX_EVALUATIONS = 1 << 24
 
 
 class NotPositiveSemiDefiniteError(ValueError):
@@ -150,11 +155,12 @@ def _pivoted_cholesky(corr, lower, upper):
 
     At each step the pending coordinate with the smallest conditional
     truncated mass is processed next, concentrating the integrand's variation
-    in the leading cube dimensions.  Returns the lower-triangular factor and
-    the reordered bounds.  Pivots whose conditional variance underflows are
-    treated as exactly singular: their column is zeroed and the coordinate
-    becomes deterministic given its predecessors (the integrand applies an
-    indicator).
+    in the leading cube dimensions.  Coordinates whose conditional variance
+    underflows are linearly dependent on the pivots already taken; they are
+    never chosen while an independent one remains, so the factorization stops
+    at the first of them.  Returns the d x rank factor (row i holds
+    coordinate i's loadings on the pivots) and the reordered bounds; the
+    dependent rows come last and are folded into pivot bounds by `_fold`.
     """
     d = len(lower)
     L = np.array(corr, dtype=float)
@@ -166,7 +172,7 @@ def _pivoted_cholesky(corr, lower, upper):
         for i in range(k, d):
             var = L[i, i] - L[i, :k] @ L[i, :k]
             if var <= _SINGULAR_TOL:
-                continue  # singular candidates are processed last
+                continue  # dependent candidates are processed last
             sd = math.sqrt(var)
             s = L[i, :k] @ y[:k]
             mass = ndtr((b[i] - s) / sd) - ndtr((a[i] - s) / sd)
@@ -179,10 +185,7 @@ def _pivoted_cholesky(corr, lower, upper):
             b[[k, best]] = b[[best, k]]
         var = L[k, k] - L[k, :k] @ L[k, :k]
         if var <= _SINGULAR_TOL:
-            L[k, k] = 0.0
-            L[k + 1:, k] = 0.0
-            y[k] = 0.0
-            continue
+            return np.tril(L)[:, :k], a, b
         ck = math.sqrt(var)
         L[k, k] = ck
         if k + 1 < d:
@@ -202,54 +205,69 @@ def _pivoted_cholesky(corr, lower, upper):
     return np.tril(L), a, b
 
 
-def _sov_integrand(L, a, b, x):
-    """Transformed integrand on the unit cube, vectorized over points x."""
-    npts = x.shape[0]
-    d = len(a)
-    lo = np.full(npts, float(ndtr(a[0] / L[0, 0])))
-    hi = np.full(npts, float(ndtr(b[0] / L[0, 0])))
-    p = hi - lo
-    y = np.empty((npts, d - 1))
-    for i in range(1, d):
-        z = lo + x[:, i - 1] * (hi - lo)
-        np.clip(z, _UNIT_LO, _UNIT_HI, out=z)
-        y[:, i - 1] = ndtri(z)
-        s = y[:, :i] @ L[i, :i]
-        ci = L[i, i]
-        if ci > 0.0:
-            lo = ndtr((a[i] - s) / ci)
-            hi = ndtr((b[i] - s) / ci)
-        else:
-            # singular direction: the coordinate is deterministic given its
-            # predecessors, so the factor is an interval indicator
-            lo = (s < a[i]).astype(float)
-            hi = (s <= b[i]).astype(float)
+def _fold(L, a, b):
+    """Attach every row to the last pivot j it loads on (Genz & Bretz 2009).
+
+    Row i, a_i <= L[i, :j] y[:j] + L[i, j] y_j <= b_i, bounds y_j given the
+    earlier pivots; a negative L[i, j] swaps its bounds.  Returns, per
+    pivot, the attached rows' loadings on the earlier pivots, lower and
+    upper numerators, and coefficients c on the pivot: y_j ranges over
+    [max (lower - s) / c, min (upper - s) / c], s the loadings times y.
+
+    The last pivot is the last loading above sqrt(_SINGULAR_TOL) = 1e-6.
+    Each pivot's own coefficient exceeds it, as its conditional variance
+    exceeds _SINGULAR_TOL.  A dependent row's conditional variance is at
+    most _SINGULAR_TOL, so by Cauchy-Schwarz each later loading (a
+    conditional covariance over the pivot's conditional standard deviation)
+    is at most 1e-6: rounding residue for an exactly dependent row.
+    """
+    rank = L.shape[1]
+    loads = np.abs(L[:, ::-1]) > math.sqrt(_SINGULAR_TOL)
+    last = rank - 1 - np.argmax(loads, axis=1)
+    c = L[np.arange(len(L)), last]
+    lo, hi = np.where(c < 0.0, b, a), np.where(c < 0.0, a, b)
+    return [(L[last == j, :j], lo[last == j], hi[last == j], c[last == j])
+            for j in range(rank)]
+
+
+def _sov_integrand(pivots, x):
+    """Transformed integrand on the unit cube, vectorized over points x.
+
+    On the zero-dimensional cube of a rank-one problem it is the constant
+    probability itself.
+    """
+    y = np.empty((x.shape[0], len(pivots) - 1))
+    p = 1.0
+    for j, (loads, lo_num, hi_num, c) in enumerate(pivots):
+        s = y[:, :j] @ loads.T
+        lo = ndtr(((lo_num - s) / c).max(axis=1))
+        hi = ndtr(((hi_num - s) / c).min(axis=1))
         p = p * np.maximum(hi - lo, 0.0)
+        if j < y.shape[1]:
+            z = lo + x[:, j] * (hi - lo)
+            np.clip(z, _UNIT_LO, _UNIT_HI, out=z)
+            y[:, j] = ndtri(z)
     return p
 
 
 def mvn_rectangle_prob(problem: OrthantProblem,
                        target_abs_error: float = 1e-5,
-                       seed: int = 0,
-                       *,
-                       max_evaluations: int = 1 << 24) -> ProbabilityEstimate:
+                       seed: int = 0) -> ProbabilityEstimate:
     """Estimate P(lower <= Z <= upper) for Z ~ N(mean, corr).
 
     Args:
         problem: the rectangle problem; unit-diagonal correlation.
         target_abs_error: the point count doubles until the three-sigma
-            error estimate drops below this value (or the cap is reached).
+            error estimate drops below this value, spending at most
+            _MAX_EVALUATIONS.
         seed: integration seed.  Results are deterministic given
             (problem, target_abs_error, seed); the independent randomizations
             use fixed sub-seeds derived from `seed`, so any parallel
             evaluation schedule would produce the same estimate.
-        max_evaluations: cap on total integrand evaluations; when hit, the
-            current estimate is returned with converged=False.
 
     Returns:
         ProbabilityEstimate with the estimate, a three-sigma error bound,
-        the evaluation count and a convergence flag.  Dimension one is
-        computed exactly.
+        the evaluation count and a convergence flag.  Rank one is exact.
     """
     if target_abs_error <= 0.0:
         raise ValueError("target_abs_error must be positive")
@@ -261,16 +279,16 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     if not keep.all():
         a, b = a[keep], b[keep]
         corr = corr[np.ix_(keep, keep)]
-    d = a.shape[0]
-    if d == 0:
+    if a.shape[0] == 0:
         return ProbabilityEstimate(1.0, 0.0, 0, True)
-    if d == 1:
-        p = float(ndtr(b[0]) - ndtr(a[0]))
-        return ProbabilityEstimate(max(p, 0.0), 0.0, 1, True)
-    L, a, b = _pivoted_cholesky(corr, a, b)
+    pivots = _fold(*_pivoted_cholesky(corr, a, b))
+    dim = len(pivots) - 1  # the cube dimension: rank - 1
+    if dim == 0:
+        p = float(_sov_integrand(pivots, np.empty((1, 0)))[0])
+        return ProbabilityEstimate(p, 0.0, 1, True)
 
     children = np.random.SeedSequence(seed).spawn(_RANDOMIZATIONS)
-    engines = [qmc.Sobol(d - 1, scramble=True, seed=np.random.default_rng(c))
+    engines = [qmc.Sobol(dim, scramble=True, seed=np.random.default_rng(c))
                for c in children]
     sums = np.zeros(_RANDOMIZATIONS)
     n_per = 0
@@ -279,7 +297,7 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     while True:
         for r, engine in enumerate(engines):
             pts = engine.random(batch)
-            sums[r] += float(_sov_integrand(L, a, b, pts).sum())
+            sums[r] += float(_sov_integrand(pivots, pts).sum())
         n_per += batch
         evaluations += _RANDOMIZATIONS * batch
         estimates = sums / n_per
@@ -289,7 +307,7 @@ def mvn_rectangle_prob(problem: OrthantProblem,
             converged = True
             break
         batch = n_per  # double the total each round (keeps counts powers of 2)
-        if evaluations + _RANDOMIZATIONS * batch > max_evaluations:
+        if evaluations + _RANDOMIZATIONS * batch > _MAX_EVALUATIONS:
             converged = False
             break
     value = min(max(value, 0.0), 1.0)

@@ -1,6 +1,7 @@
 """Operating characteristics: error rates, power, patient numbers."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from dtldesign.calibrate import (
     calibrate_boundaries,
 )
 from dtldesign.characteristics import (
+    DEFAULT_TARGET,
     OperatingCharacteristics,
     comparator_multiarm,
     comparator_separate_trials,
@@ -27,13 +29,22 @@ from dtldesign.characteristics import (
     stop_stage_probabilities,
     type_i_global_null,
 )
+from dtldesign.cli import _load_designed
 from dtldesign.covariance import EffectConfig, TrialDesign
 from dtldesign.endpoint import BinaryEndpointSpec, binary_to_normal
+from dtldesign.events import (
+    global_null_typeI_problems,
+    set_probability,
+    stop_stage_problems,
+    win_problems,
+)
 
 EFF = binary_to_normal(BinaryEndpointSpec(0.12, 0.05, 0.01))
 DESIGN = TrialDesign(3, 3, 206, (3.471, 2.454, 2.004), 0.025, EFF.sigma)
 DTL = TrialDesign(3, 3, 203, (math.inf, math.inf, 1.95996398454), 0.025,
                   EFF.sigma)
+K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
+             / "design_k3.json")
 CONFIGS = {
     "global_null": EffectConfig.global_null(3),
     "lfc": EffectConfig.least_favorable(3, EFF.theta_prime, EFF.theta_zero),
@@ -294,3 +305,34 @@ class TestFullReport:
         a = full_report(DTL, EFF, {"lfc": CONFIGS["lfc"]})
         b = full_report(DTL, EFF, {"lfc": CONFIGS["lfc"]})
         assert a == b
+
+    def test_every_set_converges_on_the_k3_record(self):
+        # the event sets full_report integrates on the stored K=3 design
+        # record, at the default target and seed
+        design, _, normal, effects = _load_designed(str(K3_RECORD))
+        lfc = EffectConfig.least_favorable(3, normal.theta_prime,
+                                           normal.theta_zero)
+        sets = [s for e in effects.values()
+                for s in stop_stage_problems(design, e)]
+        sets += win_problems(design, lfc, focal_arm=1)
+        sets += global_null_typeI_problems(design)
+        assert len(sets) == 15
+        for pset in sets:
+            est = set_probability(pset, target_abs_error=DEFAULT_TARGET)
+            assert est.converged, (pset.stage, est)
+
+    def test_k4_design_reports_at_a_finer_target(self):
+        # the design `dtldesign design` gives with arms = 4; at the
+        # default target its stop-stage sets exceed the error allowance
+        design = TrialDesign(4, 4, 156, (4.04876708984375, 2.8629106646734397,
+                                         2.337556769207387, 2.024383544921875),
+                             0.025, EFF.sigma)
+        configs = {
+            "global_null": EffectConfig.global_null(4),
+            "lfc": EffectConfig.least_favorable(4, EFF.theta_prime,
+                                                EFF.theta_zero),
+            "all_relevant": EffectConfig.all_relevant(4, EFF.theta_prime),
+        }
+        rec = full_report(design, EFF, configs, target_abs_error=5e-7)
+        for probs in rec.stop_probs.values():
+            assert math.fsum(probs) == pytest.approx(1.0, abs=2e-5)

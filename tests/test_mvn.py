@@ -12,6 +12,7 @@ from dtldesign import (
     NotPositiveSemiDefiniteError,
     OrthantProblem,
     ProbabilityEstimate,
+    mvn,
     mvn_rectangle_prob,
     standardize,
 )
@@ -85,10 +86,11 @@ def test_deterministic_given_seed():
     assert c != a  # different randomization, different estimate
 
 
-def test_evaluation_cap_flags_nonconvergence():
+def test_evaluation_cap_flags_nonconvergence(monkeypatch):
+    monkeypatch.setattr(mvn, "_MAX_EVALUATIONS", 20_000)
     prob = OrthantProblem(np.zeros(5), np.eye(5) * 0.7 + 0.3,
                           np.full(5, -1.0), np.full(5, 1.0))
-    est = mvn_rectangle_prob(prob, 1e-12, seed=0, max_evaluations=20_000)
+    est = mvn_rectangle_prob(prob, 1e-12, seed=0)
     assert not est.converged
     assert est.evaluations <= 20_000
     assert 0.0 <= est.value <= 1.0
@@ -157,6 +159,30 @@ def test_singular_correlation_is_handled():
     est = mvn_rectangle_prob(prob, 1e-6, seed=1)
     # P(Z <= min(bounds)) = Phi(0.5)
     assert est.value == pytest.approx(float(ndtr(0.5)), abs=2e-6)
+
+
+# (X, Y, third) with corr(X, Y) = 0.5 and third = sign * (X - Y): rank 2.
+# With X > 2 and Y > 2, either sign of X - Y holds half the orthant mass.
+@pytest.mark.parametrize("sign, lower3, upper3", [
+    (1.0, 0.0, INF),     # X - Y > 0
+    (1.0, -INF, 0.0),    # X - Y < 0
+    (-1.0, -INF, 0.0),   # Y - X < 0
+])
+def test_dependent_row_folds_into_pivot_bounds(sign, lower3, upper3):
+    corr = np.array([[1.0, 0.5, 0.5 * sign],
+                     [0.5, 1.0, -0.5 * sign],
+                     [0.5 * sign, -0.5 * sign, 1.0]])
+    prob = OrthantProblem(np.zeros(3), corr, [2.0, 2.0, lower3],
+                          [INF, INF, upper3])
+    est = mvn_rectangle_prob(prob, 1e-7, seed=0)
+    half = oracles.quad_rectangle_prob_2d(
+        [0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]], [2.0, 2.0], [INF, INF]) / 2.0
+    assert est.converged
+    # the folded integrand is continuous; a 0/1 factor for the dependent
+    # row made this problem take over ten million evaluations
+    assert est.evaluations <= 1 << 20
+    assert est.value == pytest.approx(half, abs=3.0 * max(est.error_bound,
+                                                          1e-7))
 
 
 def test_unconstrained_coordinates_are_dropped():
