@@ -254,7 +254,10 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
     (common random numbers), so the visited power curve is smooth; it is
     asserted nondecreasing up to twice the integration error bound.  The
     per-problem error target defaults to 1e-5, well below the power gap
-    between consecutive n near the reference designs (~5e-4).
+    between consecutive n near the reference designs (~5e-4).  The answer
+    n must clear the target, and n - 1 fall short of it, each by more than
+    its error bound; otherwise the bracket rests on integration noise and
+    the search raises ConvergenceError.
     """
     visited: dict[int, tuple[float, float]] = {}
 
@@ -272,4 +275,13 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
             raise ConvergenceError(
                 f"power not nondecreasing on the visited grid: "
                 f"power({a})={pa:.6f} vs power({b})={pb:.6f}")
+    if n > 1:
+        (p_hi, e_hi), (p_lo, e_lo) = visited[n], visited[n - 1]
+        target = cfg.power_target
+        if not (p_hi - target > e_hi and target - p_lo > e_lo):
+            raise ConvergenceError(
+                f"power bracket around {target} rests on integration noise: "
+                f"power({n - 1})={p_lo:.6f} at error bound {e_lo:.2e}, "
+                f"power({n})={p_hi:.6f} at error bound {e_hi:.2e}; lower "
+                "target_abs_error (--tol on the CLI)")
     return design.with_n(n)

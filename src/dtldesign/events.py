@@ -3,11 +3,12 @@
 Every quantity the design engine reports (pairwise error, power under the
 least favorable configuration, the distribution of the stopping stage, type
 I error under the global null) is the probability of a union of mutually
-exclusive trial paths.  A path fixes the arm dropped at each interim, which
-survivors failed to clear the earlier boundaries, and where the focal arm
-sits when the trial ends.  Each path is a rectangle event on a jointly
-normal vector, so the enumerators below reduce an event system to a weighted
-list of OrthantProblems.
+exclusive trial paths.  A path fixes the arm dropped at each interim and
+where the focal arm sits when the trial ends.  Its "did not stop at stage
+i" is the signed pair "unconstrained - every survivor clears u_i", so a
+path expands into signed rectangle events on a jointly normal vector, and
+the enumerators below reduce an event system to a signed-weight list of
+OrthantProblems.
 
 Paths that are arm relabelings of one another integrate to the same value
 whenever the relabeling preserves the true effects (and the focal arm, when
@@ -51,8 +52,8 @@ __all__ = [
     "total_probability",
 ]
 
-# K! drop orders times 2^K no-stop rectangles per stage grows brutally; the
-# cap keeps accidental K=12 calls from hanging the process.
+# K! drop orders times 2 signed no-stop options per interim grows
+# brutally; the cap keeps accidental K=12 calls from hanging the process.
 PERMUTATION_CAP = 8
 
 
@@ -87,7 +88,7 @@ class DropOrder:
 
 @dataclass(frozen=True)
 class EventProblemSet:
-    """Disjoint rectangle problems whose weighted sum is one event probability."""
+    """Rectangle problems whose signed-weight sum is one event probability."""
 
     stage: int
     problems: tuple[tuple[int, OrthantProblem], ...]
@@ -99,8 +100,8 @@ class EventProblemSet:
         if self.stage < 1:
             raise ValueError("stage indices start at 1")
         for w, p in self.problems:
-            if w < 1:
-                raise ValueError("weights are positive integers")
+            if w == 0:
+                raise ValueError("weights are nonzero integers")
             if not isinstance(p, OrthantProblem):
                 raise TypeError("problems must be OrthantProblem instances")
 
@@ -144,49 +145,36 @@ def _drop_constraints(design: TrialDesign, order: DropOrder):
 
 
 def _no_stop_options(design: TrialDesign, order: DropOrder, upto: int):
-    """Per-stage disjoint rectangles for 'did not stop at stages 1..upto'.
+    """Per-stage signed options for 'did not stop at stages 1..upto'.
 
     After the stage-i drop the trial stops only if every survivor clears
-    u_i, so its complement is every below/above sign pattern except
-    all-above.  An infinite boundary cannot be cleared, so the stage
-    contributes no constraints at all.
+    u_i, so not stopping is the whole space (+1) minus all-above (-1).
     """
     options = []
     in_trial = set(range(1, design.arms + 1))
     for i in range(1, upto + 1):
         in_trial.remove(order.dropped[i - 1])
-        u = design.boundaries[i - 1]
-        if math.isinf(u):
-            options.append([()])
-            continue
-        surv = sorted(in_trial)
-        opts = []
-        for above in itertools.product((False, True), repeat=len(surv)):
-            if all(above):
-                continue
-            opts.append(tuple(
-                (single(a, i), u, math.inf) if up else
-                (single(a, i), -math.inf, u)
-                for a, up in zip(surv, above)))
-        options.append(opts)
+        options.append([(1, ()), (-1, tuple(_crosses(design, a, i)
+                                            for a in sorted(in_trial)))])
     return options
 
 
 def _path_rects(design: TrialDesign, order: DropOrder, end_stage: int,
                 extras):
-    """Rectangle descriptions for: drops follow `order`, no earlier stop, the
-    trial ends at end_stage (all after-drop survivors cross, vacuous at the
-    final stage), plus event-specific extra constraints."""
+    """(sign, rect) descriptions for: drops follow `order`, no earlier stop,
+    the trial ends at end_stage (all after-drop survivors cross, vacuous at
+    the final stage), plus event-specific extra constraints."""
     base = _drop_constraints(design, order)
     stop_cons = []
     if end_stage < design.stages:
-        u = design.boundaries[end_stage - 1]
-        stop_cons = [(single(a, end_stage), u, math.inf)
+        stop_cons = [_crosses(design, a, end_stage)
                      for a in order.survivors(design)]
     combos = itertools.product(*_no_stop_options(design, order, end_stage - 1))
-    rects = (_rect([*base, *itertools.chain(*combo), *stop_cons, *extras])
+    rects = ((math.prod(sign for sign, _ in combo),
+              _rect([*base, *itertools.chain(*(c for _, c in combo)),
+                     *stop_cons, *extras]))
              for combo in combos)
-    return [rect for rect in rects if rect is not None]
+    return [(sign, rect) for sign, rect in rects if rect is not None]
 
 
 def _symmetry_maps(deltas, fixed=frozenset()):
@@ -238,16 +226,20 @@ def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
 
 
 def _collapse(design: TrialDesign, effects: EffectConfig, paths, gamma):
-    """Merge relabeling-equivalent paths into (weight, problem) pairs.
+    """Merge relabeling-equivalent (sign, rect) pairs into (weight, problem)
+    pairs.
 
-    Each path's key is the lexicographic minimum of its description over the
-    symmetry group, so two paths share a key exactly when one is an
-    effect-preserving relabeling of the other.
+    Each rectangle's key is the lexicographic minimum of its description
+    over the symmetry group, so two rectangles share a key exactly when one
+    is an effect-preserving relabeling of the other.  No weight cancels to
+    zero: a sign is -1 to the number of stages before the ending one that
+    carry singles (only all-above options put them there), and relabeling
+    keeps stages.
     """
     table: dict = {}
-    for items in paths:
+    for sign, items in paths:
         key = min(_relabeled_key(items, pi) for pi in gamma)
-        table[key] = table.get(key, 0) + 1
+        table[key] = table.get(key, 0) + sign
     return tuple((table[key], _problem_from_key(design, effects, key))
                  for key in sorted(table))
 
@@ -301,10 +293,10 @@ def _reject_paths(design: TrialDesign, j: int, focal_arm: int):
 
 
 def _stage_rects(design: TrialDesign, paths, focal_arm: int | None):
-    """Raw rectangles of one event family, one tuple per stage 1..J."""
+    """Raw (sign, rect) pairs of one event family, one tuple per stage."""
     for j in range(1, design.stages + 1):
-        yield tuple(rect for order, extras in paths(design, j, focal_arm)
-                    for rect in _path_rects(design, order, j, extras))
+        yield tuple(term for order, extras in paths(design, j, focal_arm)
+                    for term in _path_rects(design, order, j, extras))
 
 
 def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
@@ -382,39 +374,46 @@ def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:
 
 
 def stop_event_rectangles(design: TrialDesign):
-    """Raw constraint rectangles of the end-at-stage events, one tuple per
-    stage, without the relabeling collapse.
+    """Raw (sign, rectangle) pairs of the end-at-stage events, one tuple
+    per stage, without the relabeling collapse.
 
-    Each rectangle is a tuple of (coordinate, lower, upper) constraints; a
-    realized statistic path lies in the stage-j event iff it satisfies every
-    constraint of exactly one stage-j rectangle.  The uncollapsed form is
-    what a simulated path can be tested against directly: across all stages
-    the rectangles tile the sample space up to boundary ties.
+    Each rectangle is a tuple of (coordinate, lower, upper) constraints and
+    each sign is +1 or -1.  The signs of the stage-j rectangles a realized
+    statistic path satisfies sum to 1 if the trial ends at stage j and to 0
+    otherwise, up to boundary ties, so a simulated path can be tested
+    against the uncollapsed form directly.
     """
     _check_inputs(design)
     return list(_stage_rects(design, _stop_paths, None))
 
 
 def win_event_rectangles(design: TrialDesign, focal_arm: int = 1):
-    """Raw constraint rectangles of the focal-arm win events, one tuple per
-    stage, without the relabeling collapse.  A path lies in at most one of
-    these rectangles over all stages combined."""
+    """Raw (sign, rectangle) pairs of the focal-arm win events, one tuple
+    per stage, without the relabeling collapse.  The signed sum over the
+    stage-j rectangles a path satisfies is 1 if the trial ends at stage j
+    with the focal arm recommended and 0 otherwise."""
     _check_inputs(design, focal_arm)
     return list(_stage_rects(design, _win_paths, focal_arm))
 
 
 def _weighted_sum(terms) -> ProbabilityEstimate:
-    """Sum of (weight, estimate) pairs; converged if every term converged."""
+    """Sum of (weight, estimate) pairs; converged if every term converged.
+
+    Bounds combine in quadrature, sqrt(sum (w * bound)^2): every problem
+    integrates with its own (seed, stage, idx) sub-seed, so the terms'
+    errors are independent and 3-sigma bounds add as 3 times the joint sigma.
+    """
     value = 0.0
-    bound = 0.0
+    square = 0.0
     evaluations = 0
     converged = True
     for w, est in terms:
         value += w * est.value
-        bound += w * est.error_bound
+        square += (w * est.error_bound) ** 2
         evaluations += est.evaluations
         converged = converged and est.converged
-    return ProbabilityEstimate(value, bound, evaluations, converged)
+    return ProbabilityEstimate(value, math.sqrt(square), evaluations,
+                               converged)
 
 
 def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,

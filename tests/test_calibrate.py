@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.stats import norm
 
+from dtldesign import calibrate
 from dtldesign.calibrate import (
     BoundaryShape,
     BracketError,
@@ -186,3 +187,27 @@ class TestFindSampleSize:
     def test_keeps_boundaries(self, calibrated3):
         d = find_sample_size(calibrated3, 2.0 * THETA_P, THETA_0, CFG)
         assert d.boundaries == calibrated3.boundaries
+
+
+class TestPowerBracket:
+    """The answer n and n - 1 must each sit farther from the power target
+    than their error bounds."""
+
+    @staticmethod
+    def _linear_power(monkeypatch, bound):
+        # power crosses 0.9 halfway between n=100 and n=101, 5e-4 from each
+        def fake(design, theta_prime, theta_zero, *, target, seed):
+            return 0.9 + 1e-3 * (design.n_per_stage - 100.5), bound
+        monkeypatch.setattr(calibrate, "_lfc_power", fake)
+
+    def test_clear_bracket_passes(self, monkeypatch):
+        self._linear_power(monkeypatch, 4e-4)
+        d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+        assert d.n_per_stage == 101
+
+    def test_bracket_within_noise_raises(self, monkeypatch):
+        self._linear_power(monkeypatch, 6e-4)
+        with pytest.raises(ConvergenceError,
+                           match=r"power\(100\)=0\.899500 .* 6\.00e-04.*"
+                                 r"power\(101\)=0\.900500 .*--tol"):
+            find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)

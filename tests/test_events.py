@@ -17,6 +17,7 @@ from dtldesign.events import (
     CapacityError,
     DropOrder,
     EventProblemSet,
+    _weighted_sum,
     global_null_typeI_problems,
     power_lfc_problems,
     pwer_problem,
@@ -28,7 +29,7 @@ from dtldesign.events import (
     win_event_rectangles,
     win_problems,
 )
-from dtldesign.mvn import mvn_rectangle_prob
+from dtldesign.mvn import ProbabilityEstimate, mvn_rectangle_prob
 
 from oracles import normal_tail
 
@@ -76,6 +77,10 @@ class TestEventProblemSet:
         p = pwer_problem(DESIGN)
         with pytest.raises(ValueError):
             EventProblemSet(1, ((0, p),))
+
+    def test_accepts_negative_weight(self):
+        p = pwer_problem(DESIGN)
+        assert EventProblemSet(1, ((-2, p),)).problems == ((-2, p),)
 
     def test_rejects_bad_stage(self):
         with pytest.raises(ValueError):
@@ -132,12 +137,12 @@ class TestWinEvents:
     def test_lfc_stage_sets_collapse(self):
         sets = power_lfc_problems(DESIGN, THETA_P, THETA_0)
         assert [s.stage for s in sets] == [1, 2, 3]
-        # the two rival arms share one effect, so mirrored drop orders merge
+        # the two rival arms share one effect, so mirrored drop orders
+        # merge; each interim adds an all-above term of the opposite sign
         assert [(w, p.dim) for w, p in sets[0].problems] == [(2, 5)]
-        assert [w for w, _ in sets[1].problems] == [2, 2, 2]
-        assert {p.dim for _, p in sets[1].problems} == {6}
-        assert [w for w, _ in sets[2].problems] == [2, 2, 2]
-        assert {p.dim for _, p in sets[2].problems} == {7}
+        assert [(w, p.dim) for w, p in sets[1].problems] == [(-2, 6), (2, 4)]
+        assert [(w, p.dim) for w, p in sets[2].problems] == [
+            (2, 7), (-2, 6), (-2, 5), (2, 4)]
 
     def test_lfc_power_matches_reference(self):
         sets = power_lfc_problems(DESIGN, THETA_P, THETA_0)
@@ -185,12 +190,13 @@ class TestStopEvents:
     def test_counts_without_symmetry(self):
         effects = EffectConfig((0.11, 0.23, 0.37))
         sets = stop_stage_problems(DESIGN, effects)
-        assert sum(w for w, _ in sets[0].problems) == 3
+        assert [w for w, _ in sets[0].problems] == [1, 1, 1]
         assert {p.dim for _, p in sets[0].problems} == {4}
-        assert sum(w for w, _ in sets[1].problems) == 18
-        assert {p.dim for _, p in sets[1].problems} == {6}
-        assert sum(w for w, _ in sets[2].problems) == 18
-        assert {p.dim for _, p in sets[2].problems} == {6}
+        # after an interim, each signed pair cancels in the weight sum
+        assert sorted(w for w, _ in sets[1].problems) == [-1] * 6 + [1] * 6
+        assert {p.dim for _, p in sets[1].problems} == {4, 6}
+        assert sorted(w for w, _ in sets[2].problems) == [-1] * 12 + [1] * 12
+        assert {p.dim for _, p in sets[2].problems} == {3, 4, 5, 6}
 
     def test_global_null_collapses_stage1(self):
         sets = stop_stage_problems(DESIGN, NULL)
@@ -279,24 +285,40 @@ _COLLAPSE_EFFECTS = {
 }
 
 
+def _check_weights_count_raw_rectangles(sets, stages):
+    # weights sum to the raw signs; absolute weights count the raw
+    # rectangles, so no key merges rectangles of opposite sign
+    assert [sum(w for w, _ in s.problems) for s in sets] == \
+        [sum(sign for sign, _ in terms) for terms in stages]
+    assert [sum(abs(w) for w, _ in s.problems) for s in sets] == \
+        [len(terms) for terms in stages]
+
+
 @pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
 @pytest.mark.parametrize("k", [3, 4])
 def test_stop_weights_count_raw_rectangles(k, effects):
     design = _obf_design(k)
-    sets = stop_stage_problems(design, _COLLAPSE_EFFECTS[effects](k))
-    rects = stop_event_rectangles(design)
-    assert [sum(w for w, _ in s.problems) for s in sets] == \
-        [len(r) for r in rects]
+    _check_weights_count_raw_rectangles(
+        stop_stage_problems(design, _COLLAPSE_EFFECTS[effects](k)),
+        stop_event_rectangles(design))
 
 
 @pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
 @pytest.mark.parametrize("k", [3, 4])
 def test_win_weights_count_raw_rectangles(k, effects):
     design = _obf_design(k)
-    sets = win_problems(design, _COLLAPSE_EFFECTS[effects](k))
-    rects = win_event_rectangles(design)
-    assert [sum(w for w, _ in s.problems) for s in sets] == \
-        [len(r) for r in rects]
+    _check_weights_count_raw_rectangles(
+        win_problems(design, _COLLAPSE_EFFECTS[effects](k)),
+        win_event_rectangles(design))
+
+
+def test_k5_lfc_problem_counts():
+    # one signed pair per interim keeps five arms cheap to enumerate
+    design = _obf_design(5)
+    win = power_lfc_problems(design, THETA_P, THETA_0)
+    stop = stop_stage_problems(design, _COLLAPSE_EFFECTS["lfc"](5))
+    assert [len(s.problems) for s in win] == [1, 2, 4, 8, 16]
+    assert [len(s.problems) for s in stop] == [2, 6, 16, 40, 80]
 
 
 def _boundaries(k, kind):
@@ -320,8 +342,9 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
         win_event_rectangles(design, focal) for focal in sorted({1, k})]
     n_rects = 0
     for stages in families:
-        for rects in stages:
-            for rect in rects:
+        for terms in stages:
+            for sign, rect in terms:
+                assert sign in (1, -1)
                 coords = [c for c, _, _ in rect]
                 assert len(set(coords)) == len(coords)
                 assert all(lo < hi for _, lo, hi in rect)
@@ -407,6 +430,13 @@ class TestAggregation:
         b = total_probability(global_null_typeI_problems(DESIGN), seed=8)
         assert a.value != b.value
         assert a.value == pytest.approx(b.value, abs=1e-5)
+
+    def test_bounds_add_in_quadrature(self):
+        est = _weighted_sum([(1, ProbabilityEstimate(0.5, 3e-6, 10)),
+                             (-2, ProbabilityEstimate(0.1, 2e-6, 20))])
+        assert est.value == pytest.approx(0.3, abs=1e-15)
+        assert est.error_bound == pytest.approx(5e-6, rel=1e-12)
+        assert est.evaluations == 30 and est.converged
 
     def test_empty_set_is_zero(self):
         est = set_probability(EventProblemSet(2, ()))

@@ -284,8 +284,9 @@ class TestAgreementWithAnalyticEngine:
 
 
 class TestEventMembership:
-    """The enumerated constraint rectangles must describe exactly the paths
-    the simulator assigns to each event."""
+    """The enumerated signed rectangles must describe exactly the paths the
+    simulator assigns to each event: over a stage's rectangles, the signs
+    of those a path satisfies sum to its event indicator."""
 
     @pytest.mark.parametrize("design, effects", [
         (DESIGN, NULL),
@@ -297,12 +298,10 @@ class TestEventMembership:
         z = draw_statistics(design, effects, np.random.default_rng(37), m)
         stop, _, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, rects in enumerate(stop_event_rectangles(design), start=1):
-            members = np.zeros(m, dtype=bool)
-            for rect in rects:
-                hit = rect_satisfied(z, rect)
-                assert not np.any(members & hit), "rectangles overlap"
-                members |= hit
+        for j, terms in enumerate(stop_event_rectangles(design), start=1):
+            members = np.zeros(m, dtype=np.int64)
+            for sign, rect in terms:
+                members += sign * rect_satisfied(z, rect)
             counts += members
             assert np.array_equal(members, stop == j)
         assert np.all(counts == 1)
@@ -316,12 +315,10 @@ class TestEventMembership:
         z = draw_statistics(design, effects, np.random.default_rng(41), m)
         stop, winner, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, rects in enumerate(win_event_rectangles(design, 1), start=1):
-            members = np.zeros(m, dtype=bool)
-            for rect in rects:
-                hit = rect_satisfied(z, rect)
-                assert not np.any(members & hit), "rectangles overlap"
-                members |= hit
+        for j, terms in enumerate(win_event_rectangles(design, 1), start=1):
+            members = np.zeros(m, dtype=np.int64)
+            for sign, rect in terms:
+                members += sign * rect_satisfied(z, rect)
             counts += members
             assert np.array_equal(members, (winner == 1) & (stop == j))
         assert np.all(counts <= 1)
