@@ -32,7 +32,6 @@ from .mvn import (
     OrthantProblem,
     ProbabilityEstimate,
     mvn_rectangle_prob,
-    standardize,
 )
 from .simulate import estimate_characteristics
 
@@ -57,7 +56,6 @@ __all__ = [
     "find_sample_size",
     "full_report",
     "mvn_rectangle_prob",
-    "standardize",
 ]
 
 __version__ = "0.1.0"

@@ -425,7 +425,8 @@ def _calibrated_design(parsed: ParsedConfig, shape: BoundaryShape,
     design = calibrate_boundaries(template, shape, cal, seed=cfg.seed)
     return find_sample_size(design, parsed.normal.theta_prime,
                             parsed.normal.theta_zero, cal, seed=cfg.seed,
-                            target_abs_error=cfg.tol or _DEFAULT_TOL)
+                            target_abs_error=_DEFAULT_TOL if cfg.tol is None
+                            else cfg.tol)
 
 
 def _read_config(path: str) -> ParsedConfig:
@@ -493,7 +494,7 @@ def _analytic_block(design: TrialDesign, effects: EffectConfig,
 
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, str]:
     design, endpoint, _, effects = _load_designed(cfg.config_path)
-    tol = cfg.tol or _DEFAULT_TOL
+    tol = _DEFAULT_TOL if cfg.tol is None else cfg.tol
     configs = {}
     for name, effect in effects.items():
         sim = estimate_characteristics(design, effect, cfg.reps,

@@ -23,8 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .covariance import (
     EffectConfig,
     StatCoord,
@@ -420,17 +418,13 @@ def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
                     seed: int = 0) -> ProbabilityEstimate:
     """Weighted probability of one event set.
 
-    Problems are integrated in their stored (canonically sorted) order with
-    per-problem seeds derived from (seed, stage, index), so the estimate is
+    Problems are integrated in their stored (canonically sorted) order, each
+    with the integration seed (seed, stage, index), so the estimate is
     independent of any execution schedule.
     """
-    def sub_seed(idx):
-        return int(np.random.SeedSequence(
-            (seed, pset.stage, idx)).generate_state(1)[0])
-
     return _weighted_sum(
         (w, mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
-                               seed=sub_seed(idx)))
+                               seed=(seed, pset.stage, idx)))
         for idx, (w, prob) in enumerate(pset.problems))
 
 

@@ -5,10 +5,10 @@ a pivoted Cholesky factorization visits coordinates in order of increasing
 conditional truncated mass, after which the rectangle probability becomes a
 smooth integral over the (rank-1)-dimensional unit cube: as in Genz &
 Bretz (2009), a linearly dependent coordinate becomes one more bound on the
-last pivot it loads on.  That integral is evaluated with scrambled Sobol
-points, averaged over independent randomizations to obtain a standard-error
-estimate.  Infinite bounds map to the cube endpoints exactly, so no
-truncation is involved.
+last pivot it loads on.  That integral is evaluated with one scrambled
+Sobol point set per problem under independent random digital shifts, whose
+spread gives a standard-error estimate.  Infinite bounds map to the cube
+endpoints exactly, so no truncation is involved.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "OrthantProblem",
     "ProbabilityEstimate",
     "mvn_rectangle_prob",
-    "standardize",
 ]
 
 # Matrices with min eigenvalue >= -PSD_RTOL * max eigenvalue are accepted;
@@ -41,7 +40,7 @@ _UNIT_HI = 1.0 - 1e-16
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# Independent Sobol scramblings behind each error estimate.
+# Random digital shifts of the scrambled Sobol set behind each error estimate.
 _RANDOMIZATIONS = 12
 
 # Integrand evaluations after which a problem returns with converged=False.
@@ -76,8 +75,9 @@ class OrthantProblem:
     """One MVN rectangle probability P(lower <= Z <= upper), Z ~ N(mean, corr).
 
     `corr` must be a correlation matrix (unit diagonal, symmetric, positive
-    semi-definite within tolerance); use :func:`standardize` to reduce a
-    general covariance problem to this form.  Bounds may be -inf / +inf.
+    semi-definite within tolerance); divide each coordinate of a general
+    covariance problem by its standard deviation to reach this form.  Bounds
+    may be -inf / +inf.
     A coordinate with lower >= upper would make the rectangle empty and is
     rejected: callers prune empty events before building a problem.
     """
@@ -125,24 +125,6 @@ class OrthantProblem:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def standardize(mean, cov, lower, upper) -> OrthantProblem:
-    """Reduce a general covariance rectangle problem to correlation form.
-
-    Divides each coordinate by its standard deviation; the probability is
-    unchanged.  Raises ValueError on non-positive diagonal entries.
-    """
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    cov = np.asarray(cov, dtype=float)
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    diag = np.diag(cov).copy()
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        raise ValueError("covariance diagonal must be strictly positive")
-    s = np.sqrt(diag)
-    corr = cov / np.outer(s, s)
-    return OrthantProblem(mean / s, corr, lower / s, upper / s)
 
 
 def _npdf(t: float) -> float:
@@ -252,25 +234,36 @@ def _sov_integrand(pivots, x):
 
 def mvn_rectangle_prob(problem: OrthantProblem,
                        target_abs_error: float = 1e-5,
-                       seed: int = 0) -> ProbabilityEstimate:
+                       seed: int | tuple[int, ...] = 0
+                       ) -> ProbabilityEstimate:
     """Estimate P(lower <= Z <= upper) for Z ~ N(mean, corr).
+
+    One random stream, seeded by `seed`, draws the linear matrix scramble
+    and digital shift of one Sobol engine (scipy's `scramble=True`), then
+    _RANDOMIZATIONS further random digital shifts, each XORed onto the
+    engine's points.  Given the scramble, the shifted point sets are
+    independent and each gives an unbiased estimate, so the spread of the
+    estimates is an honest three-sigma bound; averaged over the scramble,
+    their variance equals that of as many independently scrambled sets.
 
     Args:
         problem: the rectangle problem; unit-diagonal correlation.
         target_abs_error: the point count doubles until the three-sigma
             error estimate drops below this value, spending at most
-            _MAX_EVALUATIONS.
-        seed: integration seed.  Results are deterministic given
-            (problem, target_abs_error, seed); the independent randomizations
-            use fixed sub-seeds derived from `seed`, so any parallel
-            evaluation schedule would produce the same estimate.
+            _MAX_EVALUATIONS.  Must be positive and finite.
+        seed: integration seed, a non-negative int or a tuple of them (as
+            `(seed, stage, index)` from `events.set_probability`).  Results
+            are deterministic given (problem, target_abs_error, seed), so
+            any parallel evaluation schedule would produce the same
+            estimate.
 
     Returns:
         ProbabilityEstimate with the estimate, a three-sigma error bound,
         the evaluation count and a convergence flag.  Rank one is exact.
     """
-    if target_abs_error <= 0.0:
-        raise ValueError("target_abs_error must be positive")
+    if not 0.0 < target_abs_error < math.inf:
+        raise ValueError("target_abs_error must be positive and finite, "
+                         f"got {target_abs_error}")
     a = problem.lower - problem.mean
     b = problem.upper - problem.mean
     corr = problem.corr
@@ -287,17 +280,18 @@ def mvn_rectangle_prob(problem: OrthantProblem,
         p = float(_sov_integrand(pivots, np.empty((1, 0)))[0])
         return ProbabilityEstimate(p, 0.0, 1, True)
 
-    children = np.random.SeedSequence(seed).spawn(_RANDOMIZATIONS)
-    engines = [qmc.Sobol(dim, scramble=True, seed=np.random.default_rng(c))
-               for c in children]
+    rng = np.random.default_rng(seed)
+    engine = qmc.Sobol(dim, seed=rng)  # its one scramble draws from rng first
+    shifts = rng.integers(1 << engine.bits, size=(_RANDOMIZATIONS, dim))
     sums = np.zeros(_RANDOMIZATIONS)
     n_per = 0
     batch = 128
     evaluations = 0
     while True:
-        for r, engine in enumerate(engines):
-            pts = engine.random(batch)
-            sums[r] += float(_sov_integrand(pivots, pts).sum())
+        base = np.ldexp(engine.random(batch), engine.bits).astype(np.int64)
+        for r, shift in enumerate(shifts):
+            sums[r] += float(_sov_integrand(
+                pivots, np.ldexp(base ^ shift, -engine.bits)).sum())
         n_per += batch
         evaluations += _RANDOMIZATIONS * batch
         estimates = sums / n_per

@@ -239,6 +239,16 @@ class TestErrorHandling:
         assert run(RunConfig("design", str(path))) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_zero_tol_is_refused_not_defaulted(self, tmp_path, pinned_record,
+                                               capsys):
+        path = tmp_path / "motivating.cfg"
+        path.write_text(MOTIVATING)
+        assert cli.main(["design", "--config", str(path), "--tol", "0"]) == 1
+        assert cli.main(["simulate", "--config", str(pinned_record),
+                         "--reps", "100", "--tol", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("target_abs_error must be positive and finite") == 2
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["design"])

@@ -431,6 +431,16 @@ class TestAggregation:
         assert a.value != b.value
         assert a.value == pytest.approx(b.value, abs=1e-5)
 
+    def test_problem_seeds_are_seed_stage_index(self):
+        pset = stop_stage_problems(DESIGN, LFC)[1]
+        assert len(pset.problems) > 1
+        ests = [(w, prob(p, seed=(3, pset.stage, idx), target=1e-5))
+                for idx, (w, p) in enumerate(pset.problems)]
+        est = set_probability(pset, target_abs_error=1e-5, seed=3)
+        assert est.value == sum(w * e.value for w, e in ests)
+        assert est.error_bound == math.sqrt(
+            sum((w * e.error_bound) ** 2 for w, e in ests))
+
     def test_bounds_add_in_quadrature(self):
         est = _weighted_sum([(1, ProbabilityEstimate(0.5, 3e-6, 10)),
                              (-2, ProbabilityEstimate(0.1, 2e-6, 20))])

@@ -1,6 +1,7 @@
 """Tests for the MVN rectangle-probability integrator."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,15 @@ from dtldesign import (
     ProbabilityEstimate,
     mvn,
     mvn_rectangle_prob,
-    standardize,
 )
+from dtldesign.cli import _load_designed
+from dtldesign.events import pwer_problem
 
 import oracles
 
 INF = float("inf")
+K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
+             / "design_k3.json")
 
 
 def test_dim1_lower_tail_exact():
@@ -84,6 +88,25 @@ def test_deterministic_given_seed():
     c = mvn_rectangle_prob(prob, 1e-6, seed=43)
     assert c.value == pytest.approx(a.value, abs=3e-6)
     assert c != a  # different randomization, different estimate
+
+
+@pytest.mark.parametrize("target", [0.0, -1e-5, math.nan, math.inf])
+def test_rejects_target_outside_positive_finite(target):
+    # NaN would never meet `error <= target` and run every problem to the cap
+    prob = OrthantProblem([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]],
+                          [-INF, -INF], [0.0, 0.0])
+    with pytest.raises(ValueError, match="positive and finite"):
+        mvn_rectangle_prob(prob, target)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_k3_pwer_problem_converges_within_budget(seed):
+    # the K=3 PWER problem at a fine target; shifting the points by
+    # addition mod 1 in place of XOR runs past this budget without
+    # converging
+    design = _load_designed(str(K3_RECORD))[0]
+    est = mvn_rectangle_prob(pwer_problem(design), 1e-7, seed=seed)
+    assert est.converged and est.evaluations <= 1 << 22, est
 
 
 def test_evaluation_cap_flags_nonconvergence(monkeypatch):
@@ -210,31 +233,6 @@ def test_rejects_shape_mismatch_and_degenerate_bounds():
         OrthantProblem([0.0], [[1.0]], [2.0], [-2.0])
 
 
-def test_standardize_trivial_scaling():
-    prob = standardize([0.0, 0.0], 4.0 * np.eye(2), [-INF, -INF], [2.0, 2.0])
-    assert np.allclose(prob.corr, np.eye(2))
-    assert np.allclose(prob.upper, [1.0, 1.0])
-
-
-def test_standardize_identity_on_unit_diagonal():
-    corr = np.array([[1.0, 0.3], [0.3, 1.0]])
-    prob = standardize([0.1, 0.2], corr, [-1.0, -2.0], [1.0, 2.0])
-    assert np.allclose(prob.corr, corr)
-    assert np.allclose(prob.mean, [0.1, 0.2])
-
-
-def test_standardize_hand_example():
-    cov = np.array([[1.0, 1.0], [1.0, 2.0]])
-    prob = standardize([0.0, 0.0], cov, [-INF, -INF], [1.0, math.sqrt(2.0)])
-    assert prob.corr[0, 1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-    assert np.allclose(prob.upper, [1.0, 1.0])
-
-
-def test_standardize_rejects_bad_diagonal():
-    with pytest.raises(ValueError):
-        standardize([0.0], [[0.0]], [-1.0], [1.0])
-
-
 @settings(max_examples=40, deadline=None)
 @given(scale=st.floats(0.1, 50.0), shift=st.floats(-3.0, 3.0))
 def test_standardize_preserves_probability(scale, shift):
@@ -242,11 +240,12 @@ def test_standardize_preserves_probability(scale, shift):
     mean = np.array([shift, -shift])
     lower = np.array([-1.0, -INF])
     upper = np.array([2.0, 1.0])
-    prob = standardize(mean, cov, lower, upper)
-    est = mvn_rectangle_prob(prob, 1e-5, seed=0)
     s = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(s, s)
+    est = mvn_rectangle_prob(
+        OrthantProblem(mean / s, corr, lower / s, upper / s), 1e-5, seed=0)
     direct = oracles.quad_rectangle_prob_2d(
-        mean / s, prob.corr.tolist(), lower / s, upper / s)
+        mean / s, corr.tolist(), lower / s, upper / s)
     assert est.value == pytest.approx(direct, abs=3e-5)
 
 
