@@ -7,7 +7,10 @@ checks that claim empirically: arm 1 is held at or below zero effect while
 every arm ranges over [-2 theta', 2 theta'], and the simulated rejection
 rate for arm 1 must stay below alpha + 4 SE at each lattice point.
 
-Exits nonzero if any point breaches the bound.
+The design is the config's own when it pins boundaries and n, and
+otherwise the one `dtldesign design` gives for it at seed 0.  Exits
+nonzero if any point breaches the bound.  From a checkout, run it as
+`PYTHONPATH=src python3 scripts/type1_sweep.py`.
 """
 
 import argparse
@@ -18,25 +21,12 @@ import sys
 
 import numpy as np
 
-from dtldesign.calibrate import (CalibrationConfig, calibrate_boundaries,
-                                 find_sample_size)
+from dtldesign.calibrate import design_trial
 from dtldesign.cli import parse_config
-from dtldesign.covariance import EffectConfig, TrialDesign
+from dtldesign.covariance import EffectConfig
 from dtldesign.simulate import estimate_characteristics
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def build_design(parsed):
-    if parsed.design is not None:
-        return parsed.design
-    cal = parsed.calibration
-    template = TrialDesign(parsed.arms, parsed.arms, 1,
-                           parsed.shape.multipliers(parsed.arms), cal.alpha,
-                           parsed.normal.sigma)
-    design = calibrate_boundaries(template, parsed.shape, cal)
-    return find_sample_size(design, parsed.normal.theta_prime,
-                            parsed.normal.theta_zero, cal)
 
 
 def main(argv=None):
@@ -54,7 +44,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     parsed = parse_config(pathlib.Path(args.config).read_text())
-    design = build_design(parsed)
+    design = parsed.design
+    if design is None:
+        design = design_trial(parsed.arms, parsed.shape, parsed.calibration,
+                              parsed.normal)
     theta = parsed.normal.theta_prime
     alpha = design.alpha
     focal_grid = np.linspace(-theta, 0.0, args.points)

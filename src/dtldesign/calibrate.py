@@ -1,6 +1,6 @@
 """Boundary scale and sample size calibration.
 
-Two searches, run in this order:
+Two searches, run in this order (design_trial runs both):
 
 1. calibrate_boundaries fixes the boundary shape (O'Brien-Fleming by
    default) and bisects on the scale c until the pairwise type I error
@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass
 
 from .covariance import TrialDesign
+from .endpoint import NormalEffectSpec
 from .events import power_lfc_problems, pwer_problem, total_probability
-from .mvn import mvn_rectangle_prob
+from .mvn import ProbabilityEstimate, mvn_rectangle_prob
 
 __all__ = [
     "BracketError",
@@ -38,10 +39,14 @@ __all__ = [
     "obf_shape",
     "calibrate_boundaries",
     "find_sample_size",
+    "design_trial",
 ]
 
 _SHAPE_KINDS = ("obrien_fleming", "pocock", "custom")
 _MAX_BISECTIONS = 200  # scale bisections before calibrate_boundaries gives up
+# per-problem integration target of the sample size search: well below the
+# power gap between consecutive n near the reference designs (~5e-4)
+SEARCH_TARGET = 1e-5
 
 
 class BracketError(ValueError):
@@ -141,14 +146,20 @@ def obf_shape(stages: int, c: float) -> tuple[float, ...]:
                  for m in BoundaryShape("obrien_fleming").multipliers(stages))
 
 
+def _converged(est: ProbabilityEstimate, what: str) -> float:
+    """est.value, unless an integration behind it hit its evaluation cap."""
+    if not est.converged:
+        raise ConvergenceError(
+            f"{what} integration stalled at error bound "
+            f"{est.error_bound:.2e}")
+    return est.value
+
+
 def _pwer(design: TrialDesign, *, target: float, seed: int) -> float:
     """Pairwise type I error: one minus the arm's no-crossing probability."""
     est = mvn_rectangle_prob(pwer_problem(design), target_abs_error=target,
                              seed=seed)
-    if not est.converged:
-        raise ConvergenceError(
-            f"PWER integration stalled at error bound {est.error_bound:.2e}")
-    return 1.0 - est.value
+    return 1.0 - _converged(est, "PWER")
 
 
 def calibrate_boundaries(design_template: TrialDesign,
@@ -234,11 +245,7 @@ def _lfc_power(design: TrialDesign, theta_prime: float, theta_zero: float,
                *, target: float, seed: int) -> tuple[float, float]:
     sets = power_lfc_problems(design, theta_prime, theta_zero)
     est = total_probability(sets, target_abs_error=target, seed=seed)
-    if not est.converged:
-        raise ConvergenceError(
-            f"power integration stalled at error bound "
-            f"{est.error_bound:.2e}")
-    return est.value, est.error_bound
+    return _converged(est, "power"), est.error_bound
 
 
 def find_sample_size(design: TrialDesign, theta_prime: float,
@@ -246,15 +253,14 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
                      cfg: CalibrationConfig = CalibrationConfig(0.025, 0.9),
                      *,
                      seed: int = 0,
-                     target_abs_error: float = 1e-5) -> TrialDesign:
+                     target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
     """Smallest per-stage n with LFC power >= cfg.power_target.
 
     Doubles n until the target is reached, then binary-searches the
     minimal integer.  The same integration seed is used at every n
     (common random numbers), so the visited power curve is smooth; it is
     asserted nondecreasing up to twice the integration error bound.  The
-    per-problem error target defaults to 1e-5, well below the power gap
-    between consecutive n near the reference designs (~5e-4).  The answer
+    per-problem error target defaults to SEARCH_TARGET.  The answer
     n must clear the target, and n - 1 fall short of it, each by more than
     its error bound; otherwise the bracket rests on integration noise and
     the search raises ConvergenceError.
@@ -285,3 +291,16 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
                 f"power({n})={p_hi:.6f} at error bound {e_hi:.2e}; lower "
                 "target_abs_error (--tol on the CLI)")
     return design.with_n(n)
+
+
+def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,
+                 endpoint: NormalEffectSpec, *, seed: int = 0,
+                 target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
+    """A K-arm, K-stage trial with calibrated boundaries and the smallest
+    per-stage n that powers it: calibrate_boundaries, then
+    find_sample_size at target_abs_error."""
+    template = TrialDesign(arms, arms, 1, shape.multipliers(arms), cfg.alpha,
+                           endpoint.sigma)
+    design = calibrate_boundaries(template, shape, cfg, seed=seed)
+    return find_sample_size(design, endpoint.theta_prime, endpoint.theta_zero,
+                            cfg, seed=seed, target_abs_error=target_abs_error)

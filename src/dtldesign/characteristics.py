@@ -25,13 +25,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from .calibrate import ConvergenceError, _pwer, _smallest_passing_n
+from .calibrate import (ConvergenceError, _converged, _pwer,
+                        _smallest_passing_n)
 from .covariance import EffectConfig, TrialDesign
 from .endpoint import NormalEffectSpec
 from .events import (
     global_null_typeI_problems,
+    pwer_problem,
+    reject_problems,
     set_probability,
     stop_stage_problems,
     total_probability,
@@ -51,7 +54,9 @@ __all__ = [
     "multiarm_lfc_power",
     "comparator_multiarm",
     "comparator_separate_trials",
+    "separate_trials_power",
     "full_report",
+    "analytic_estimates",
 ]
 
 # Per-problem integration target, and the weighted set-level error bound
@@ -228,10 +233,7 @@ def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
                                 sigma)
     est = mvn_rectangle_prob(problem, target_abs_error=target_abs_error,
                              seed=seed)
-    if not est.converged:
-        raise ConvergenceError(
-            f"comparator integration stalled at {est.error_bound:.2e}")
-    return est.value
+    return _converged(est, "comparator")
 
 
 def comparator_multiarm(arms: int, alpha: float, power_target: float,
@@ -275,6 +277,14 @@ def comparator_separate_trials(arms: int, alpha: float, power_target: float,
     return n, 2 * arms * n
 
 
+def separate_trials_power(n: int, alpha: float, theta_prime: float,
+                          sigma: float) -> float:
+    """Power of one two-arm trial at n per group: the inverse of the
+    sample size formula in comparator_separate_trials."""
+    return float(ndtr(theta_prime * math.sqrt(n / 2.0) / sigma
+                      - ndtri(1.0 - alpha)))
+
+
 def full_report(design: TrialDesign, endpoint: NormalEffectSpec,
                 named_effect_configs: dict[str, EffectConfig], *,
                 target_abs_error: float = DEFAULT_TARGET,
@@ -303,3 +313,26 @@ def full_report(design: TrialDesign, endpoint: NormalEffectSpec,
         ess=ess,
         stop_probs=stops,
     )
+
+
+def analytic_estimates(design: TrialDesign, effects: EffectConfig, *,
+                       target_abs_error: float = DEFAULT_TARGET,
+                       seed: int = 0) -> dict[str, float]:
+    """simulate.estimate_characteristics' metrics, computed analytically.
+
+    Every integration must converge, but set bounds are not held to
+    ERROR_ALLOWANCE, so a cheap cross-check may run at a coarse target.
+    """
+    kw = {"target_abs_error": target_abs_error, "seed": seed}
+    win = total_probability(win_problems(design, effects), **kw)
+    rej = total_probability(reject_problems(design, effects), **kw)
+    never = mvn_rectangle_prob(pwer_problem(design, effects), **kw)
+    stops = tuple(_converged(set_probability(pset, **kw),
+                             f"stop-stage {pset.stage}")
+                  for pset in stop_stage_problems(design, effects))
+    out = {"power": _converged(win, "power"),
+           "reject": _converged(rej, "reject"),
+           "focal_crossing": 1.0 - _converged(never, "focal crossing"),
+           "ess": _ess_from_stop_probs(design, stops)}
+    out.update((f"stop_stage_{j}", p) for j, p in enumerate(stops, start=1))
+    return out

@@ -20,39 +20,24 @@ aligned plain-text table rounded the way the numbers are usually quoted
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import ndtr, ndtri
-
-from .calibrate import (
-    BoundaryShape,
-    CalibrationConfig,
-    calibrate_boundaries,
-    find_sample_size,
-)
+from .calibrate import BoundaryShape, CalibrationConfig, design_trial
 from .characteristics import (
+    DEFAULT_TARGET,
+    analytic_estimates,
     comparator_multiarm,
     comparator_separate_trials,
     full_report,
     max_total_patients,
     multiarm_lfc_power,
-    stage_total_patients,
+    separate_trials_power,
 )
 from .covariance import EffectConfig, TrialDesign
-from .events import (
-    pwer_problem,
-    reject_problems,
-    set_probability,
-    stop_stage_problems,
-    total_probability,
-    win_problems,
-)
 from .endpoint import BinaryEndpointSpec, NormalEffectSpec, binary_to_normal
-from .mvn import mvn_rectangle_prob
 from .simulate import estimate_characteristics
 
 __all__ = [
@@ -75,9 +60,6 @@ _REQUIRED = ("design.arms", "endpoint.type", "calibration.alpha",
              "calibration.power")
 _SHAPES = {"obf": "obrien_fleming", "pocock": "pocock", "custom": "custom"}
 
-# integration target of the n search and of simulate's analytic column
-# when --tol is not given
-_DEFAULT_TOL = 1e-5
 # the analytic column integrates with this seed whatever --seed says, so it
 # does not move when only the simulation is reseeded
 _ANALYTIC_SEED = 0
@@ -118,9 +100,6 @@ class RunConfig:
     seed: int = 0
     reps: int = 100_000
     tol: float | None = None
-    alpha: float | None = None
-    power: float | None = None
-    omega: float | None = None
 
 
 def _scan(text: str) -> dict[tuple[str, str], tuple[str, int]]:
@@ -406,27 +385,12 @@ def render_compare_table(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _apply_overrides(cal: CalibrationConfig, cfg: RunConfig):
-    updates = {}
-    if cfg.alpha is not None:
-        updates["alpha"] = cfg.alpha
-    if cfg.power is not None:
-        updates["power_target"] = cfg.power
-    if cfg.omega is not None:
-        updates["omega"] = cfg.omega
-    return dataclasses.replace(cal, **updates) if updates else cal
-
-
-def _calibrated_design(parsed: ParsedConfig, shape: BoundaryShape,
-                       cal: CalibrationConfig, cfg: RunConfig) -> TrialDesign:
-    template = TrialDesign(parsed.arms, parsed.arms, 1,
-                           shape.multipliers(parsed.arms), cal.alpha,
-                           parsed.normal.sigma)
-    design = calibrate_boundaries(template, shape, cal, seed=cfg.seed)
-    return find_sample_size(design, parsed.normal.theta_prime,
-                            parsed.normal.theta_zero, cal, seed=cfg.seed,
-                            target_abs_error=_DEFAULT_TOL if cfg.tol is None
-                            else cfg.tol)
+def _integration(cfg: RunConfig) -> dict:
+    """Integration keywords: the seed, plus the target only when --tol is
+    given, so each default target lives in the library alone."""
+    if cfg.tol is None:
+        return {"seed": cfg.seed}
+    return {"seed": cfg.seed, "target_abs_error": cfg.tol}
 
 
 def _read_config(path: str) -> ParsedConfig:
@@ -436,8 +400,9 @@ def _read_config(path: str) -> ParsedConfig:
 
 def _cmd_design(cfg: RunConfig) -> tuple[dict, str]:
     parsed = _read_config(cfg.config_path)
-    cal = _apply_overrides(parsed.calibration, cfg)
-    design = _calibrated_design(parsed, parsed.shape, cal, cfg)
+    cal = parsed.calibration
+    design = design_trial(parsed.arms, parsed.shape, cal, parsed.normal,
+                          **_integration(cfg))
     record = {
         "command": "design",
         "seed": cfg.seed,
@@ -454,10 +419,7 @@ def _cmd_design(cfg: RunConfig) -> tuple[dict, str]:
 
 def _cmd_evaluate(cfg: RunConfig) -> tuple[dict, str]:
     design, endpoint, normal, effects = _load_designed(cfg.config_path)
-    kwargs = {"seed": cfg.seed}
-    if cfg.tol is not None:
-        kwargs["target_abs_error"] = cfg.tol
-    chars = full_report(design, normal, effects, **kwargs)
+    chars = full_report(design, normal, effects, **_integration(cfg))
     report = {
         "command": "evaluate",
         "seed": cfg.seed,
@@ -475,31 +437,14 @@ def _cmd_evaluate(cfg: RunConfig) -> tuple[dict, str]:
     return report, render_evaluate_table(report)
 
 
-def _analytic_block(design: TrialDesign, effects: EffectConfig,
-                    tol: float) -> dict:
-    kw = {"target_abs_error": tol, "seed": _ANALYTIC_SEED}
-    win = total_probability(win_problems(design, effects), **kw)
-    rej = total_probability(reject_problems(design, effects), **kw)
-    stops = [set_probability(s, **kw)
-             for s in stop_stage_problems(design, effects)]
-    ess = sum(est.value * stage_total_patients(design, j)
-              for j, est in enumerate(stops, start=1))
-    never = mvn_rectangle_prob(pwer_problem(design, effects), **kw)
-    block = {"power": win.value, "reject": rej.value,
-             "focal_crossing": 1.0 - never.value, "ess": ess}
-    for j, est in enumerate(stops, start=1):
-        block[f"stop_stage_{j}"] = est.value
-    return block
-
-
 def _cmd_simulate(cfg: RunConfig) -> tuple[dict, str]:
     design, endpoint, _, effects = _load_designed(cfg.config_path)
-    tol = _DEFAULT_TOL if cfg.tol is None else cfg.tol
+    integration = {**_integration(cfg), "seed": _ANALYTIC_SEED}
     configs = {}
     for name, effect in effects.items():
         sim = estimate_characteristics(design, effect, cfg.reps,
                                        seed=cfg.seed)
-        analytic = _analytic_block(design, effect, tol)
+        analytic = analytic_estimates(design, effect, **integration)
         empirical = {metric: list(sim.estimates[metric])
                      for metric in analytic}
         configs[name] = {"analytic": analytic, "empirical": empirical}
@@ -507,7 +452,8 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[dict, str]:
         "command": "simulate",
         "replicates": cfg.reps,
         "seed": cfg.seed,
-        "integration_tol": tol,
+        "integration_tol": integration.get("target_abs_error",
+                                           DEFAULT_TARGET),
         "design": _design_record(design),
         "endpoint": _endpoint_record(endpoint),
         "configs": configs,
@@ -525,10 +471,7 @@ def _characteristics_row(name: str, design: TrialDesign,
                          normal: NormalEffectSpec,
                          effects: dict[str, EffectConfig],
                          cfg: RunConfig) -> dict:
-    kwargs = {"seed": cfg.seed}
-    if cfg.tol is not None:
-        kwargs["target_abs_error"] = cfg.tol
-    chars = full_report(design, normal, effects, **kwargs)
+    chars = full_report(design, normal, effects, **_integration(cfg))
     return {"name": name, "status": "computed",
             "n": design.n_per_stage, "n_is": "per arm per stage",
             "max_n": chars.max_n, "power": chars.power_lfc,
@@ -539,29 +482,31 @@ def _characteristics_row(name: str, design: TrialDesign,
 
 def _cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
     parsed = _read_config(cfg.config_path)
-    cal = _apply_overrides(parsed.calibration, cfg)
+    cal = parsed.calibration
     normal = parsed.normal
     names = list(parsed.effects)
 
-    proposed = _calibrated_design(parsed, parsed.shape, cal, cfg)
+    proposed = design_trial(parsed.arms, parsed.shape, cal, normal,
+                            **_integration(cfg))
     rows = [_characteristics_row("proposed", proposed, normal,
                                  parsed.effects, cfg)]
 
     # pure drop-the-loser: no early stopping, final boundary calibrated
     dtl_shape = BoundaryShape(
         "custom", (math.inf,) * (parsed.arms - 1) + (1.0,))
-    dtl = _calibrated_design(parsed, dtl_shape, cal, cfg)
+    dtl = design_trial(parsed.arms, dtl_shape, cal, normal,
+                       **_integration(cfg))
     rows.append(_characteristics_row("dtl", dtl, normal, parsed.effects, cfg))
 
     n_multi, max_multi = comparator_multiarm(
         parsed.arms, cal.alpha, cal.power_target, normal.theta_prime,
-        normal.theta_zero, normal.sigma)
+        normal.theta_zero, normal.sigma, seed=cfg.seed)
     rows.append({
         "name": "multi_arm", "status": "computed",
         "n": n_multi, "n_is": "per arm, single stage", "max_n": max_multi,
         "power": multiarm_lfc_power(parsed.arms, n_multi, cal.alpha,
                                     normal.theta_prime, normal.theta_zero,
-                                    normal.sigma),
+                                    normal.sigma, seed=cfg.seed),
         # every arm is tested against its own marginal critical value, so
         # both error rates sit at alpha by construction
         "type_i": cal.alpha, "pwer": cal.alpha,
@@ -571,13 +516,12 @@ def _cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
     n_sep, total_sep = comparator_separate_trials(
         parsed.arms, cal.alpha, cal.power_target, normal.theta_prime,
         normal.sigma)
-    power_sep = float(ndtr(
-        normal.theta_prime * math.sqrt(n_sep / 2.0) / normal.sigma
-        - ndtri(1.0 - cal.alpha)))
     rows.append({
         "name": "separate_trials", "status": "computed",
         "n": n_sep, "n_is": "per group per trial", "max_n": total_sep,
-        "power": power_sep, "type_i": cal.alpha, "pwer": cal.alpha,
+        "power": separate_trials_power(n_sep, cal.alpha, normal.theta_prime,
+                                       normal.sigma),
+        "type_i": cal.alpha, "pwer": cal.alpha,
         "ess": {name: float(total_sep) for name in names},
     })
 
@@ -646,13 +590,6 @@ def main(argv=None) -> int:
                        help="integration target override")
         if name == "simulate":
             p.add_argument("--reps", type=int, default=RunConfig.reps)
-        if name in ("design", "compare"):
-            p.add_argument("--alpha", type=float,
-                           help="override calibration.alpha")
-            p.add_argument("--power", type=float,
-                           help="override calibration.power")
-            p.add_argument("--omega", type=float,
-                           help="override calibration.omega")
     return run(RunConfig(**vars(parser.parse_args(argv))))
 
 

@@ -13,12 +13,15 @@ from dtldesign.calibrate import (
     ConvergenceError,
     SearchLimitError,
     calibrate_boundaries,
+    design_trial,
     find_sample_size,
     obf_shape,
 )
+from dtldesign.characteristics import comparator_separate_trials
 from dtldesign.covariance import TrialDesign
+from dtldesign.endpoint import NormalEffectSpec
 from dtldesign.events import pwer_problem
-from dtldesign.mvn import mvn_rectangle_prob
+from dtldesign.mvn import ProbabilityEstimate, mvn_rectangle_prob
 
 SIGMA = math.sqrt(9.47)
 THETA_P = 0.594
@@ -211,3 +214,28 @@ class TestPowerBracket:
                            match=r"power\(100\)=0\.899500 .* 6\.00e-04.*"
                                  r"power\(101\)=0\.900500 .*--tol"):
             find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+
+
+class TestDesignTrial:
+    def test_one_arm_is_the_two_arm_trial(self):
+        # one arm, one stage: the boundary is z_{1-alpha} and n the
+        # closed-form two-arm sample size
+        endpoint = NormalEffectSpec(THETA_P, THETA_0, SIGMA ** 2)
+        d = design_trial(1, BoundaryShape(), CFG, endpoint)
+        n, _ = comparator_separate_trials(1, 0.025, 0.9, THETA_P, SIGMA)
+        assert d.n_per_stage == n
+        assert d.boundaries[0] == pytest.approx(norm.ppf(0.975), abs=1e-3)
+        assert (d.arms, d.stages, d.alpha) == (1, 1, 0.025)
+
+
+class TestConverged:
+    def test_converged_estimate_gives_its_value(self):
+        est = ProbabilityEstimate(0.5, 1e-6, 1024)
+        assert calibrate._converged(est, "PWER") == 0.5
+
+    def test_stalled_estimate_names_what_and_bound(self):
+        est = ProbabilityEstimate(0.5, 3e-4, 1 << 24, converged=False)
+        with pytest.raises(ConvergenceError,
+                           match=r"^focal crossing integration stalled at "
+                                 r"error bound 3\.00e-04$"):
+            calibrate._converged(est, "focal crossing")

@@ -17,6 +17,7 @@ from dtldesign.calibrate import (
 from dtldesign.characteristics import (
     DEFAULT_TARGET,
     OperatingCharacteristics,
+    analytic_estimates,
     comparator_multiarm,
     comparator_separate_trials,
     expected_sample_size,
@@ -25,6 +26,7 @@ from dtldesign.characteristics import (
     multiarm_lfc_power,
     pwer,
     power_lfc,
+    separate_trials_power,
     stage_total_patients,
     stop_stage_probabilities,
     type_i_global_null,
@@ -38,6 +40,7 @@ from dtldesign.events import (
     stop_stage_problems,
     win_problems,
 )
+from dtldesign.simulate import estimate_characteristics
 
 EFF = binary_to_normal(BinaryEndpointSpec(0.12, 0.05, 0.01))
 DESIGN = TrialDesign(3, 3, 206, (3.471, 2.454, 2.004), 0.025, EFF.sigma)
@@ -258,6 +261,13 @@ class TestComparators:
                                               EFF.theta_prime, EFF.sigma)
         assert (n, total) == (564, 3384)
 
+    def test_separate_trials_power_inverts_the_sample_size(self):
+        args = (0.025, EFF.theta_prime, EFF.sigma)
+        assert separate_trials_power(564, *args) >= 0.9
+        assert separate_trials_power(563, *args) < 0.9
+        assert separate_trials_power(564, *args) == pytest.approx(
+            0.900241, abs=1e-6)
+
     def test_separate_trials_half_power(self):
         n, _ = comparator_separate_trials(3, 0.025, 0.5, 0.8, 2.0)
         want = math.ceil(2.0 * 4.0 * ndtri(0.975) ** 2 / 0.64)
@@ -288,6 +298,22 @@ class TestComparators:
         with pytest.raises(SearchLimitError):
             comparator_multiarm(3, 0.025, 0.9, EFF.theta_prime,
                                 EFF.theta_zero, EFF.sigma, max_n=16)
+
+
+class TestAnalyticEstimates:
+    def test_keys_are_the_simulator_metric_names(self):
+        est = analytic_estimates(DESIGN, CONFIGS["lfc"],
+                                 target_abs_error=1e-3)
+        sim = estimate_characteristics(DESIGN, CONFIGS["lfc"], 100)
+        assert list(est) == list(sim.estimates)
+
+    def test_same_numbers_as_the_checked_characteristics(self, report):
+        # same problems, target and seed: the same floats
+        est = analytic_estimates(DESIGN, CONFIGS["lfc"])
+        assert est["power"] == report.power_lfc
+        assert est["ess"] == report.ess["lfc"]
+        assert tuple(est[f"stop_stage_{j}"] for j in (1, 2, 3)) == \
+            report.stop_probs["lfc"]
 
 
 class TestFullReport:

@@ -1,16 +1,20 @@
 """Config parsing, command plumbing, and report determinism."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from dtldesign import cli
+from dtldesign import characteristics, cli
 from dtldesign.calibrate import CalibrationConfig
 from dtldesign.cli import ParseError, RunConfig, parse_config, run
 from dtldesign.covariance import TrialDesign
 from dtldesign.endpoint import BinaryEndpointSpec, NormalEffectSpec
 
+K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
+             / "design_k3.json")
 MOTIVATING = """\
 [design]
 arms = 3
@@ -213,6 +217,36 @@ class TestSimulateCommand:
         block = json.loads(path.read_text())["configs"]["lfc"]
         value, se = block["empirical"]["power"]
         assert abs(value - block["analytic"]["power"]) <= 4.0 * se + 1e-3
+
+
+    def test_default_target_is_the_library_default(self, tmp_path):
+        path = tmp_path / "sim.json"
+        assert run(RunConfig("simulate", str(K3_RECORD), out_path=str(path),
+                             reps=1000)) == 0
+        report = json.loads(path.read_text())
+        assert report["integration_tol"] == characteristics.DEFAULT_TARGET
+        for name, block in report["configs"].items():
+            stops = [v for k, v in block["analytic"].items()
+                     if k.startswith("stop_stage_")]
+            assert len(stops) == 3
+            assert abs(math.fsum(stops) - 1.0) <= \
+                characteristics._PARTITION_SLACK, name
+
+
+class TestLayering:
+    def test_cli_does_no_numerics(self):
+        # cli parses, calls the library and renders; the integration
+        # layers stay behind calibrate and characteristics
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        for module in imported:
+            head = module.removeprefix("dtldesign.").split(".")[0]
+            assert head not in ("events", "mvn", "scipy"), module
 
 
 class TestErrorHandling:
