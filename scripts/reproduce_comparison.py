@@ -4,8 +4,8 @@
 Runs the full pipeline (boundary calibration, sample size search, operating
 characteristics) for the proposed design and each in-scope comparator, then
 prints the table.  Rows whose boundary derivations live in cited prior work
-are labelled out of scope rather than dropped.  Takes about 4 s on a 2-core
-machine at the default integration target.  From a checkout, run it as
+are labelled out of scope rather than dropped.  Takes about 1.7 s on a
+2-core machine at the default integration target.  From a checkout, run it as
 `PYTHONPATH=src python3 scripts/reproduce_comparison.py`.
 """
 

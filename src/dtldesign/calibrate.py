@@ -9,10 +9,10 @@ Two searches, run in this order (design_trial runs both):
 
 2. find_sample_size takes the calibrated design and finds the smallest
    integer per-stage sample size whose power under the least favourable
-   configuration reaches the target.  The candidate n doubles until the
-   power target is met, then a binary search pins down the minimal
-   integer; this visits the same final n as a one-patient-at-a-time scan
-   at a fraction of the integrals.
+   configuration reaches the target.  probit(power) is nearly linear in
+   sqrt(n), so a secant search seeded with the one-look z test's n finds
+   the same n as a one-patient-at-a-time scan in a few integrals; it
+   falls back to bisection when the secant stalls.
 
 Both searches integrate with a fixed seed so the objectives are
 deterministic functions of their argument; the monotonicity that makes
@@ -24,6 +24,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+
+from scipy.special import ndtri
 
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
@@ -47,6 +49,9 @@ _MAX_BISECTIONS = 200  # scale bisections before calibrate_boundaries gives up
 # per-problem integration target of the sample size search: well below the
 # power gap between consecutive n near the reference designs (~5e-4)
 SEARCH_TARGET = 1e-5
+# a bracket within noise at the search target is integrated once more at
+# the target divided by this
+BRACKET_RETRY_FACTOR = 5
 
 
 class BracketError(ValueError):
@@ -218,27 +223,69 @@ def calibrate_boundaries(design_template: TrialDesign,
         "error target")
 
 
-def _smallest_passing_n(power_at, target: float, max_n: int) -> int:
+def _one_look_model(alpha: float, power_target: float, theta_prime: float,
+                    sigma: float, looks: int = 1) -> tuple[float, float]:
+    """(n, slope): the one-look z test on `looks` stages' patients per n
+    has probit(power) = slope sqrt(n) - z_{1-alpha}, which reaches
+    power_target at n = 2 sigma^2 (z_{1-alpha} + z_{power})^2 / theta'^2 /
+    looks (unrounded), slope = theta' sqrt(looks / 2) / sigma."""
+    if not theta_prime > 0.0:
+        raise ValueError("theta_prime must be positive")
+    z_sum = float(ndtri(1.0 - alpha)) + float(ndtri(power_target))
+    n = 2.0 * sigma ** 2 * z_sum ** 2 / theta_prime ** 2 / looks
+    return n, theta_prime * math.sqrt(looks / 2.0) / sigma
+
+
+def _smallest_passing_n(power_at, target: float, max_n: int, guess: float,
+                        slope: float) -> int:
     """Smallest n in 1..max_n with power_at(n) >= target, for a
     nondecreasing power_at.
 
-    n doubles until the target is met, then a binary search runs between
-    the last failing and the first passing n.  No n is visited twice.
+    Regula falsi on g(n) = probit(power_at(n)) - probit(target), which is
+    close to linear in sqrt(n): visit ceil(guess), step once along the
+    model slope of g in sqrt(n), then along secants through the bracketing
+    visits (the two nearest visits while one side is open), strictly
+    inside the bracket, so no n is visited twice.  A secant step that does
+    not halve the bracket (double the largest failing n while none passes)
+    is followed by a bisection (doubling) step, as is a step with no
+    finite secant (power 0, 1 or outside [0, 1]): the worst case stays
+    logarithmic in max_n.  Ends with n - 1 failing and n passing, both
+    visited.
     """
-    n_lo, n_hi = 0, 1
-    while (power := power_at(n_hi)) < target:
-        if n_hi >= max_n:
+    z_target = float(ndtri(target))
+    g: dict[int, float] = {}   # visited n -> probit(power) - probit(target)
+    lo, hi = 0, max_n + 1      # largest failing and smallest passing n
+    n, root = min(max(math.ceil(guess), 1), max_n), math.nan
+    while True:
+        power = power_at(n)
+        if power < target and n == max_n:
             raise SearchLimitError(
-                f"power {power:.4f} at n={n_hi} still below {target} "
+                f"power {power:.4f} at n={n} still below {target} "
                 f"(max_n={max_n})")
-        n_lo, n_hi = n_hi, min(2 * n_hi, max_n)
-    while n_hi - n_lo > 1:
-        n_mid = (n_lo + n_hi) // 2
-        if power_at(n_mid) >= target:
-            n_hi = n_mid
+        g[n] = float(ndtri(power)) - z_target
+        was_lo, was_hi = lo, hi
+        lo, hi = (lo, n) if power >= target else (n, hi)
+        if hi - lo == 1:
+            return hi
+        stalled = len(g) > 2 and math.isfinite(root) and (
+            lo < 2 * was_lo if hi > max_n
+            else was_hi <= max_n and 2 * (hi - lo) > was_hi - was_lo)
+        if stalled:
+            root = math.nan
+        elif len(g) == 1:                           # the model step
+            root = math.sqrt(n) - g[n] / slope
         else:
-            n_lo = n_mid
-    return n_hi
+            ends = [m for m in (lo, hi) if m in g]
+            a, b = sorted(ends if len(ends) == 2 else
+                          sorted(g, key=lambda m: abs(m - ends[0]))[:2])
+            rise = g[b] - g[a]    # inf or nan unless both probits are finite
+            root = (math.sqrt(a) - g[a] * (math.sqrt(b) - math.sqrt(a)) / rise
+                    if 0.0 < rise < math.inf else math.nan)
+        if math.isfinite(root):
+            root = min(max(root, math.sqrt(lo)), math.sqrt(hi))
+            n = min(max(math.ceil(root ** 2), lo + 1), hi - 1)
+        else:
+            n = (lo + hi) // 2 if hi <= max_n else min(2 * lo, max_n)
 
 
 def _lfc_power(design: TrialDesign, theta_prime: float, theta_zero: float,
@@ -256,23 +303,26 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
                      target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
     """Smallest per-stage n with LFC power >= cfg.power_target.
 
-    Doubles n until the target is reached, then binary-searches the
-    minimal integer.  The same integration seed is used at every n
-    (common random numbers), so the visited power curve is smooth; it is
-    asserted nondecreasing up to twice the integration error bound.  The
-    per-problem error target defaults to SEARCH_TARGET.  The answer
-    n must clear the target, and n - 1 fall short of it, each by more than
-    its error bound; otherwise the bracket rests on integration noise and
-    the search raises ConvergenceError.
+    A probit-secant search seeded with the one-look z test's n over the
+    stage count.  The same integration seed is used at every n (common
+    random numbers), so the visited power curve is smooth; it is asserted
+    nondecreasing up to twice the integration error bound.  The answer n
+    must clear the target, and n - 1 fall short of it, each by more than
+    its error bound; if not, both are integrated once more at
+    target_abs_error / BRACKET_RETRY_FACTOR, and if the bracket still
+    rests on integration noise the search raises ConvergenceError.
     """
     visited: dict[int, tuple[float, float]] = {}
 
-    def power_at(n: int) -> float:
+    def power_at(n: int, tol: float = target_abs_error) -> float:
         visited[n] = _lfc_power(design.with_n(n), theta_prime, theta_zero,
-                                target=target_abs_error, seed=seed)
+                                target=tol, seed=seed)
         return visited[n][0]
 
-    n = _smallest_passing_n(power_at, cfg.power_target, cfg.max_n)
+    n = _smallest_passing_n(
+        power_at, cfg.power_target, cfg.max_n,
+        *_one_look_model(cfg.alpha, cfg.power_target, theta_prime,
+                         design.sigma, design.stages))
 
     grid = sorted(visited)
     for a, b in zip(grid, grid[1:]):
@@ -281,16 +331,21 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
             raise ConvergenceError(
                 f"power not nondecreasing on the visited grid: "
                 f"power({a})={pa:.6f} vs power({b})={pb:.6f}")
-    if n > 1:
+    if n == 1:
+        return design.with_n(n)
+    target = cfg.power_target
+    for retry in (False, True):
+        if retry:
+            for m in (n - 1, n):
+                power_at(m, target_abs_error / BRACKET_RETRY_FACTOR)
         (p_hi, e_hi), (p_lo, e_lo) = visited[n], visited[n - 1]
-        target = cfg.power_target
-        if not (p_hi - target > e_hi and target - p_lo > e_lo):
-            raise ConvergenceError(
-                f"power bracket around {target} rests on integration noise: "
-                f"power({n - 1})={p_lo:.6f} at error bound {e_lo:.2e}, "
-                f"power({n})={p_hi:.6f} at error bound {e_hi:.2e}; lower "
-                "target_abs_error (--tol on the CLI)")
-    return design.with_n(n)
+        if p_hi - target > e_hi and target - p_lo > e_lo:
+            return design.with_n(n)
+    raise ConvergenceError(
+        f"power bracket around {target} rests on integration noise: "
+        f"power({n - 1})={p_lo:.6f} at error bound {e_lo:.2e}, "
+        f"power({n})={p_hi:.6f} at error bound {e_hi:.2e}; lower "
+        "target_abs_error (--tol on the CLI)")
 
 
 def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,

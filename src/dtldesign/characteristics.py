@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibrate import (ConvergenceError, _converged, _pwer,
+from .calibrate import (ConvergenceError, _converged, _one_look_model, _pwer,
                         _smallest_passing_n)
 from .covariance import EffectConfig, TrialDesign
 from .endpoint import NormalEffectSpec
@@ -243,8 +243,9 @@ def comparator_multiarm(arms: int, alpha: float, power_target: float,
     """Single-look K-arm design: (n per arm, maximum total patients).
 
     Pairwise error control needs only the marginal critical value; the
-    sample size comes from the same double-then-bisect search as the main
-    design, on the K-dimensional recommendation probability.
+    sample size comes from the same probit-secant search as the main
+    design, seeded with the two-arm z test's n, on the K-dimensional
+    recommendation probability.
     """
     if arms < 1:
         raise ValueError("arms must be at least 1")
@@ -254,7 +255,8 @@ def comparator_multiarm(arms: int, alpha: float, power_target: float,
     n = _smallest_passing_n(
         lambda n: multiarm_lfc_power(arms, n, alpha, theta_prime,
                                      theta_zero, sigma, seed=seed),
-        power_target, max_n)
+        power_target, max_n,
+        *_one_look_model(alpha, power_target, theta_prime, sigma))
     return n, (arms + 1) * n
 
 
@@ -272,8 +274,7 @@ def comparator_separate_trials(arms: int, alpha: float, power_target: float,
         raise ValueError("alpha and power_target must be in (0, 1)")
     if theta_prime <= 0.0 or sigma <= 0.0:
         raise ValueError("theta_prime and sigma must be positive")
-    z_sum = float(ndtri(1.0 - alpha)) + float(ndtri(power_target))
-    n = math.ceil(2.0 * sigma ** 2 * z_sum ** 2 / theta_prime ** 2)
+    n = math.ceil(_one_look_model(alpha, power_target, theta_prime, sigma)[0])
     return n, 2 * arms * n
 
 

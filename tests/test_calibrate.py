@@ -1,6 +1,7 @@
 """Boundary calibration and sample size search."""
 
 import math
+from pathlib import Path
 
 import pytest
 from scipy.stats import norm
@@ -18,6 +19,7 @@ from dtldesign.calibrate import (
     obf_shape,
 )
 from dtldesign.characteristics import comparator_separate_trials
+from dtldesign.cli import parse_config
 from dtldesign.covariance import TrialDesign
 from dtldesign.endpoint import NormalEffectSpec
 from dtldesign.events import pwer_problem
@@ -31,6 +33,7 @@ TEMPLATE3 = TrialDesign(3, 3, 10, (3.5, 2.5, 2.0), 0.025, SIGMA)
 TEMPLATE1 = TrialDesign(1, 1, 10, (2.0,), 0.025, 1.0)
 CFG = CalibrationConfig(alpha=0.025, power_target=0.9)
 DTL_SHAPE = BoundaryShape("custom", (math.inf, math.inf, 1.0))
+CONFIG_K3 = Path(__file__).resolve().parent.parent / "configs" / "poptarts.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -187,33 +190,166 @@ class TestFindSampleSize:
             find_sample_size(calibrated3, THETA_P, THETA_0,
                              CalibrationConfig(0.025, 0.9, max_n=50))
 
+    @pytest.mark.parametrize("theta_prime", [0.0, -THETA_P])
+    def test_no_positive_effect_is_refused(self, calibrated3, theta_prime):
+        with pytest.raises(ValueError, match="theta_prime"):
+            find_sample_size(calibrated3, theta_prime, THETA_0, CFG)
+
     def test_keeps_boundaries(self, calibrated3):
         d = find_sample_size(calibrated3, 2.0 * THETA_P, THETA_0, CFG)
         assert d.boundaries == calibrated3.boundaries
 
 
+def _search(curve, max_n, guess, target=0.9, slope=0.05):
+    """_smallest_passing_n on curve, with the visits in order; asserts no
+    n is visited twice."""
+    visits = []
+
+    def power_at(n):
+        assert n not in visits, f"n={n} visited twice: {visits}"
+        visits.append(n)
+        return curve(n)
+
+    return calibrate._smallest_passing_n(power_at, target, max_n, guess,
+                                         slope), visits
+
+
+def _safeguard_bound(max_n):
+    # the seed and the model step, then at most one stalled secant step
+    # and one safeguard step per doubling of the largest failing n, for
+    # the first passing n, and per halving of the bracket
+    return 4 * max_n.bit_length() + 2
+
+
+class TestSmallestPassingN:
+    """The probit-secant search on curves built to defeat its model."""
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 7, 64, 100, 1000])
+    @pytest.mark.parametrize("low,high", [(0.0, 1.0), (0.1, 0.95),
+                                          (0.8999, 0.999999)])
+    def test_step_curves_give_the_threshold(self, max_n, low, high):
+        # 0/1 steps leave no finite probit; the others give secants that
+        # point anywhere but the threshold, and the last ones creep one n
+        # at a time from the failing end unless the safeguard bisects
+        for t in range(1, max_n + 1):
+            for guess in (t / 1000.0, t, 1000.0 * t):
+                n, visits = _search(lambda m: high if m >= t else low,
+                                    max_n, guess)
+                assert n == t, (t, guess, visits)
+                assert t in visits and (t == 1 or t - 1 in visits)
+                assert len(visits) <= _safeguard_bound(max_n), visits
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 7, 64, 100, 1000])
+    def test_threshold_above_max_n_raises(self, max_n):
+        for guess in (1, max_n, 10 * max_n):
+            with pytest.raises(SearchLimitError, match=f"max_n={max_n}"):
+                _search(lambda m: float(m > max_n), max_n, guess)
+
+    @pytest.mark.parametrize("max_n", [7, 100, 1000, 100_000])
+    def test_hostile_curves_take_logarithmic_visits(self, max_n):
+        # with no finite probit every step doubles or bisects, as the old
+        # double-then-bisect search did: 2 visits per bit of max_n
+        no_secant = 2 * max_n.bit_length()
+        step = max_n // 3 + 1
+        curves = [  # (curve, threshold, bound on visits)
+            (lambda m: float(m >= step), step, no_secant),
+            (lambda m: float(m == max_n), max_n, no_secant),
+        ]
+        if max_n > 100:
+            # TestPowerBracket's fake: below 0 and above 1 far from 100.5
+            curves.append((lambda m: 0.9 + 1e-3 * (m - 100.5), 101,
+                           _safeguard_bound(max_n)))
+        for curve, t, bound in curves:
+            for guess in (1, t, max_n):
+                n, visits = _search(curve, max_n, guess)
+                assert n == t, (guess, visits)
+                assert len(visits) <= bound, (guess, visits)
+
+    def test_linear_probit_is_found_by_the_model_step(self):
+        # probit(power) = slope sqrt(n) - 1.96 is what the model assumes:
+        # from any guess where power is not 0 or 1 in floating point, its
+        # one step lands next to the answer
+        slope = 0.0675
+        want = math.ceil(((norm.ppf(0.9) + 1.96) / slope) ** 2)
+        for guess in (50, want, 4 * want):
+            n, visits = _search(
+                lambda m: norm.cdf(slope * math.sqrt(m) - 1.96), 100_000,
+                guess, slope=slope)
+            assert n == want
+            assert len(visits) <= 3, visits
+
+
+class TestSearchVisits:
+    def test_reference_design_takes_few_power_integrals(self, monkeypatch):
+        calls, real = [], calibrate._lfc_power
+
+        def counted(design, *args, **kwargs):
+            calls.append(design.n_per_stage)
+            return real(design, *args, **kwargs)
+        monkeypatch.setattr(calibrate, "_lfc_power", counted)
+        parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
+        d = design_trial(parsed.arms, parsed.shape, parsed.calibration,
+                         parsed.normal)
+        assert d.n_per_stage == 206
+        assert len(calls) <= 4, calls
+
+
 class TestPowerBracket:
     """The answer n and n - 1 must each sit farther from the power target
-    than their error bounds."""
+    than their error bounds, at the search target or after one retry at
+    the search target over BRACKET_RETRY_FACTOR."""
 
     @staticmethod
-    def _linear_power(monkeypatch, bound):
-        # power crosses 0.9 halfway between n=100 and n=101, 5e-4 from each
+    def _linear_power(monkeypatch, bound, shift=lambda target: 0.0):
+        # power crosses 0.9 halfway between n=100 and n=101, 5e-4 from
+        # each; bound and shift are functions of the integration target
+        calls = []
+
         def fake(design, theta_prime, theta_zero, *, target, seed):
-            return 0.9 + 1e-3 * (design.n_per_stage - 100.5), bound
+            calls.append((design.n_per_stage, target))
+            power = 0.9 + 1e-3 * (design.n_per_stage - 100.5)
+            return power + shift(target), bound(target)
         monkeypatch.setattr(calibrate, "_lfc_power", fake)
+        return calls
 
     def test_clear_bracket_passes(self, monkeypatch):
-        self._linear_power(monkeypatch, 4e-4)
+        calls = self._linear_power(monkeypatch, lambda target: 4e-4)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == 101
+        assert {target for _, target in calls} == {calibrate.SEARCH_TARGET}
 
     def test_bracket_within_noise_raises(self, monkeypatch):
-        self._linear_power(monkeypatch, 6e-4)
+        self._linear_power(monkeypatch, lambda target: 6e-4)
         with pytest.raises(ConvergenceError,
                            match=r"power\(100\)=0\.899500 .* 6\.00e-04.*"
                                  r"power\(101\)=0\.900500 .*--tol"):
             find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+
+    def test_noisy_bracket_passes_after_one_tighter_retry(self, monkeypatch):
+        # bound 60 x target: 6e-4 at the search target, inside the 5e-4
+        # margins; 1.2e-4 at the retry target, well outside them
+        calls = self._linear_power(monkeypatch, lambda target: 60 * target)
+        d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+        assert d.n_per_stage == 101
+        tight = calibrate.SEARCH_TARGET / calibrate.BRACKET_RETRY_FACTOR
+        assert tight == pytest.approx(2e-6)
+        assert [c for c in calls if c[1] != calibrate.SEARCH_TARGET] == [
+            (100, tight), (101, tight)]
+
+    def test_flipped_retry_raises_with_the_tighter_numbers(self,
+                                                           monkeypatch):
+        # at the retry target power(100) clears 0.9: the pair no longer
+        # brackets the target, and the search is not rerun
+        calls = self._linear_power(
+            monkeypatch, lambda target: 60 * target,
+            shift=lambda target: (0.0 if target == calibrate.SEARCH_TARGET
+                                  else 1e-3))
+        with pytest.raises(ConvergenceError,
+                           match=r"power\(100\)=0\.900500 at error bound "
+                                 r"1\.20e-04, power\(101\)=0\.901500"):
+            find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+        assert len([c for c in calls
+                    if c[1] != calibrate.SEARCH_TARGET]) == 2
 
 
 class TestDesignTrial:

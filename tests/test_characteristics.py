@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from dtldesign import characteristics
 from dtldesign.calibrate import (
     BoundaryShape,
     CalibrationConfig,
@@ -241,6 +242,18 @@ class TestComparators:
                                        EFF.theta_zero, EFF.sigma)
         assert n == 569
         assert total == 2276
+
+    def test_multiarm_reference_takes_few_power_integrals(self,
+                                                          monkeypatch):
+        visits, real = [], characteristics.multiarm_lfc_power
+
+        def counted(arms, n, *args, **kwargs):
+            visits.append(n)
+            return real(arms, n, *args, **kwargs)
+        monkeypatch.setattr(characteristics, "multiarm_lfc_power", counted)
+        assert comparator_multiarm(3, 0.025, 0.9, EFF.theta_prime,
+                                   EFF.theta_zero, EFF.sigma) == (569, 2276)
+        assert len(visits) <= 4, visits
 
     def test_multiarm_minimality(self):
         args = (3, 0.025, EFF.theta_prime, EFF.theta_zero, EFF.sigma)
