@@ -8,7 +8,10 @@ Bretz (2009), a linearly dependent coordinate becomes one more bound on the
 last pivot it loads on.  That integral is evaluated with one scrambled
 Sobol point set per problem under independent random digital shifts, whose
 spread gives a standard-error estimate.  Infinite bounds map to the cube
-endpoints exactly, so no truncation is involved.
+endpoints exactly, so no truncation is involved: a pivot side infinite
+on every row is the constant 0 or 1, and pivot 0, the same at every point,
+is computed once.  Each doubling round evaluates its shifts together, in
+slabs of at most _SLAB points that never split a shift.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ _RANDOMIZATIONS = 12
 
 # Integrand evaluations after which a problem returns with converged=False.
 _MAX_EVALUATIONS = 1 << 24
+
+# Most integrand rows per call; a call holds whole shifts, at least one.
+_SLAB = 1 << 14
 
 
 class NotPositiveSemiDefiniteError(ValueError):
@@ -195,6 +201,9 @@ def _fold(L, a, b):
     pivot, the attached rows' loadings on the earlier pivots, lower and
     upper numerators, and coefficients c on the pivot: y_j ranges over
     [max (lower - s) / c, min (upper - s) / c], s the loadings times y.
+    A side that is the same at every point is stored as its ndtr value, a
+    float: both sides of pivot 0, which has no loadings, and every open
+    side (all rows at -inf below or +inf above; exactly 0.0 or 1.0).
 
     The last pivot is the last loading above sqrt(_SINGULAR_TOL) = 1e-6.
     Each pivot's own coefficient exceeds it, as its conditional variance
@@ -208,22 +217,30 @@ def _fold(L, a, b):
     last = rank - 1 - np.argmax(loads, axis=1)
     c = L[np.arange(len(L)), last]
     lo, hi = np.where(c < 0.0, b, a), np.where(c < 0.0, a, b)
-    return [(L[last == j, :j], lo[last == j], hi[last == j], c[last == j])
-            for j in range(rank)]
+
+    def side(num, j, reduce):
+        t = reduce(num[last == j] / c[last == j])
+        return float(ndtr(t)) if j == 0 or math.isinf(t) else num[last == j]
+    return [(L[last == j, :j], side(lo, j, np.max), side(hi, j, np.min),
+             c[last == j]) for j in range(rank)]
 
 
 def _sov_integrand(pivots, x):
     """Transformed integrand on the unit cube, vectorized over points x.
 
-    On the zero-dimensional cube of a rank-one problem it is the constant
-    probability itself.
+    Only sides `_fold` left as numerators are computed per point; the
+    float sides give the same bits as evaluating them at every point.
+    Each row is computed on its own, so stacking the points of several
+    shifts into one call leaves every value unchanged.
     """
     y = np.empty((x.shape[0], len(pivots) - 1))
     p = 1.0
-    for j, (loads, lo_num, hi_num, c) in enumerate(pivots):
-        s = y[:, :j] @ loads.T
-        lo = ndtr(((lo_num - s) / c).max(axis=1))
-        hi = ndtr(((hi_num - s) / c).min(axis=1))
+    for j, (loads, lo, hi, c) in enumerate(pivots):
+        s = y[:, :j] @ loads.T if j else None
+        if not isinstance(lo, float):
+            lo = ndtr(((lo - s) / c).max(axis=1))
+        if not isinstance(hi, float):
+            hi = ndtr(((hi - s) / c).min(axis=1))
         p = p * np.maximum(hi - lo, 0.0)
         if j < y.shape[1]:
             z = lo + x[:, j] * (hi - lo)
@@ -277,8 +294,8 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     pivots = _fold(*_pivoted_cholesky(corr, a, b))
     dim = len(pivots) - 1  # the cube dimension: rank - 1
     if dim == 0:
-        p = float(_sov_integrand(pivots, np.empty((1, 0)))[0])
-        return ProbabilityEstimate(p, 0.0, 1, True)
+        _, lo, hi, _ = pivots[0]
+        return ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1, True)
 
     rng = np.random.default_rng(seed)
     engine = qmc.Sobol(dim, seed=rng)  # its one scramble draws from rng first
@@ -289,9 +306,12 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     evaluations = 0
     while True:
         base = np.ldexp(engine.random(batch), engine.bits).astype(np.int64)
-        for r, shift in enumerate(shifts):
-            sums[r] += float(_sov_integrand(
-                pivots, np.ldexp(base ^ shift, -engine.bits)).sum())
+        group = max(1, _SLAB // batch)
+        for r in range(0, _RANDOMIZATIONS, group):
+            x = np.ldexp(base ^ shifts[r:r + group, None], -engine.bits)
+            sums[r:r + group] += _sov_integrand(
+                pivots, x.reshape(-1, dim)).reshape(-1, batch).sum(axis=1)
+            del x  # freed before the next slab is built: a lower peak RSS
         n_per += batch
         evaluations += _RANDOMIZATIONS * batch
         estimates = sums / n_per

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from dtldesign import (
+    EffectConfig,
     NotPositiveSemiDefiniteError,
     OrthantProblem,
     ProbabilityEstimate,
@@ -17,7 +19,7 @@ from dtldesign import (
     mvn_rectangle_prob,
 )
 from dtldesign.cli import _load_designed
-from dtldesign.events import pwer_problem
+from dtldesign.events import pwer_problem, win_problems
 
 import oracles
 
@@ -253,3 +255,151 @@ def test_probability_estimate_invariants():
     est = ProbabilityEstimate(0.5, 1e-6, 100, True)
     assert 0.0 <= est.value <= 1.0
     assert est.error_bound >= 0.0
+
+
+def _k3_pwer_problem():
+    return pwer_problem(_load_designed(str(K3_RECORD))[0])
+
+
+def _k3_win_problem():
+    # a one-sided upper problem: every upper bound is +inf
+    design = _load_designed(str(K3_RECORD))[0]
+    wins = win_problems(design, EffectConfig.global_null(design.arms))
+    return wins[-1].problems[2][1]
+
+
+# (problem, target, seed) -> (value.hex(), error_bound.hex(), evaluations),
+# recorded before the integrand skipped open sides and batched its shifts
+_GOLDEN_BITS = {
+    "k3_pwer": (
+        _k3_pwer_problem, 1e-6, 0,
+        ("0x1.f3339fe29e035p-1", "0x1.f1960743e4b18p-21", 196608)),
+    "k3_win": (
+        _k3_win_problem, 1e-7, 1,
+        ("0x1.0ceafb6e596dfp-9", "0x1.dfde11d0026c7p-25", 24576)),
+    "two_sided": (
+        lambda: OrthantProblem([0.3, -0.2], [[1.0, -0.4], [-0.4, 1.0]],
+                               [-1.0, -INF], [1.5, 0.8]), 1e-6, 4,
+        ("0x1.5710c3d616940p-1", "0x1.e7e04a1554e5ep-23", 6144)),
+    "negative_fold": (
+        lambda: OrthantProblem(np.zeros(3),
+                               [[1.0, 0.5, -0.5], [0.5, 1.0, 0.5],
+                                [-0.5, 0.5, 1.0]],
+                               [2.0, 2.0, -INF], [INF, INF, 0.0]), 1e-7, 0,
+        ("0x1.099be800cec67p-9", "0x1.3643eea223480p-24", 49152)),
+    # rank 2; pivot 1 holds an open and a finite row on each side
+    "mixed_sides": (
+        lambda: OrthantProblem([0.1, -0.2, 0.3],
+                               [[1.0, 0.5, 0.5], [0.5, 1.0, -0.5],
+                                [0.5, -0.5, 1.0]],
+                               [-INF, -INF, -0.5], [1.0, 0.5, INF]), 1e-6, 2,
+        ("0x1.1ea251b22be40p-1", "0x1.f36547ff08823p-21", 6144)),
+    "rank_one": (
+        lambda: OrthantProblem(np.zeros(3), np.ones((3, 3)), [-INF] * 3,
+                               [0.5, 1.0, 2.0]), 1e-6, 1,
+        ("0x1.62075e232ac77p-1", "0x0.0p+0", 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_BITS))
+def test_estimates_reproduce_recorded_bits(name):
+    make, target, seed, expected = _GOLDEN_BITS[name]
+    est = mvn_rectangle_prob(make(), target, seed=seed)
+    assert est.converged
+    bits = (est.value.hex(), est.error_bound.hex(), est.evaluations)
+    assert bits == expected
+
+
+def test_mixed_sides_problem_has_mixed_pivot():
+    # the "mixed_sides" record covers a pivot whose sides are neither
+    # constant nor free of infinite rows
+    prob = _GOLDEN_BITS["mixed_sides"][0]()
+    pivots = mvn._fold(*mvn._pivoted_cholesky(
+        prob.corr, prob.lower - prob.mean, prob.upper - prob.mean))
+    _, lo, hi, _ = pivots[1]
+    assert np.isinf(lo).any() and np.isfinite(lo).any()
+    assert np.isinf(hi).any() and np.isfinite(hi).any()
+
+
+def test_open_sides_and_pivot_zero_are_constants():
+    # all lower bounds are -inf and the mean is zero
+    prob = _k3_pwer_problem()
+    pivots = mvn._fold(*mvn._pivoted_cholesky(prob.corr, prob.lower,
+                                              prob.upper))
+    for j, (_, lo, hi, _) in enumerate(pivots):
+        assert lo == 0.0 and isinstance(lo, float)
+        assert isinstance(hi, float) == (j == 0)
+
+
+def _record_integrand_rows(monkeypatch):
+    rows = []
+    integrand = mvn._sov_integrand
+
+    def recording(pivots, x):
+        rows.append(x.shape[0])
+        return integrand(pivots, x)
+    monkeypatch.setattr(mvn, "_sov_integrand", recording)
+    return rows
+
+
+def _doubling_rounds(rows):
+    """Split integrand call sizes into doubling rounds: (batch, sizes)."""
+    rounds, current, batch, n_per = [], [], 128, 0
+    for n in rows:
+        current.append(n)
+        if sum(current) == mvn._RANDOMIZATIONS * batch:
+            rounds.append((batch, current))
+            current = []
+            n_per += batch
+            batch = n_per
+    assert not current, "a round ended part way through its shifts"
+    return rounds
+
+
+@pytest.mark.parametrize("name", ["k3_pwer", "negative_fold", "two_sided"])
+@pytest.mark.parametrize("slab", [1, 1000])
+def test_slab_size_leaves_estimates_unchanged(monkeypatch, name, slab):
+    make, target, seed, _ = _GOLDEN_BITS[name]
+    default = mvn_rectangle_prob(make(), target, seed=seed)
+    rows = _record_integrand_rows(monkeypatch)
+    monkeypatch.setattr(mvn, "_SLAB", slab)
+    assert mvn_rectangle_prob(make(), target, seed=seed) == default
+    rounds = _doubling_rounds(rows)
+    assert sum(len(sizes) for _, sizes in rounds) == len(rows)
+    for batch, sizes in rounds:
+        for n in sizes:
+            assert n % batch == 0 and n <= max(slab, batch)
+
+
+def test_one_integrand_call_per_small_round(monkeypatch):
+    rows = _record_integrand_rows(monkeypatch)
+    est = mvn_rectangle_prob(_k3_pwer_problem(), 1e-6, seed=0)
+    rounds = _doubling_rounds(rows)
+    assert sum(sum(sizes) for _, sizes in rounds) == est.evaluations
+    assert any(mvn._RANDOMIZATIONS * batch > mvn._SLAB for batch, _ in rounds)
+    for batch, sizes in rounds:
+        assert len(sizes) < mvn._RANDOMIZATIONS
+        if mvn._RANDOMIZATIONS * batch <= mvn._SLAB:
+            assert sizes == [mvn._RANDOMIZATIONS * batch]
+        assert max(sizes) <= max(mvn._SLAB, batch)
+
+
+# stage boundaries of the arms = 4 design of configs/poptarts.cfg
+_K4_BOUNDARIES = [4.04876708984375, 2.8629106646734397, 2.337556769207387,
+                  2.024383544921875]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_k4_pwer_matches_scipy_cdf(seed):
+    # the first problem in `design` whose cube has three dimensions with
+    # every lower side open
+    k = len(_K4_BOUNDARIES)
+    stage = np.arange(1, k + 1)
+    corr = np.sqrt(np.minimum.outer(stage, stage)
+                   / np.maximum.outer(stage, stage))
+    est = mvn_rectangle_prob(OrthantProblem(np.zeros(k), corr, [-INF] * k,
+                                            _K4_BOUNDARIES), 1e-6, seed=seed)
+    cdf = multivariate_normal(np.zeros(k), corr, seed=0, abseps=1e-7,
+                              releps=0.0).cdf(_K4_BOUNDARIES)
+    assert est.converged
+    assert abs((1.0 - est.value) - (1.0 - cdf)) <= 3.0 * est.error_bound + 2e-7
