@@ -14,23 +14,28 @@ Two searches, run in this order (design_trial runs both):
    the same n as a one-patient-at-a-time scan in a few integrals; it
    falls back to bisection when the secant stalls.
 
-Both searches integrate with a fixed seed so the objectives are
-deterministic functions of their argument; the monotonicity that makes
-bracketing valid is asserted on the visited grid rather than assumed.
+PWER is one arm's group-sequential crossing probability, computed by
+deterministic recursive quadrature (_no_crossing), so the boundaries
+depend on no seed.  The sample size search integrates with a fixed seed
+so its objective is a deterministic function of n; the monotonicity that
+makes bracketing valid is asserted on the visited grid rather than
+assumed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy.special import ndtri
+import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
-from .events import power_lfc_problems, pwer_problem, total_probability
-from .mvn import ProbabilityEstimate, mvn_rectangle_prob
+from .events import power_lfc_problems, total_probability
+from .mvn import ProbabilityEstimate
 
 __all__ = [
     "BracketError",
@@ -46,6 +51,12 @@ __all__ = [
 
 _SHAPE_KINDS = ("obrien_fleming", "pocock", "custom")
 _MAX_BISECTIONS = 200  # scale bisections before calibrate_boundaries gives up
+# Gauss-Legendre nodes per stage of the no-crossing recursion: 128 nodes
+# move its value by under 1e-13 at up to eight stages
+_QUADRATURE_NODES = 64
+# the recursion drops the walk's mass more than this many standard
+# deviations below its mean (about 8e-24)
+_TAIL_SDS = 10.0
 # per-problem integration target of the sample size search: well below the
 # power gap between consecutive n near the reference designs (~5e-4)
 SEARCH_TARGET = 1e-5
@@ -93,8 +104,9 @@ class CalibrationConfig:
         if not 0.0 < self.omega < self.alpha:
             raise ValueError("need 0 < omega < alpha")
         c_lo, c_hi = self.bracket
-        if not 0.0 < c_lo < c_hi:
-            raise ValueError("bracket must satisfy 0 < c_lo < c_hi")
+        if not 0.0 < c_lo < c_hi < math.inf:
+            raise ValueError(
+                f"bracket {self.bracket} must satisfy 0 < c_lo < c_hi < inf")
         if self.max_n < 1:
             raise ValueError("max_n must be positive")
 
@@ -160,34 +172,72 @@ def _converged(est: ProbabilityEstimate, what: str) -> float:
     return est.value
 
 
-def _pwer(design: TrialDesign, *, target: float, seed: int) -> float:
-    """Pairwise type I error: one minus the arm's no-crossing probability."""
-    est = mvn_rectangle_prob(pwer_problem(design), target_abs_error=target,
-                             seed=seed)
-    return 1.0 - _converged(est, "PWER")
+@functools.cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
+def _no_crossing(boundaries, drift: float) -> float:
+    """P(S_j < u_j sqrt(j) at every stage j), where S is a Gaussian random
+    walk whose stage increments have mean `drift` and unit variance: one
+    arm's cumulative z statistics Z_j = S_j / sqrt(j) all stay below
+    their boundaries.
+
+    Recursive numerical integration (Armitage, McPherson & Rowe 1969;
+    Jennison & Turnbull 2000, ch. 19).  The sub-density of S_j lives on a
+    Gauss-Legendre rule over [drift j - 10 sqrt(j), u_j sqrt(j)]; each
+    stage's weights are the previous stage's weights convolved with the
+    increment density, and the final stage closes with ndtr.  A stage
+    with u_j = +inf constrains nothing, so the walk carries on to the next
+    finite stage over the summed gap.  The final boundary must be finite.
+    """
+    nodes, weights = _gauss_legendre(_QUADRATURE_NODES)
+    finite = [(j, u) for j, u in enumerate(boundaries, start=1)
+              if math.isfinite(u)]
+    last, u_last = finite[-1]
+    x, w, t = np.zeros(1), np.ones(1), 0   # S_0 = 0 with mass one
+    for j, u in finite[:-1]:
+        lo = drift * j - _TAIL_SDS * math.sqrt(j)
+        hi = u * math.sqrt(j)
+        if not hi > lo:
+            return 0.0
+        half = 0.5 * (hi - lo)
+        x_next = lo + half * (nodes + 1.0)
+        sd = math.sqrt(j - t)
+        z = (x_next[:, None] - x - drift * (j - t)) / sd
+        density = np.exp(-0.5 * z * z) @ w / (sd * math.sqrt(2.0 * math.pi))
+        x, w, t = x_next, half * weights * density, j
+    gap = last - t        # u_last sqrt(last / gap) is exactly u_last at t = 0
+    return float(w @ ndtr(u_last * math.sqrt(last / gap)
+                          - (x + drift * gap) / math.sqrt(gap)))
+
+
+def _pwer(design: TrialDesign) -> float:
+    """Pairwise type I error: one minus the arm's no-crossing probability
+    under its null."""
+    return 1.0 - _no_crossing(design.boundaries, 0.0)
 
 
 def calibrate_boundaries(design_template: TrialDesign,
                          shape: BoundaryShape = BoundaryShape(),
-                         cfg: CalibrationConfig = CalibrationConfig(0.025, 0.9),
-                         *,
-                         seed: int = 0) -> TrialDesign:
+                         cfg: CalibrationConfig = CalibrationConfig(0.025, 0.9)
+                         ) -> TrialDesign:
     """Bisect the boundary scale until PWER falls in [alpha - omega, alpha].
 
     PWER is continuous and strictly decreasing in the scale, so plain
     bisection converges; the bracket endpoints are checked to straddle the
-    window first.  The integration error target is omega / 10, an order
-    below the window width.  Returns the template with the calibrated
-    boundaries and cfg.alpha installed.
+    window first.  PWER comes from _no_crossing, deterministic and
+    converged far below the window width.  Returns the template with the
+    calibrated boundaries and cfg.alpha installed.
     """
     mults = shape.multipliers(design_template.stages)
     window_lo = cfg.alpha - cfg.omega
     window_hi = cfg.alpha
-    target = cfg.omega / 10.0
 
     def at(c: float) -> tuple[TrialDesign, float]:
         d = design_template.with_boundaries(tuple(c * m for m in mults))
-        return d, _pwer(d, target=target, seed=seed)
+        return d, _pwer(d)
 
     def done(design: TrialDesign) -> TrialDesign:
         return dataclasses.replace(design, alpha=cfg.alpha)
@@ -219,8 +269,7 @@ def calibrate_boundaries(design_template: TrialDesign,
             c_hi = c_mid
     raise ConvergenceError(
         "bisection exhausted its iteration budget without landing in "
-        "the PWER window; omega may be too small for the integration "
-        "error target")
+        f"the PWER window [{window_lo:.6f}, {window_hi:.6f}]")
 
 
 def _one_look_model(alpha: float, power_target: float, theta_prime: float,
@@ -356,6 +405,6 @@ def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,
     find_sample_size at target_abs_error."""
     template = TrialDesign(arms, arms, 1, shape.multipliers(arms), cfg.alpha,
                            endpoint.sigma)
-    design = calibrate_boundaries(template, shape, cfg, seed=seed)
+    design = calibrate_boundaries(template, shape, cfg)
     return find_sample_size(design, endpoint.theta_prime, endpoint.theta_zero,
                             cfg, seed=seed, target_abs_error=target_abs_error)

@@ -2,7 +2,10 @@
 
 All quantities are analytic: the events module assembles each one as a
 small family of multivariate-normal rectangle probabilities and this
-module integrates them and does the patient bookkeeping.  Integration
+module integrates them and does the patient bookkeeping.  PWER and the
+focal arm's crossing probability are one arm's group-sequential crossing
+probability, computed by recursive quadrature (calibrate._no_crossing)
+instead.  Integration
 noise is kept two orders of magnitude below the reporting precision;
 a result whose error bound exceeds the allowance raises instead of
 silently degrading the report.
@@ -27,13 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibrate import (ConvergenceError, _converged, _one_look_model, _pwer,
-                        _smallest_passing_n)
-from .covariance import EffectConfig, TrialDesign
+from .calibrate import (ConvergenceError, _converged, _no_crossing,
+                        _one_look_model, _pwer, _smallest_passing_n)
+from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
     global_null_typeI_problems,
-    pwer_problem,
     reject_problems,
     set_probability,
     stop_stage_problems,
@@ -65,8 +67,7 @@ __all__ = [
 # how far a reported probability may stray outside [0, 1].
 DEFAULT_TARGET = 2e-6
 ERROR_ALLOWANCE = 5e-5
-# target for characteristics that are one low-dimensional problem (PWER,
-# the single-look comparator's power)
+# target of the single-look comparator's power, one low-dimensional problem
 SINGLE_PROBLEM_TARGET = 1e-7
 
 _PARTITION_SLACK = 2e-5   # stop-stage probabilities must sum to one
@@ -113,11 +114,12 @@ class OperatingCharacteristics:
                     f"stop_probs[{name!r}] sum to {math.fsum(probs)}, not 1")
 
 
-def pwer(design: TrialDesign, *,
-         target_abs_error: float = SINGLE_PROBLEM_TARGET,
-         seed: int = 0) -> float:
-    """Pairwise type I error: P(recommend a given ineffective arm)."""
-    return _pwer(design, target=target_abs_error, seed=seed)
+def pwer(design: TrialDesign) -> float:
+    """Pairwise type I error: the chance that a given arm's statistic ever
+    clears its boundary under its null, which bounds P(recommend that arm)
+    whatever the other arms do.  Deterministic quadrature: no integration
+    target, no seed."""
+    return _pwer(design)
 
 
 def _checked(est: ProbabilityEstimate, what: str) -> float:
@@ -304,7 +306,7 @@ def full_report(design: TrialDesign, endpoint: NormalEffectSpec,
         stops[name] = probs
         ess[name] = _ess_from_stop_probs(design, probs)
     return OperatingCharacteristics(
-        pwer=pwer(design, seed=seed),
+        pwer=pwer(design),
         power_lfc=power_lfc(design, endpoint.theta_prime,
                             endpoint.theta_zero,
                             target_abs_error=target_abs_error, seed=seed),
@@ -323,17 +325,19 @@ def analytic_estimates(design: TrialDesign, effects: EffectConfig, *,
 
     Every integration must converge, but set bounds are not held to
     ERROR_ALLOWANCE, so a cheap cross-check may run at a coarse target.
+    focal_crossing is the no-crossing quadrature at arm 1's per-stage
+    drift, delta_1 sqrt(n) / (sigma sqrt(2)).
     """
     kw = {"target_abs_error": target_abs_error, "seed": seed}
     win = total_probability(win_problems(design, effects), **kw)
     rej = total_probability(reject_problems(design, effects), **kw)
-    never = mvn_rectangle_prob(pwer_problem(design, effects), **kw)
     stops = tuple(_converged(set_probability(pset, **kw),
                              f"stop-stage {pset.stage}")
                   for pset in stop_stage_problems(design, effects))
     out = {"power": _converged(win, "power"),
            "reject": _converged(rej, "reject"),
-           "focal_crossing": 1.0 - _converged(never, "focal crossing"),
+           "focal_crossing": 1.0 - _no_crossing(
+               design.boundaries, mean_of(design, effects, single(1, 1))),
            "ess": _ess_from_stop_probs(design, stops)}
     out.update((f"stop_stage_{j}", p) for j, p in enumerate(stops, start=1))
     return out

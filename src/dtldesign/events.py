@@ -315,12 +315,13 @@ def pwer_problem(design: TrialDesign,
     """Marginal no-crossing rectangle for arm 1, under the global null by
     default.
 
-    The pairwise error rate used for calibration is 1 - P(this problem):
-    the chance the arm's statistic ever clears its boundary when delta = 0,
-    ignoring selection.  Selection only removes crossing opportunities, so
-    this bounds the realized per-arm type I error at every effect
-    configuration.  Under other effects it is the chance arm 1 never
-    crosses.
+    The pairwise error rate is 1 - P(this problem): the chance the arm's
+    statistic ever clears its boundary when delta = 0, ignoring selection.
+    Selection only removes crossing opportunities, so this bounds the
+    realized per-arm type I error at every effect configuration.  Under
+    other effects it is the chance arm 1 never crosses.  The engine
+    computes the same probability by quadrature (calibrate._no_crossing);
+    this rectangle form is the independent check on it.
     """
     if effects is None:
         effects = EffectConfig.global_null(design.arms)

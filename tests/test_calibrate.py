@@ -1,9 +1,11 @@
 """Boundary calibration and sample size search."""
 
 import math
+import sys
 from pathlib import Path
 
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from dtldesign import calibrate
@@ -20,7 +22,7 @@ from dtldesign.calibrate import (
 )
 from dtldesign.characteristics import comparator_separate_trials
 from dtldesign.cli import parse_config
-from dtldesign.covariance import TrialDesign
+from dtldesign.covariance import EffectConfig, TrialDesign, mean_of, single
 from dtldesign.endpoint import NormalEffectSpec
 from dtldesign.events import pwer_problem
 from dtldesign.mvn import ProbabilityEstimate, mvn_rectangle_prob
@@ -62,6 +64,12 @@ class TestConfigValidation:
     def test_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             CalibrationConfig(**kwargs)
+
+    @pytest.mark.parametrize("bracket", [(0.5, math.inf), (0.5, math.nan),
+                                         (math.nan, 10.0)])
+    def test_non_finite_bracket_is_refused(self, bracket):
+        with pytest.raises(ValueError, match=r"^bracket \("):
+            CalibrationConfig(0.025, 0.9, bracket=bracket)
 
     def test_defaults(self):
         cfg = CalibrationConfig(0.025, 0.9)
@@ -170,6 +178,82 @@ class TestCalibrateBoundaries:
             calibrate_boundaries(
                 TEMPLATE1, BoundaryShape(),
                 CalibrationConfig(0.025, 0.9, bracket=(0.5, 1.2)))
+
+
+class TestGoldenBoundaries:
+    """The exact floats the bisection stops at: a change of integrator that
+    moves any step of the bisection path fails here first."""
+
+    @pytest.mark.parametrize("stages, final", [
+        (3, 2.00408935546875),
+        (4, 2.024383544921875),
+        (5, 2.0401840209960938),
+    ])
+    def test_obrien_fleming(self, stages, final):
+        template = TrialDesign(stages, stages, 10, obf_shape(stages, 1.0),
+                               0.025, SIGMA)
+        d = calibrate_boundaries(template, BoundaryShape(), CFG)
+        assert d.boundaries == obf_shape(stages, final)
+
+    def test_dtl_shape(self, calibrated_dtl):
+        assert calibrated_dtl.boundaries == (math.inf, math.inf,
+                                             1.96002197265625)
+
+    def test_no_rectangle_integral(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mvn_rectangle_prob called")
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "dtldesign"
+                    and hasattr(module, "mvn_rectangle_prob")):
+                monkeypatch.setattr(module, "mvn_rectangle_prob", refuse)
+        for shape in (BoundaryShape(), DTL_SHAPE):
+            calibrate_boundaries(TEMPLATE3, shape, CFG)
+
+
+class TestNoCrossing:
+    @pytest.mark.parametrize("stages", range(1, 9))
+    def test_node_doubling_moves_nothing(self, stages, monkeypatch):
+        cases = [(obf_shape(stages, c), drift)
+                 for c in (1.8, 2.0, 2.2) for drift in (0.0, 1.9)]
+        coarse = [calibrate._no_crossing(u, drift) for u, drift in cases]
+        monkeypatch.setattr(calibrate, "_QUADRATURE_NODES",
+                            2 * calibrate._QUADRATURE_NODES)
+        fine = [calibrate._no_crossing(u, drift) for u, drift in cases]
+        for a, b in zip(coarse, fine):
+            assert abs(a - b) < 1e-12
+
+    @pytest.mark.parametrize("boundaries", [
+        (3.47, 2.45, 2.0),
+        (math.inf, 2.45, 2.0),
+    ])
+    @pytest.mark.parametrize("effects", [
+        EffectConfig.global_null(3),
+        EffectConfig.least_favorable(3, THETA_P, THETA_0),
+    ])
+    def test_agrees_with_rectangle_integral(self, boundaries, effects):
+        d = TrialDesign(3, 3, 206, boundaries, 0.025, SIGMA)
+        est = mvn_rectangle_prob(pwer_problem(d, effects),
+                                 target_abs_error=1e-8, seed=0)
+        got = calibrate._no_crossing(d.boundaries,
+                                     mean_of(d, effects, single(1, 1)))
+        assert abs(got - est.value) <= 3.0 * est.error_bound + 1e-9
+
+    @pytest.mark.parametrize("u", [0.7, 1.1, 1.96, 1.96002197265625, 2.3,
+                                   3.3, 4.0])
+    def test_final_look_only_is_the_normal_tail(self, u):
+        d = TrialDesign(3, 3, 10, (math.inf, math.inf, u), 0.025, SIGMA)
+        assert calibrate._no_crossing(d.boundaries, 0.0) == ndtr(u)
+        assert abs(calibrate._pwer(d) - (1.0 - ndtr(u))) <= 1e-15
+
+    @pytest.mark.parametrize("boundaries, drift", [
+        ((-20.0, 2.0, 2.0), 0.0),
+        ((-11.0, math.inf, 2.0), 0.0),
+        ((2.0, -20.0, 2.0), 1.9),
+        ((2.0, 1.0, 2.0), 20.0),
+    ])
+    def test_unreachable_interval_gives_zero(self, boundaries, drift):
+        assert calibrate._no_crossing(boundaries, drift) == 0.0
 
 
 class TestFindSampleSize:
@@ -372,6 +456,6 @@ class TestConverged:
     def test_stalled_estimate_names_what_and_bound(self):
         est = ProbabilityEstimate(0.5, 3e-4, 1 << 24, converged=False)
         with pytest.raises(ConvergenceError,
-                           match=r"^focal crossing integration stalled at "
+                           match=r"^power integration stalled at "
                                  r"error bound 3\.00e-04$"):
-            calibrate._converged(est, "focal crossing")
+            calibrate._converged(est, "power")
