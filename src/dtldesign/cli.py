@@ -562,6 +562,14 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+def _seed_arg(text: str) -> int:
+    """--seed: refused by name here, not by numpy deep in the run."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dtldesign",
@@ -582,7 +590,7 @@ def main(argv=None) -> int:
                             "design record)")
         p.add_argument("--out", dest="out_path", metavar="OUT",
                        help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=_seed_arg, default=0,
                        help="replicate seed; the analytic column always "
                             f"integrates with seed {_ANALYTIC_SEED}"
                        if name == "simulate" else "integration seed")

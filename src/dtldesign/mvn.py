@@ -7,11 +7,13 @@ smooth integral over the (rank-1)-dimensional unit cube: as in Genz &
 Bretz (2009), a linearly dependent coordinate becomes one more bound on the
 last pivot it loads on.  That integral is evaluated with one scrambled
 Sobol point set per problem under independent random digital shifts, whose
-spread gives a standard-error estimate.  Infinite bounds map to the cube
-endpoints exactly, so no truncation is involved: a pivot side infinite
-on every row is the constant 0 or 1, and pivot 0, the same at every point,
-is computed once.  Each doubling round evaluates its shifts together, in
-slabs of at most _SLAB points that never split a shift.
+spread gives a standard-error estimate.  The points come from `_sobol`, a
+generator that matches scipy's `qmc.Sobol` bit for bit without importing
+`scipy.stats`.  Infinite bounds map to the cube endpoints exactly, so no
+truncation is involved: a pivot side infinite on every row is the
+constant 0 or 1, and pivot 0, the same at every point, is computed once.
+Each doubling round evaluates its shifts together, in slabs of at most
+_SLAB points that never split a shift.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
+
+from ._sobol import BITS, sobol_rounds
 
 __all__ = [
     "NotPositiveSemiDefiniteError",
@@ -255,10 +258,11 @@ def mvn_rectangle_prob(problem: OrthantProblem,
                        ) -> ProbabilityEstimate:
     """Estimate P(lower <= Z <= upper) for Z ~ N(mean, corr).
 
-    One random stream, seeded by `seed`, draws the linear matrix scramble
-    and digital shift of one Sobol engine (scipy's `scramble=True`), then
-    _RANDOMIZATIONS further random digital shifts, each XORed onto the
-    engine's points.  Given the scramble, the shifted point sets are
+    One random stream, seeded by `seed`, spawns the child that draws the
+    digital shift and linear matrix scramble of one Sobol point set (as
+    `qmc.Sobol(dim, seed=rng)` would), then draws _RANDOMIZATIONS further
+    random digital shifts, each XORed onto the set's 30-bit integer
+    points.  Given the scramble, the shifted point sets are
     independent and each gives an unbiased estimate, so the spread of the
     estimates is an honest three-sigma bound; averaged over the scramble,
     their variance equals that of as many independently scrambled sets.
@@ -281,6 +285,10 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     if not 0.0 < target_abs_error < math.inf:
         raise ValueError("target_abs_error must be positive and finite, "
                          f"got {target_abs_error}")
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in parts):
+        raise ValueError("seed must be a non-negative integer or a tuple of "
+                         f"them, got {seed!r}")
     a = problem.lower - problem.mean
     b = problem.upper - problem.mean
     corr = problem.corr
@@ -298,17 +306,19 @@ def mvn_rectangle_prob(problem: OrthantProblem,
         return ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1, True)
 
     rng = np.random.default_rng(seed)
-    engine = qmc.Sobol(dim, seed=rng)  # its one scramble draws from rng first
-    shifts = rng.integers(1 << engine.bits, size=(_RANDOMIZATIONS, dim))
+    # the scramble draws from a child of rng, so rng's own stream begins
+    # with the shifts
+    rounds = sobol_rounds(dim, rng)
+    shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)).astype(
+        np.uint32)
     sums = np.zeros(_RANDOMIZATIONS)
     n_per = 0
-    batch = 128
     evaluations = 0
-    while True:
-        base = np.ldexp(engine.random(batch), engine.bits).astype(np.int64)
+    for base in rounds:
+        batch = base.shape[0]
         group = max(1, _SLAB // batch)
         for r in range(0, _RANDOMIZATIONS, group):
-            x = np.ldexp(base ^ shifts[r:r + group, None], -engine.bits)
+            x = (base ^ shifts[r:r + group, None]) * 2.0 ** -BITS
             sums[r:r + group] += _sov_integrand(
                 pivots, x.reshape(-1, dim)).reshape(-1, batch).sum(axis=1)
             del x  # freed before the next slab is built: a lower peak RSS
@@ -320,8 +330,8 @@ def mvn_rectangle_prob(problem: OrthantProblem,
         if error <= target_abs_error:
             converged = True
             break
-        batch = n_per  # double the total each round (keeps counts powers of 2)
-        if evaluations + _RANDOMIZATIONS * batch > _MAX_EVALUATIONS:
+        # the next round doubles the total, keeping counts powers of 2
+        if evaluations + _RANDOMIZATIONS * n_per > _MAX_EVALUATIONS:
             converged = False
             break
     value = min(max(value, 0.0), 1.0)

@@ -283,6 +283,16 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("target_abs_error must be positive and finite") == 2
 
+    @pytest.mark.parametrize("command", ["design", "simulate"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_refused_by_name(self, command, seed, capsys):
+        # refused before the config is read, so the path need not exist
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", "/nonexistent.cfg", "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "non-negative integer" in err
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["design"])

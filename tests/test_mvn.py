@@ -1,6 +1,9 @@
 """Tests for the MVN rectangle-probability integrator."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, qmc
 
 from dtldesign import (
     EffectConfig,
@@ -18,6 +21,7 @@ from dtldesign import (
     mvn,
     mvn_rectangle_prob,
 )
+from dtldesign import _sobol
 from dtldesign.cli import _load_designed
 from dtldesign.events import pwer_problem, win_problems
 
@@ -99,6 +103,14 @@ def test_rejects_target_outside_positive_finite(target):
                           [-INF, -INF], [0.0, 0.0])
     with pytest.raises(ValueError, match="positive and finite"):
         mvn_rectangle_prob(prob, target)
+
+
+@pytest.mark.parametrize("seed", [-1, (0, -2, 1), 1.0, "0", (0, 0.5)])
+def test_rejects_seed_that_is_not_a_non_negative_integer(seed):
+    prob = OrthantProblem([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]],
+                          [-INF, -INF], [0.0, 0.0])
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        mvn_rectangle_prob(prob, 1e-6, seed=seed)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -268,9 +280,21 @@ def _k3_win_problem():
     return wins[-1].problems[2][1]
 
 
+def _k3_lfc_win_problem():
+    # the 7-coordinate stage-3 win problem of the focal arm at the LFC
+    design, _, _, effects = _load_designed(str(K3_RECORD))
+    wins = win_problems(design, effects["lfc"], focal_arm=1)
+    return wins[-1].problems[0][1]
+
+
 # (problem, target, seed) -> (value.hex(), error_bound.hex(), evaluations),
-# recorded before the integrand skipped open sides and batched its shifts
+# recorded before the integrand skipped open sides and batched its shifts;
+# "k3_lfc_deep" was recorded while the points still came from scipy's
+# qmc.Sobol, and reaches 2**16 points per shift
 _GOLDEN_BITS = {
+    "k3_lfc_deep": (
+        _k3_lfc_win_problem, 5e-10, (0, 3, 0),
+        ("0x1.d790c5e9b211cp-12", "0x1.03774e873c2b3p-31", 786432)),
     "k3_pwer": (
         _k3_pwer_problem, 1e-6, 0,
         ("0x1.f3339fe29e035p-1", "0x1.f1960743e4b18p-21", 196608)),
@@ -403,3 +427,73 @@ def test_k4_pwer_matches_scipy_cdf(seed):
                               releps=0.0).cdf(_K4_BOUNDARIES)
     assert est.converged
     assert abs((1.0 - est.value) - (1.0 - cdf)) <= 3.0 * est.error_bound + 2e-7
+
+
+# the integrator's schedule: 128 points, then as many again each round
+_SCHEDULE = [128] + [128 << k for k in range(10)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 11])
+@pytest.mark.parametrize("seed", [0, 1, 7, (3, 2, 5)])
+def test_sobol_points_match_scipy(dim, seed):
+    # a scipy release that changes its Sobol sequence fails here, not as
+    # drifted estimates
+    ref_rng = np.random.default_rng(seed)
+    engine = qmc.Sobol(dim, seed=ref_rng)
+    rng = np.random.default_rng(seed)
+    rounds = _sobol.sobol_rounds(dim, rng)
+    for batch in _SCHEDULE:
+        points = next(rounds)
+        assert points.dtype == np.uint32 and points.shape == (batch, dim)
+        expected = np.ldexp(engine.random(batch), _sobol.BITS)
+        np.testing.assert_array_equal(points, expected)
+    assert sum(_SCHEDULE) >= 1 << 16
+    shape = (mvn._RANDOMIZATIONS, dim)
+    np.testing.assert_array_equal(rng.integers(1 << _sobol.BITS, size=shape),
+                                  ref_rng.integers(1 << 30, size=shape))
+
+
+@pytest.mark.parametrize("statement", ["import dtldesign",
+                                       "from dtldesign import cli"])
+def test_import_leaves_scipy_stats_unloaded(statement):
+    code = f"import sys; {statement}; print('scipy.stats' in sys.modules)"
+    src = str(Path(mvn.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
+
+
+@pytest.fixture
+def sobol_table(monkeypatch):
+    """Point the Sobol generator at another direction-number table."""
+    def use(path):
+        monkeypatch.setattr(_sobol, "_table_path", lambda: path)
+        _sobol._table.cache_clear()
+        _sobol._directions.cache_clear()
+    yield use
+    _sobol._table.cache_clear()
+    _sobol._directions.cache_clear()
+
+
+def _cube_dim_two_problem():
+    return OrthantProblem(np.zeros(3), np.eye(3) * 0.5 + 0.5,
+                          [-INF] * 3, [0.0, 0.5, 1.0])
+
+
+def test_missing_direction_table_is_named(sobol_table, tmp_path):
+    path = tmp_path / "absent.npz"
+    sobol_table(path)
+    with pytest.raises(RuntimeError, match="dimension 2") as exc:
+        mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
+    assert str(path) in str(exc.value)
+
+
+def test_short_direction_table_is_named(sobol_table, tmp_path):
+    poly, vinit = _sobol._table()
+    path = tmp_path / "short.npz"
+    np.savez(path, poly=poly[:1], vinit=vinit[:1])
+    sobol_table(path)
+    with pytest.raises(RuntimeError, match="dimension 2") as exc:
+        mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
+    assert str(path) in str(exc.value)
