@@ -5,7 +5,8 @@ Runs the full pipeline (boundary calibration, sample size search, operating
 characteristics) for the proposed design and each in-scope comparator, then
 prints the table.  Rows whose boundary derivations live in cited prior work
 are labelled out of scope rather than dropped.  Takes about 1.5 s on a
-shared 2-core machine at the default integration target.  From a checkout,
+shared 2-core machine at the default integration target, about half of it
+starting Python and importing the package.  From a checkout,
 run it as `PYTHONPATH=src python3 scripts/reproduce_comparison.py`.
 """
 

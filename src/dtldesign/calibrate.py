@@ -213,12 +213,6 @@ def _no_crossing(boundaries, drift: float) -> float:
                           - (x + drift * gap) / math.sqrt(gap)))
 
 
-def _pwer(design: TrialDesign) -> float:
-    """Pairwise type I error: one minus the arm's no-crossing probability
-    under its null."""
-    return 1.0 - _no_crossing(design.boundaries, 0.0)
-
-
 def calibrate_boundaries(design_template: TrialDesign,
                          shape: BoundaryShape = BoundaryShape(),
                          cfg: CalibrationConfig = CalibrationConfig(0.025, 0.9)
@@ -237,7 +231,7 @@ def calibrate_boundaries(design_template: TrialDesign,
 
     def at(c: float) -> tuple[TrialDesign, float]:
         d = design_template.with_boundaries(tuple(c * m for m in mults))
-        return d, _pwer(d)
+        return d, 1.0 - _no_crossing(d.boundaries, 0.0)
 
     def done(design: TrialDesign) -> TrialDesign:
         return dataclasses.replace(design, alpha=cfg.alpha)

@@ -5,7 +5,8 @@ small family of multivariate-normal rectangle probabilities and this
 module integrates them and does the patient bookkeeping.  PWER and the
 focal arm's crossing probability are one arm's group-sequential crossing
 probability, computed by recursive quadrature (calibrate._no_crossing)
-instead.  Integration
+instead, and the single-look multi-arm comparator's power is one 1-D
+integral on the same Gauss-Legendre rule.  Integration
 noise is kept two orders of magnitude below the reporting precision;
 a result whose error bound exceeds the allowance raises instead of
 silently degrading the report.
@@ -30,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibrate import (ConvergenceError, _converged, _no_crossing,
-                        _one_look_model, _pwer, _smallest_passing_n)
+from .calibrate import (_QUADRATURE_NODES, _TAIL_SDS, ConvergenceError,
+                        _converged, _gauss_legendre, _no_crossing,
+                        _one_look_model, _smallest_passing_n)
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
@@ -42,7 +44,7 @@ from .events import (
     total_probability,
     win_problems,
 )
-from .mvn import OrthantProblem, ProbabilityEstimate, mvn_rectangle_prob
+from .mvn import ProbabilityEstimate
 
 __all__ = [
     "OperatingCharacteristics",
@@ -67,8 +69,6 @@ __all__ = [
 # how far a reported probability may stray outside [0, 1].
 DEFAULT_TARGET = 2e-6
 ERROR_ALLOWANCE = 5e-5
-# target of the single-look comparator's power, one low-dimensional problem
-SINGLE_PROBLEM_TARGET = 1e-7
 
 _PARTITION_SLACK = 2e-5   # stop-stage probabilities must sum to one
 
@@ -119,7 +119,7 @@ def pwer(design: TrialDesign) -> float:
     clears its boundary under its null, which bounds P(recommend that arm)
     whatever the other arms do.  Deterministic quadrature: no integration
     target, no seed."""
-    return _pwer(design)
+    return 1.0 - _no_crossing(design.boundaries, 0.0)
 
 
 def _checked(est: ProbabilityEstimate, what: str) -> float:
@@ -208,55 +208,60 @@ def _ess_from_stop_probs(design: TrialDesign,
                      for j, p in enumerate(probs))
 
 
-def _multiarm_problem(arms: int, n: int, crit: float, theta_prime: float,
-                      theta_zero: float, sigma: float) -> OrthantProblem:
-    # coords (Z_1, Z_1 - Z_2, ..., Z_1 - Z_K); all unit variance, all
-    # pairwise correlations one half under equal allocation
-    shift = math.sqrt(n / 2.0) / sigma
-    mean = [theta_prime * shift]
-    mean += [(theta_prime - theta_zero) * shift] * (arms - 1)
-    corr = 0.5 * (np.eye(arms) + np.ones((arms, arms)))
-    lower = [crit] + [0.0] * (arms - 1)
-    upper = [math.inf] * arms
-    return OrthantProblem(np.array(mean), corr, np.array(lower),
-                          np.array(upper))
+def _check_comparator(arms: int, alpha: float, power_target: float,
+                      theta_prime: float, sigma: float) -> None:
+    if arms < 1:
+        raise ValueError("arms must be at least 1")
+    if not 0.0 < alpha < 1.0 or not 0.0 < power_target < 1.0:
+        raise ValueError("alpha and power_target must be in (0, 1)")
+    if not (theta_prime > 0.0 and sigma > 0.0):
+        raise ValueError("theta_prime and sigma must be positive")
 
 
 def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
-                       theta_zero: float, sigma: float, *,
-                       target_abs_error: float = SINGLE_PROBLEM_TARGET,
-                       seed: int = 0) -> float:
+                       theta_zero: float, sigma: float) -> float:
     """LFC power of the single-look K-arm comparator at n per arm.
 
-    The focal arm must beat the critical value and every other arm.
+    The focal arm must beat the critical value and every other arm.  Given
+    the focal arm's standardized mean t, the control and the K - 1 rivals
+    are independent, so the K-dimensional probability is one integral
+    (Dunnett 1955):
+
+        int phi(t) Phi(a + t) Phi(b + t)^(K-1) dt,
+        a = theta' sqrt(n) / sigma - z_{1-alpha} sqrt(2),
+        b = (theta' - theta_0) sqrt(n) / sigma,
+
+    taken with calibrate._no_crossing's Gauss-Legendre rule on
+    |t| <= _TAIL_SDS.  Deterministic: no integration target, no seed.
     """
-    crit = float(ndtri(1.0 - alpha))
-    problem = _multiarm_problem(arms, n, crit, theta_prime, theta_zero,
-                                sigma)
-    est = mvn_rectangle_prob(problem, target_abs_error=target_abs_error,
-                             seed=seed)
-    return _converged(est, "comparator")
+    nodes, weights = _gauss_legendre(_QUADRATURE_NODES)
+    t = _TAIL_SDS * nodes
+    scale = math.sqrt(n) / sigma
+    a = theta_prime * scale - float(ndtri(1.0 - alpha)) * math.sqrt(2.0)
+    b = (theta_prime - theta_zero) * scale
+    density = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return float(_TAIL_SDS * weights
+                 @ (density * ndtr(a + t) * ndtr(b + t) ** (arms - 1)))
 
 
 def comparator_multiarm(arms: int, alpha: float, power_target: float,
                         theta_prime: float, theta_zero: float, sigma: float,
-                        *, max_n: int = 100_000,
-                        seed: int = 0) -> tuple[int, int]:
+                        *, max_n: int = 100_000) -> tuple[int, int]:
     """Single-look K-arm design: (n per arm, maximum total patients).
 
     Pairwise error control needs only the marginal critical value; the
     sample size comes from the same probit-secant search as the main
-    design, seeded with the two-arm z test's n, on the K-dimensional
-    recommendation probability.
+    design, seeded with the two-arm z test's n, on the one-dimensional
+    recommendation probability of multiarm_lfc_power.  A single arm has
+    no rival, so theta_zero is then unconstrained.
     """
-    if arms < 1:
-        raise ValueError("arms must be at least 1")
+    _check_comparator(arms, alpha, power_target, theta_prime, sigma)
     if arms > 1 and not theta_prime > theta_zero:
         raise ValueError("need theta_prime > theta_zero")
 
     n = _smallest_passing_n(
         lambda n: multiarm_lfc_power(arms, n, alpha, theta_prime,
-                                     theta_zero, sigma, seed=seed),
+                                     theta_zero, sigma),
         power_target, max_n,
         *_one_look_model(alpha, power_target, theta_prime, sigma))
     return n, (arms + 1) * n
@@ -270,12 +275,7 @@ def comparator_separate_trials(arms: int, alpha: float, power_target: float,
     Each trial brings its own control, so the total is 2*K*n with
     n = ceil(2 sigma^2 (z_{1-alpha} + z_{power})^2 / theta_prime^2).
     """
-    if arms < 1:
-        raise ValueError("arms must be at least 1")
-    if not 0.0 < alpha < 1.0 or not 0.0 < power_target < 1.0:
-        raise ValueError("alpha and power_target must be in (0, 1)")
-    if theta_prime <= 0.0 or sigma <= 0.0:
-        raise ValueError("theta_prime and sigma must be positive")
+    _check_comparator(arms, alpha, power_target, theta_prime, sigma)
     n = math.ceil(_one_look_model(alpha, power_target, theta_prime, sigma)[0])
     return n, 2 * arms * n
 

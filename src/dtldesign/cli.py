@@ -500,13 +500,13 @@ def _cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
 
     n_multi, max_multi = comparator_multiarm(
         parsed.arms, cal.alpha, cal.power_target, normal.theta_prime,
-        normal.theta_zero, normal.sigma, seed=cfg.seed)
+        normal.theta_zero, normal.sigma)
     rows.append({
         "name": "multi_arm", "status": "computed",
         "n": n_multi, "n_is": "per arm, single stage", "max_n": max_multi,
         "power": multiarm_lfc_power(parsed.arms, n_multi, cal.alpha,
                                     normal.theta_prime, normal.theta_zero,
-                                    normal.sigma, seed=cfg.seed),
+                                    normal.sigma),
         # every arm is tested against its own marginal critical value, so
         # both error rates sit at alpha by construction
         "type_i": cal.alpha, "pwer": cal.alpha,

@@ -415,7 +415,7 @@ def _weighted_sum(terms) -> ProbabilityEstimate:
                                converged)
 
 
-def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
+def set_probability(pset: EventProblemSet, *, target_abs_error: float,
                     seed: int = 0) -> ProbabilityEstimate:
     """Weighted probability of one event set.
 
@@ -429,7 +429,7 @@ def set_probability(pset: EventProblemSet, *, target_abs_error: float = 1e-6,
         for idx, (w, prob) in enumerate(pset.problems))
 
 
-def total_probability(psets, *, target_abs_error: float = 1e-6,
+def total_probability(psets, *, target_abs_error: float,
                       seed: int = 0) -> ProbabilityEstimate:
     """Sum of set_probability over one family of per-stage event sets."""
     return _weighted_sum(

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from dtldesign import calibrate
+from dtldesign import calibrate, characteristics
 from dtldesign.calibrate import (
     BoundaryShape,
     BracketError,
@@ -244,7 +244,7 @@ class TestNoCrossing:
     def test_final_look_only_is_the_normal_tail(self, u):
         d = TrialDesign(3, 3, 10, (math.inf, math.inf, u), 0.025, SIGMA)
         assert calibrate._no_crossing(d.boundaries, 0.0) == ndtr(u)
-        assert abs(calibrate._pwer(d) - (1.0 - ndtr(u))) <= 1e-15
+        assert abs(characteristics.pwer(d) - (1.0 - ndtr(u))) <= 1e-15
 
     @pytest.mark.parametrize("boundaries, drift", [
         ((-20.0, 2.0, 2.0), 0.0),

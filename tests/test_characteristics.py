@@ -3,6 +3,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
@@ -41,6 +42,7 @@ from dtldesign.events import (
     stop_stage_problems,
     win_problems,
 )
+from dtldesign.mvn import OrthantProblem, mvn_rectangle_prob
 from dtldesign.simulate import estimate_characteristics
 
 EFF = binary_to_normal(BinaryEndpointSpec(0.12, 0.05, 0.01))
@@ -236,6 +238,19 @@ class TestStopAndEss:
         assert probs[:2] == (0.0, 0.0)
 
 
+def _multiarm_rectangle(arms, n, alpha, theta_prime, theta_zero, sigma):
+    """The single-look comparator's power as a K-dimensional orthant:
+    coordinates (Z_1, Z_1 - Z_2, ..., Z_1 - Z_K), all of unit variance,
+    pairwise correlated one half under equal allocation."""
+    shift = math.sqrt(n / 2.0) / sigma
+    mean = [theta_prime * shift] + [(theta_prime - theta_zero) * shift] * (
+        arms - 1)
+    corr = 0.5 * (np.eye(arms) + np.ones((arms, arms)))
+    lower = [float(ndtri(1.0 - alpha))] + [0.0] * (arms - 1)
+    return OrthantProblem(np.array(mean), corr, np.array(lower),
+                          np.full(arms, math.inf))
+
+
 class TestComparators:
     def test_multiarm_reference(self):
         n, total = comparator_multiarm(3, 0.025, 0.9, EFF.theta_prime,
@@ -298,14 +313,38 @@ class TestComparators:
         with pytest.raises(ValueError):
             comparator_multiarm(3, 0.025, 0.9, 0.1, 0.5, 1.0)
 
-    def test_separate_trials_validation(self):
-        for args in [(0, 0.025, 0.9, 0.5, 1.0),
-                     (3, 0.0, 0.9, 0.5, 1.0),
-                     (3, 0.025, 1.0, 0.5, 1.0),
-                     (3, 0.025, 0.9, 0.0, 1.0),
-                     (3, 0.025, 0.9, 0.5, 0.0)]:
-            with pytest.raises(ValueError):
-                comparator_separate_trials(*args)
+    @pytest.mark.parametrize("comparator", [
+        lambda arms, alpha, power, theta_prime, sigma: comparator_multiarm(
+            arms, alpha, power, theta_prime, 0.1, sigma),
+        comparator_separate_trials,
+    ], ids=["multi_arm", "separate_trials"])
+    @pytest.mark.parametrize("args", [(0, 0.025, 0.9, 0.5, 1.0),
+                                      (3, 0.0, 0.9, 0.5, 1.0),
+                                      (3, 0.025, 1.0, 0.5, 1.0),
+                                      (3, 0.025, 0.9, 0.0, 1.0),
+                                      (3, 0.025, 0.9, 0.5, 0.0),
+                                      (3, 0.025, 0.9, 0.5, -1.0)])
+    def test_comparator_validation(self, comparator, args):
+        with pytest.raises(ValueError):
+            comparator(*args)
+
+    @pytest.mark.parametrize("arms", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [100, 569])
+    def test_multiarm_power_matches_the_rectangle_integral(self, arms, n):
+        est = mvn_rectangle_prob(
+            _multiarm_rectangle(arms, n, 0.025, EFF.theta_prime,
+                                EFF.theta_zero, EFF.sigma),
+            target_abs_error=1e-7, seed=0)
+        got = multiarm_lfc_power(arms, n, 0.025, EFF.theta_prime,
+                                 EFF.theta_zero, EFF.sigma)
+        assert abs(got - est.value) <= est.error_bound + 1e-9
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 564, 5000])
+    def test_multiarm_single_arm_is_one_two_arm_trial(self, n):
+        got = multiarm_lfc_power(1, n, 0.025, EFF.theta_prime,
+                                 EFF.theta_zero, EFF.sigma)
+        want = separate_trials_power(n, 0.025, EFF.theta_prime, EFF.sigma)
+        assert abs(got - want) <= 1e-12
 
     def test_multiarm_search_cap(self):
         with pytest.raises(SearchLimitError):

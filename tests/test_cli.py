@@ -233,6 +233,22 @@ class TestSimulateCommand:
                 characteristics._PARTITION_SLACK, name
 
 
+class TestCompareCommand:
+    def test_multi_arm_row_does_not_depend_on_the_seed(self, tmp_path):
+        config = Path(__file__).resolve().parent.parent / "configs" / \
+            "poptarts.cfg"
+        rows = []
+        for seed in (0, 3):
+            path = tmp_path / f"compare{seed}.json"
+            assert run(RunConfig("compare", str(config), out_path=str(path),
+                                 seed=seed)) == 0
+            report = json.loads(path.read_text())
+            rows.append(next(row for row in report["rows"]
+                             if row["name"] == "multi_arm"))
+        assert rows[0] == rows[1]
+        assert rows[0]["max_n"] == 2276
+
+
 class TestLayering:
     def test_cli_does_no_numerics(self):
         # cli parses, calls the library and renders; the integration

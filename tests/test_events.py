@@ -243,7 +243,7 @@ class TestStopEvents:
         d1 = TrialDesign(1, 1, 50, (1.96,), 0.025, 1.0)
         sets = stop_stage_problems(d1, EffectConfig.global_null(1))
         assert len(sets) == 1
-        est = set_probability(sets[0])
+        est = set_probability(sets[0], target_abs_error=1e-6)
         assert est.value == 1.0 and est.error_bound == 0.0
 
 
@@ -402,7 +402,8 @@ class TestRejectEvents:
         # nothing can be rejected when no boundary is attainable; the final
         # boundary must stay finite, so push it past any float density mass
         d = TrialDesign(3, 3, 100, (math.inf, math.inf, 40.0), 0.025, 1.0)
-        est = total_probability(global_null_typeI_problems(d))
+        est = total_probability(global_null_typeI_problems(d),
+                                target_abs_error=1e-6)
         assert est.value <= 1e-12
 
     def test_general_effects_reject_less_than_alpha(self):
@@ -421,13 +422,17 @@ class TestRejectEvents:
 
 class TestAggregation:
     def test_deterministic_given_seed(self):
-        a = total_probability(global_null_typeI_problems(DESIGN), seed=7)
-        b = total_probability(global_null_typeI_problems(DESIGN), seed=7)
+        a = total_probability(global_null_typeI_problems(DESIGN),
+                              target_abs_error=1e-6, seed=7)
+        b = total_probability(global_null_typeI_problems(DESIGN),
+                              target_abs_error=1e-6, seed=7)
         assert a == b
 
     def test_seed_changes_randomization(self):
-        a = total_probability(global_null_typeI_problems(DESIGN), seed=7)
-        b = total_probability(global_null_typeI_problems(DESIGN), seed=8)
+        a = total_probability(global_null_typeI_problems(DESIGN),
+                              target_abs_error=1e-6, seed=7)
+        b = total_probability(global_null_typeI_problems(DESIGN),
+                              target_abs_error=1e-6, seed=8)
         assert a.value != b.value
         assert a.value == pytest.approx(b.value, abs=1e-5)
 
@@ -449,7 +454,7 @@ class TestAggregation:
         assert est.evaluations == 30 and est.converged
 
     def test_empty_set_is_zero(self):
-        est = set_probability(EventProblemSet(2, ()))
+        est = set_probability(EventProblemSet(2, ()), target_abs_error=1e-6)
         assert est.value == 0.0 and est.converged
 
 

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/ on the bundled config."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -20,3 +21,12 @@ def test_type1_sweep_designs_and_passes(capsys):
     assert "design: n=206/arm/stage" in out
     assert "8 lattice points, 2000 replicates each" in out
     assert "all points within alpha + 4 SE" in out
+
+
+def test_reproduce_comparison_writes_the_multi_arm_row(tmp_path, capsys):
+    compare = _load("reproduce_comparison")
+    out = tmp_path / "compare.json"
+    assert compare.main(["--out", str(out)]) == 0
+    assert "multi_arm" in capsys.readouterr().out
+    rows = {row["name"]: row for row in json.loads(out.read_text())["rows"]}
+    assert rows["multi_arm"]["max_n"] == 2276
