@@ -275,7 +275,8 @@ def _one_look_model(alpha: float, power_target: float, theta_prime: float,
     if not theta_prime > 0.0:
         raise ValueError("theta_prime must be positive")
     z_sum = float(ndtri(1.0 - alpha)) + float(ndtri(power_target))
-    n = 2.0 * sigma ** 2 * z_sum ** 2 / theta_prime ** 2 / looks
+    # square the ratio, not theta', so a huge theta' cannot overflow
+    n = 2.0 * (sigma * z_sum / theta_prime) ** 2 / looks
     return n, theta_prime * math.sqrt(looks / 2.0) / sigma
 
 

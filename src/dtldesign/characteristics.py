@@ -3,7 +3,7 @@
 All quantities are analytic: the events module assembles each one as a
 small family of multivariate-normal rectangle probabilities and this
 module integrates them and does the patient bookkeeping.  PWER and the
-focal arm's crossing probability are one arm's group-sequential crossing
+crossing probability of arm 1 are one arm's group-sequential crossing
 probability, computed by recursive quadrature (calibrate._no_crossing)
 instead, and the single-look multi-arm comparator's power is one 1-D
 integral on the same Gauss-Legendre rule.  Integration
@@ -26,6 +26,7 @@ used as a cross-check in the tests; the two are algebraically identical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
     global_null_typeI_problems,
+    power_lfc_problems,
     reject_problems,
     set_probability,
     stop_stage_problems,
@@ -52,7 +54,6 @@ __all__ = [
     "power_lfc",
     "type_i_global_null",
     "stop_stage_probabilities",
-    "expected_sample_size",
     "stage_total_patients",
     "max_total_patients",
     "multiarm_lfc_power",
@@ -139,18 +140,10 @@ def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
               *, target_abs_error: float = DEFAULT_TARGET,
               seed: int = 0) -> float:
     """P(recommend arm 1) when arm 1 sits at theta_prime and the rest at
-    theta_zero.
-
-    theta_prime == theta_zero is allowed (the degenerate all-equal
-    configuration); theta_prime < theta_zero is not a least favourable
-    configuration and is rejected.
-    """
-    if theta_prime < theta_zero:
-        raise ValueError("need theta_prime >= theta_zero")
-    effects = EffectConfig.least_favorable(design.arms, theta_prime,
-                                           theta_zero)
-    return _checked_total(win_problems(design, effects, focal_arm=1), "power",
-                          target_abs_error=target_abs_error, seed=seed)
+    theta_zero; theta_prime must exceed theta_zero."""
+    return _checked_total(power_lfc_problems(design, theta_prime, theta_zero),
+                          "power", target_abs_error=target_abs_error,
+                          seed=seed)
 
 
 def type_i_global_null(design: TrialDesign, *,
@@ -192,16 +185,6 @@ def max_total_patients(design: TrialDesign) -> int:
     return stage_total_patients(design, design.stages)
 
 
-def expected_sample_size(design: TrialDesign, effects: EffectConfig, *,
-                         target_abs_error: float = DEFAULT_TARGET,
-                         seed: int = 0) -> float:
-    """E(total patients) under the given true effects."""
-    probs = stop_stage_probabilities(design, effects,
-                                     target_abs_error=target_abs_error,
-                                     seed=seed)
-    return _ess_from_stop_probs(design, probs)
-
-
 def _ess_from_stop_probs(design: TrialDesign,
                          probs: tuple[float, ...]) -> float:
     return math.fsum(p * stage_total_patients(design, j + 1)
@@ -210,21 +193,21 @@ def _ess_from_stop_probs(design: TrialDesign,
 
 def _check_comparator(arms: int, alpha: float, power_target: float,
                       theta_prime: float, sigma: float) -> None:
-    if arms < 1:
-        raise ValueError("arms must be at least 1")
+    if not isinstance(arms, numbers.Integral) or arms < 1:
+        raise ValueError(f"arms must be an integer >= 1, got {arms!r}")
     if not 0.0 < alpha < 1.0 or not 0.0 < power_target < 1.0:
         raise ValueError("alpha and power_target must be in (0, 1)")
-    if not (theta_prime > 0.0 and sigma > 0.0):
-        raise ValueError("theta_prime and sigma must be positive")
+    if not (0.0 < theta_prime < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError("theta_prime and sigma must be positive and finite")
 
 
 def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
                        theta_zero: float, sigma: float) -> float:
     """LFC power of the single-look K-arm comparator at n per arm.
 
-    The focal arm must beat the critical value and every other arm.  Given
-    the focal arm's standardized mean t, the control and the K - 1 rivals
-    are independent, so the K-dimensional probability is one integral
+    Arm 1 must beat the critical value and every other arm.  Given the
+    standardized mean t of arm 1, the control and the K - 1 rivals are
+    independent, so the K-dimensional probability is one integral
     (Dunnett 1955):
 
         int phi(t) Phi(a + t) Phi(b + t)^(K-1) dt,
@@ -273,10 +256,12 @@ def comparator_separate_trials(arms: int, alpha: float, power_target: float,
     """K independent two-arm trials: (n per group, maximum total patients).
 
     Each trial brings its own control, so the total is 2*K*n with
-    n = ceil(2 sigma^2 (z_{1-alpha} + z_{power})^2 / theta_prime^2).
+    n = ceil(2 sigma^2 (z_{1-alpha} + z_{power})^2 / theta_prime^2), and
+    at least 1.
     """
     _check_comparator(arms, alpha, power_target, theta_prime, sigma)
-    n = math.ceil(_one_look_model(alpha, power_target, theta_prime, sigma)[0])
+    n = max(math.ceil(_one_look_model(alpha, power_target, theta_prime,
+                                      sigma)[0]), 1)
     return n, 2 * arms * n
 
 

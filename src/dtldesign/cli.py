@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .calibrate import BoundaryShape, CalibrationConfig, design_trial
 from .characteristics import (
@@ -425,14 +425,7 @@ def _cmd_evaluate(cfg: RunConfig) -> tuple[dict, str]:
         "seed": cfg.seed,
         "design": _design_record(design),
         "endpoint": _endpoint_record(endpoint),
-        "characteristics": {
-            "pwer": chars.pwer,
-            "power_lfc": chars.power_lfc,
-            "type_i_global_null": chars.type_i_global_null,
-            "max_n": chars.max_n,
-            "ess": dict(chars.ess),
-            "stop_probs": {k: list(v) for k, v in chars.stop_probs.items()},
-        },
+        "characteristics": asdict(chars),
     }
     return report, render_evaluate_table(report)
 

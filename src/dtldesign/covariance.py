@@ -198,8 +198,6 @@ def build_moment_problem(design: TrialDesign, effects: EffectConfig,
         raise ValueError("need at least one coordinate")
     if not (len(coords) == len(lowers) == len(uppers)):
         raise ValueError("coords and bounds lengths must agree")
-    for c in coords:
-        c.validate(design)
     d = len(coords)
     mean = np.array([mean_of(design, effects, c) for c in coords])
     corr = np.empty((d, d))

@@ -14,6 +14,7 @@ but this one is what the reference sample sizes were computed under.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy.special import expit, logit
@@ -66,6 +67,9 @@ class NormalEffectSpec:
     sigma_sq: float
 
     def __post_init__(self):
+        for name in ("theta_prime", "theta_zero", "sigma_sq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.theta_prime > self.theta_zero > 0.0:
             raise ValueError("need theta_prime > theta_zero > 0")
         if not self.sigma_sq > 0.0:

@@ -4,17 +4,17 @@ Every quantity the design engine reports (pairwise error, power under the
 least favorable configuration, the distribution of the stopping stage, type
 I error under the global null) is the probability of a union of mutually
 exclusive trial paths.  A path fixes the arm dropped at each interim and
-where the focal arm sits when the trial ends.  Its "did not stop at stage
-i" is the signed pair "unconstrained - every survivor clears u_i", so a
+where arm 1 sits when the trial ends.  Its "did not stop at stage i" is
+the signed pair "unconstrained - every survivor clears u_i", so a
 path expands into signed rectangle events on a jointly normal vector, and
 the enumerators below reduce an event system to a signed-weight list of
 OrthantProblems.
 
 Paths that are arm relabelings of one another integrate to the same value
-whenever the relabeling preserves the true effects (and the focal arm, when
-there is one).  Such paths are merged into a single problem with an integer
-weight; the merge tests exact effect equality, so no collapsing happens
-between arms whose effects merely happen to be close.
+whenever the relabeling preserves the true effects (and arm 1, when the
+event is about arm 1).  Such paths are merged into a single problem with
+an integer weight; the merge tests exact effect equality, so no collapsing
+happens between arms whose effects merely happen to be close.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class DropOrder:
         if any(m < 1 for m in self.dropped):
             raise ValueError("arm indices start at 1")
 
-    def validate(self, design: TrialDesign) -> None:
-        if any(m > design.arms for m in self.dropped):
-            raise ValueError("dropped arm outside the design")
-        if len(self.dropped) > max(design.stages - 1, 0):
-            raise ValueError("more drops than interim analyses")
-
     def survivors(self, design: TrialDesign) -> tuple[int, ...]:
         gone = set(self.dropped)
         return tuple(a for a in range(1, design.arms + 1) if a not in gone)
@@ -90,7 +84,6 @@ class EventProblemSet:
 
     stage: int
     problems: tuple[tuple[int, OrthantProblem], ...]
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "problems",
@@ -120,15 +113,13 @@ def _rect(constraints):
     return rect
 
 
-def _check_inputs(design: TrialDesign, focal_arm: int | None = None,
+def _check_inputs(design: TrialDesign,
                   effects: EffectConfig | None = None) -> None:
     if design.arms > PERMUTATION_CAP:
         raise CapacityError(f"{design.arms} arms exceeds the enumeration "
                             f"cap of {PERMUTATION_CAP}")
     if effects is not None and len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
-    if focal_arm is not None and not 1 <= focal_arm <= design.arms:
-        raise ValueError(f"focal arm {focal_arm} outside 1..{design.arms}")
 
 
 def _drop_constraints(design: TrialDesign, order: DropOrder):
@@ -175,7 +166,7 @@ def _path_rects(design: TrialDesign, order: DropOrder, end_stage: int,
     return [(sign, rect) for sign, rect in rects if rect is not None]
 
 
-def _symmetry_maps(deltas, fixed=frozenset()):
+def _symmetry_maps(deltas, fixed: frozenset[int]):
     """Arm relabelings that preserve the effect vector and the fixed arms.
 
     Returned as tuples indexed by arm (entry 0 unused).  Arms only trade
@@ -254,60 +245,55 @@ def _crosses(design: TrialDesign, arm: int, stage: int):
 # One generator per event family: for the ending stage j it yields each
 # drop order with the extra constraints that order carries, and
 # _path_rects adds the shared no-earlier-stop and end-at-stage constraints.
-# The public docstrings below say what each event is; the stop event has
-# no focal arm.
+# The public docstrings below say what each event is; the win and reject
+# events are about arm 1, the stop event about no arm.
 
-def _stop_paths(design: TrialDesign, j: int, focal_arm: None):
+def _stop_paths(design: TrialDesign, j: int):
     for perm in itertools.permutations(range(1, design.arms + 1),
                                        _drops_before_decision(design, j)):
         yield DropOrder(perm), ()
 
 
-def _win_paths(design: TrialDesign, j: int, focal_arm: int):
-    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
-    for perm in itertools.permutations(others,
+def _win_paths(design: TrialDesign, j: int):
+    for perm in itertools.permutations(range(2, design.arms + 1),
                                        _drops_before_decision(design, j)):
         order = DropOrder(perm)
         if j < design.stages:
-            yield order, [(difference(focal_arm, s, j), 0.0, math.inf)
-                          for s in order.survivors(design) if s != focal_arm]
+            yield order, [(difference(1, s, j), 0.0, math.inf)
+                          for s in order.survivors(design) if s != 1]
         else:
-            yield order, [_crosses(design, focal_arm, j)]
+            yield order, [_crosses(design, 1, j)]
 
 
-def _reject_paths(design: TrialDesign, j: int, focal_arm: int):
-    others = [a for a in range(1, design.arms + 1) if a != focal_arm]
+def _reject_paths(design: TrialDesign, j: int):
+    rivals = range(2, design.arms + 1)
     if j < design.stages:
-        # focal survives the stage-j drop; its crossing is part of the
+        # arm 1 survives the stage-j drop; its crossing is part of the
         # all-survivors-cross stop constraint
-        for perm in itertools.permutations(others, j):
+        for perm in itertools.permutations(rivals, j):
             yield DropOrder(perm), ()
-        for perm in itertools.permutations(others, j - 1):
-            yield DropOrder(perm + (focal_arm,)), [
-                _crosses(design, focal_arm, j)]
+        for perm in itertools.permutations(rivals, j - 1):
+            yield DropOrder(perm + (1,)), [_crosses(design, 1, j)]
     else:
-        for perm in itertools.permutations(others, j - 1):
-            yield DropOrder(perm), [_crosses(design, focal_arm, j)]
+        for perm in itertools.permutations(rivals, j - 1):
+            yield DropOrder(perm), [_crosses(design, 1, j)]
 
 
-def _stage_rects(design: TrialDesign, paths, focal_arm: int | None):
+def _stage_rects(design: TrialDesign, paths):
     """Raw (sign, rect) pairs of one event family, one tuple per stage."""
     for j in range(1, design.stages + 1):
-        yield tuple(term for order, extras in paths(design, j, focal_arm)
+        yield tuple(term for order, extras in paths(design, j)
                     for term in _path_rects(design, order, j, extras))
 
 
 def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
-                focal_arm: int | None,
-                label: str) -> list[EventProblemSet]:
-    """Collapsed per-stage problem sets of one event family."""
-    _check_inputs(design, focal_arm, effects)
-    fixed = frozenset() if focal_arm is None else frozenset((focal_arm,))
-    gamma = _symmetry_maps(effects.deltas, fixed=fixed)
-    return [EventProblemSet(j, _collapse(design, effects, rects, gamma),
-                            label=f"{label}@{j}")
-            for j, rects in enumerate(_stage_rects(design, paths, focal_arm),
-                                      start=1)]
+                fixed: frozenset[int]) -> list[EventProblemSet]:
+    """Collapsed per-stage problem sets of one event family; relabelings
+    never move the `fixed` arms."""
+    _check_inputs(design, effects)
+    gamma = _symmetry_maps(effects.deltas, fixed)
+    return [EventProblemSet(j, _collapse(design, effects, rects, gamma))
+            for j, rects in enumerate(_stage_rects(design, paths), start=1)]
 
 
 def pwer_problem(design: TrialDesign,
@@ -331,12 +317,12 @@ def pwer_problem(design: TrialDesign,
                                 [-math.inf] * stages, list(design.boundaries))
 
 
-def win_problems(design: TrialDesign, effects: EffectConfig,
-                 focal_arm: int = 1) -> list[EventProblemSet]:
-    """Per-stage events: trial ends at that stage with the focal arm
-    recommended (it survived every drop so far, cleared the boundary, and
-    beat every other crossing survivor)."""
-    return _event_sets(design, effects, _win_paths, focal_arm, "win")
+def win_problems(design: TrialDesign,
+                 effects: EffectConfig) -> list[EventProblemSet]:
+    """Per-stage events: trial ends at that stage with arm 1 recommended
+    (it survived every drop so far, cleared the boundary, and beat every
+    other crossing survivor)."""
+    return _event_sets(design, effects, _win_paths, frozenset((1,)))
 
 
 def power_lfc_problems(design: TrialDesign, theta_prime: float,
@@ -347,29 +333,29 @@ def power_lfc_problems(design: TrialDesign, theta_prime: float,
         raise ValueError("theta_prime must exceed theta_zero")
     effects = EffectConfig.least_favorable(design.arms, theta_prime,
                                            theta_zero)
-    return win_problems(design, effects, focal_arm=1)
+    return win_problems(design, effects)
 
 
 def stop_stage_problems(design: TrialDesign,
                         effects: EffectConfig) -> list[EventProblemSet]:
     """Per-stage events: the trial ends at that stage.  The stage events
     partition the sample space, so the probabilities sum to one."""
-    return _event_sets(design, effects, _stop_paths, None, "stop")
+    return _event_sets(design, effects, _stop_paths, frozenset())
 
 
-def reject_problems(design: TrialDesign, effects: EffectConfig,
-                    focal_arm: int = 1) -> list[EventProblemSet]:
-    """Per-stage events: the trial ends at that stage and the focal arm
-    clears the boundary there.  The focal arm may be a crossing survivor or
-    the arm dropped at the ending stage; both ways its null is rejected."""
-    return _event_sets(design, effects, _reject_paths, focal_arm, "reject")
+def reject_problems(design: TrialDesign,
+                    effects: EffectConfig) -> list[EventProblemSet]:
+    """Per-stage events: the trial ends at that stage and arm 1 clears the
+    boundary there.  Arm 1 may be a crossing survivor or the arm dropped at
+    the ending stage; both ways its null is rejected."""
+    return _event_sets(design, effects, _reject_paths, frozenset((1,)))
 
 
 def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:
-    """Reject events for a fixed arm when every effect is zero; summed over
+    """Reject events for arm 1 when every effect is zero; summed over
     stages this is the realized per-arm type I error under the global null."""
     effects = EffectConfig.global_null(design.arms)
-    return reject_problems(design, effects, focal_arm=1)
+    return reject_problems(design, effects)
 
 
 def stop_event_rectangles(design: TrialDesign):
@@ -383,16 +369,16 @@ def stop_event_rectangles(design: TrialDesign):
     against the uncollapsed form directly.
     """
     _check_inputs(design)
-    return list(_stage_rects(design, _stop_paths, None))
+    return list(_stage_rects(design, _stop_paths))
 
 
-def win_event_rectangles(design: TrialDesign, focal_arm: int = 1):
-    """Raw (sign, rectangle) pairs of the focal-arm win events, one tuple
-    per stage, without the relabeling collapse.  The signed sum over the
+def win_event_rectangles(design: TrialDesign):
+    """Raw (sign, rectangle) pairs of the arm-1 win events, one tuple per
+    stage, without the relabeling collapse.  The signed sum over the
     stage-j rectangles a path satisfies is 1 if the trial ends at stage j
-    with the focal arm recommended and 0 otherwise."""
-    _check_inputs(design, focal_arm)
-    return list(_stage_rects(design, _win_paths, focal_arm))
+    with arm 1 recommended and 0 otherwise."""
+    _check_inputs(design)
+    return list(_stage_rects(design, _win_paths))
 
 
 def _weighted_sum(terms) -> ProbabilityEstimate:

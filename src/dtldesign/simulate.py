@@ -28,13 +28,10 @@ from scipy.special import ndtri
 
 from .characteristics import stage_total_patients
 from .covariance import EffectConfig, TrialDesign
-from .events import DropOrder
 
 __all__ = [
-    "TrialOutcome",
     "SimulationResult",
     "draw_statistics",
-    "simulate_trial",
     "estimate_characteristics",
 ]
 
@@ -44,27 +41,6 @@ _CHUNK = 1 << 15
 # floor for the uniform before the inverse CDF: keeps a once-in-2^53 exact
 # zero from producing an infinite statistic
 _TINY = np.finfo(np.float64).tiny
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One simulated trial.
-
-    Attributes:
-        stop_stage: analysis at which the trial ended.
-        recommended_arms: arms found superior at the stop.  At an early
-            stop these are all post-drop survivors (the trial only stops
-            early when every one of them clears the boundary); at the
-            final stage it is the last survivor if it clears, else empty.
-        drop_order: arms dropped, in stage order.
-        total_patients: recruits over all arms and control through the
-            ending stage.
-    """
-
-    stop_stage: int
-    recommended_arms: frozenset[int]
-    drop_order: DropOrder
-    total_patients: int
 
 
 @dataclass(frozen=True)
@@ -159,43 +135,22 @@ def _decide_paths(design: TrialDesign, z: np.ndarray):
 
 
 def _focal_rejected(design: TrialDesign, z: np.ndarray, stop: np.ndarray,
-                    dropped_at: np.ndarray, focal_arm: int) -> np.ndarray:
-    """Per-path indicator that the focal arm's null was rejected.
+                    dropped_at: np.ndarray) -> np.ndarray:
+    """Per-path indicator that arm 1's null was rejected.
 
-    At an early stop a surviving focal arm has cleared the boundary by the
-    stop rule itself; an arm dropped at the ending stage still rejects if
-    its own statistic cleared.  At the final stage the survivor must clear.
+    At an early stop a surviving arm 1 has cleared the boundary by the stop
+    rule itself; an arm dropped at the ending stage still rejects if its
+    own statistic cleared.  At the final stage the survivor must clear.
     """
     stages = design.stages
     u = np.asarray(design.boundaries)
-    df = dropped_at[:, focal_arm - 1]
-    z_at_stop = z[np.arange(z.shape[0]), focal_arm - 1, stop - 1]
+    df = dropped_at[:, 0]
+    z_at_stop = z[np.arange(z.shape[0]), 0, stop - 1]
     crossed = z_at_stop > u[stop - 1]
     early = stop < stages
     survivor = df == 0
     return np.where(early, survivor | ((df == stop) & crossed),
                     survivor & crossed)
-
-
-def simulate_trial(design: TrialDesign, effects: EffectConfig,
-                   draw: np.random.Generator) -> TrialOutcome:
-    """Simulate one trial with the caller's random source."""
-    z = draw_statistics(design, effects, draw, 1)
-    stop, winner, dropped_at = _decide_paths(design, z)
-    s = int(stop[0])
-    drops = dropped_at[0]
-    n_drops = s if s < design.stages else design.stages - 1
-    order = DropOrder(tuple(int(np.flatnonzero(drops == i)[0]) + 1
-                            for i in range(1, n_drops + 1)))
-    if s < design.stages:
-        recommended = frozenset(a for a in range(1, design.arms + 1)
-                                if drops[a - 1] == 0)
-    else:
-        w = int(winner[0])
-        recommended = frozenset((w,)) if w else frozenset()
-    return TrialOutcome(stop_stage=s, recommended_arms=recommended,
-                        drop_order=order,
-                        total_patients=stage_total_patients(design, s))
 
 
 def _chunk_increments(seed: int, start: int, count: int, arms: int,
@@ -215,16 +170,15 @@ def _chunk_increments(seed: int, start: int, count: int, arms: int,
 
 
 def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
-                             reps: int, seed: int = 0,
-                             focal_arm: int = 1) -> SimulationResult:
+                             reps: int, seed: int = 0) -> SimulationResult:
     """Estimate the operating characteristics from independent replicates.
 
     Metrics:
-        power: the focal arm is selected as the single best crossing arm.
-        reject: the focal arm's null is rejected at the ending stage.
-        focal_crossing: the focal arm's statistic clears its boundary at
-            any stage, selection ignored; under that arm's null this is
-            the pairwise error rate the boundaries were calibrated to.
+        power: arm 1 is selected as the single best crossing arm.
+        reject: arm 1's null is rejected at the ending stage.
+        focal_crossing: arm 1's statistic clears its boundary at any
+            stage, selection ignored; under arm 1's null this is the
+            pairwise error rate the boundaries were calibrated to.
         ess: patients recruited through the ending stage.
         stop_stage_j: the trial ends at stage j.
 
@@ -234,8 +188,6 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
         raise ValueError("reps must be at least 1")
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
-    if not 1 <= focal_arm <= design.arms:
-        raise ValueError(f"focal arm {focal_arm} outside 1..{design.arms}")
     stages = design.stages
     u_arr = np.asarray(design.boundaries)
     patients = np.array([stage_total_patients(design, j)
@@ -250,11 +202,10 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
         xi = _chunk_increments(seed, done, m, design.arms, stages)
         z = _z_from_increments(design, effects, xi)
         stop, winner, dropped_at = _decide_paths(design, z)
-        wins += int(np.count_nonzero(winner == focal_arm))
+        wins += int(np.count_nonzero(winner == 1))
         rejects += int(np.count_nonzero(
-            _focal_rejected(design, z, stop, dropped_at, focal_arm)))
-        crossings += int(np.count_nonzero(
-            np.any(z[:, focal_arm - 1, :] > u_arr, axis=1)))
+            _focal_rejected(design, z, stop, dropped_at)))
+        crossings += int(np.count_nonzero(np.any(z[:, 0, :] > u_arr, axis=1)))
         stop_counts += np.bincount(stop - 1, minlength=stages)
         tot = patients[stop - 1]
         patient_sum += int(tot.sum())

@@ -289,6 +289,27 @@ class TestErrorHandling:
         assert run(RunConfig("design", str(path))) == 1
         assert "alpha" in capsys.readouterr().err
 
+    @staticmethod
+    def _normal_config(tmp_path, theta_prime):
+        path = tmp_path / "normal.cfg"
+        path.write_text(MOTIVATING.replace(
+            "type = binary\np_control = 0.12\nrd_relevant = 0.05\n"
+            "rd_uninteresting = 0.01",
+            f"type = normal\ntheta_prime = {theta_prime}\n"
+            "theta_zero = 0.1\nsigma_sq = 1.0"))
+        return str(path)
+
+    def test_infinite_effect_is_refused_by_name(self, tmp_path, capsys):
+        path = self._normal_config(tmp_path, "inf")
+        assert cli.main(["design", "--config", path]) == 1
+        assert "theta_prime must be finite" in capsys.readouterr().err
+
+    def test_huge_effect_designs_one_patient_per_stage(self, tmp_path,
+                                                       capsys):
+        path = self._normal_config(tmp_path, "1e308")
+        assert cli.main(["design", "--config", path]) == 0
+        assert "n/stage 1 " in capsys.readouterr().out
+
     def test_zero_tol_is_refused_not_defaulted(self, tmp_path, pinned_record,
                                                capsys):
         path = tmp_path / "motivating.cfg"

@@ -42,6 +42,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NormalEffectSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["theta_prime", "theta_zero",
+                                       "sigma_sq"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_effects_refused_by_name(self, field, value):
+        kwargs = dict(theta_prime=0.5, theta_zero=0.1, sigma_sq=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NormalEffectSpec(**kwargs)
+
     def test_sigma_property(self):
         eff = NormalEffectSpec(0.5, 0.1, 9.0)
         assert eff.sigma == 3.0

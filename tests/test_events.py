@@ -66,10 +66,6 @@ class TestDropOrder:
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             DropOrder((0,))
-        with pytest.raises(ValueError):
-            DropOrder((4,)).validate(DESIGN)
-        with pytest.raises(ValueError):
-            DropOrder((1, 2, 3)).validate(DESIGN)
 
 
 class TestEventProblemSet:
@@ -130,7 +126,7 @@ class TestPwerProblem:
 
 
 # ---------------------------------------------------------------------------
-# win events (focal arm recommended)
+# win events (arm 1 recommended)
 
 
 class TestWinEvents:
@@ -160,15 +156,6 @@ class TestWinEvents:
         assert sets[1].problems == ()
         assert [(w, p.dim) for w, p in sets[2].problems] == [(2, 4)]
 
-    def test_focal_exchangeable_under_equal_effects(self):
-        vals = []
-        for focal in (1, 2, 3):
-            sets = win_problems(DESIGN, ALL_RELEVANT, focal_arm=focal)
-            est = total_probability(sets, target_abs_error=1e-5, seed=3)
-            vals.append((est.value, est.error_bound))
-        spread = max(v for v, _ in vals) - min(v for v, _ in vals)
-        assert spread <= 2 * max(e for _, e in vals)
-
     def test_win_within_stop_per_stage(self):
         win = win_problems(DESIGN, LFC)
         stop = stop_stage_problems(DESIGN, LFC)
@@ -176,10 +163,6 @@ class TestWinEvents:
             pw = set_probability(w, target_abs_error=1e-5)
             ps = set_probability(s, target_abs_error=1e-5)
             assert pw.value <= ps.value + pw.error_bound + ps.error_bound
-
-    def test_focal_validation(self):
-        with pytest.raises(ValueError):
-            win_problems(DESIGN, LFC, focal_arm=4)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +321,7 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
     # each path constrains a coordinate at most once, so a rectangle is its
     # sorted constraint list, pruned when an infinite boundary empties it
     design = _obf_design(k).with_boundaries(_boundaries(k, kind))
-    families = [stop_event_rectangles(design)] + [
-        win_event_rectangles(design, focal) for focal in sorted({1, k})]
+    families = [stop_event_rectangles(design), win_event_rectangles(design)]
     n_rects = 0
     for stages in families:
         for terms in stages:
@@ -361,8 +343,8 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
 class TestRejectEvents:
     def test_stage1_two_part_structure(self):
         sets = global_null_typeI_problems(DESIGN)
-        # focal among the crossing survivors (two mirrored orders) plus the
-        # focal-dropped-yet-crossing path where all three arms clear u1
+        # arm 1 among the crossing survivors (two mirrored orders) plus the
+        # arm-1-dropped-yet-crossing path where all three arms clear u1
         assert [(w, p.dim) for w, p in sets[0].problems] == [(2, 4), (1, 5)]
 
     def test_stage1_dropped_arm_matrix(self):
@@ -376,7 +358,7 @@ class TestRejectEvents:
             [0.5, 0.0, -0.5, 0.5, 1.0],
         ])
         _, p5 = global_null_typeI_problems(DESIGN)[0].problems[1]
-        # enumerator emits rival-minus-focal differences, flipping two signs
+        # enumerator emits rival-minus-arm-1 differences, flipping two signs
         perm = [1, 2, 0, 3, 4]
         signs = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0])
         want = signs @ ref[np.ix_(perm, perm)] @ signs
@@ -409,9 +391,9 @@ class TestRejectEvents:
     def test_general_effects_reject_less_than_alpha(self):
         # the calibrated bound must hold for a null arm whatever the other
         # arms do, not just under the global null; spot-check one interior
-        # configuration with the focal arm slightly harmful
+        # configuration with arm 1 slightly harmful
         effects = EffectConfig((-0.1, 0.4, -0.7))
-        est = total_probability(reject_problems(DESIGN, effects, 1),
+        est = total_probability(reject_problems(DESIGN, effects),
                                 target_abs_error=1e-6, seed=2)
         assert est.value <= 0.025 + 3 * est.error_bound
 

@@ -281,9 +281,9 @@ def _k3_win_problem():
 
 
 def _k3_lfc_win_problem():
-    # the 7-coordinate stage-3 win problem of the focal arm at the LFC
+    # the 7-coordinate stage-3 win problem of arm 1 at the LFC
     design, _, _, effects = _load_designed(str(K3_RECORD))
-    wins = win_problems(design, effects["lfc"], focal_arm=1)
+    wins = win_problems(design, effects["lfc"])
     return wins[-1].problems[0][1]
 
 

@@ -29,10 +29,8 @@ from dtldesign.events import (
 from dtldesign.mvn import mvn_rectangle_prob
 from dtldesign.simulate import (
     SimulationResult,
-    TrialOutcome,
     draw_statistics,
     estimate_characteristics,
-    simulate_trial,
 )
 from oracles import rect_satisfied
 
@@ -104,54 +102,63 @@ class TestDrawStatistics:
 
 
 class TestSimulateTrial:
+    """The drop and stopping rules of simulate._decide_paths, one trial per
+    drawn statistic path."""
+
+    @staticmethod
+    def _decide(design, effects, draw, paths):
+        z = draw_statistics(design, effects, draw, paths)
+        return simulate._decide_paths(design, z)
+
     def test_infinite_interims_always_reach_final_stage(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            out = simulate_trial(DTL, LFC, rng)
-            assert out.stop_stage == 3
-            assert out.total_patients == 1827
-            assert len(out.drop_order.dropped) == 2
-            # recommendation only via the final bound here
-            assert len(out.recommended_arms) <= 1
-            assert out.recommended_arms.isdisjoint(out.drop_order.dropped)
+        stop, winner, dropped_at = self._decide(
+            DTL, LFC, np.random.default_rng(3), 300)
+        assert np.all(stop == 3)
+        assert stage_total_patients(DTL, 3) == 1827
+        # one arm dropped at each interim, and any winner survived both
+        assert np.array_equal(np.sort(dropped_at, axis=1),
+                              np.tile([0, 1, 2], (300, 1)))
+        won = np.flatnonzero(winner)
+        assert np.all(dropped_at[won, winner[won] - 1] == 0)
 
     def test_separated_arm_never_dropped(self):
         # arm 1 forced maximal; rivals can never clear the interim bound, so
         # every trial drops them in turn and stops at stage 2 with arm 1
         effects = EffectConfig((10.0 * EFF.sigma, -10.0 * EFF.sigma,
                                 -10.0 * EFF.sigma))
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            out = simulate_trial(DESIGN, effects, rng)
-            assert 1 not in out.drop_order.dropped
-            assert out.stop_stage == 2
-            assert out.recommended_arms == frozenset((1,))
+        stop, winner, dropped_at = self._decide(
+            DESIGN, effects, np.random.default_rng(7), 300)
+        assert np.all(dropped_at[:, 0] == 0)
+        assert np.all(stop == 2)
+        assert np.all(winner == 1)
 
     def test_ties_drop_lowest_arm_index(self):
-        out = simulate_trial(DESIGN, NULL, _ZeroDraw())
-        assert out.drop_order.dropped == (1, 2)
-        assert out.stop_stage == 3
-        assert out.recommended_arms == frozenset()
-        assert out.total_patients == 1854
+        stop, winner, dropped_at = self._decide(DESIGN, NULL, _ZeroDraw(), 1)
+        assert dropped_at.tolist() == [[1, 2, 0]]
+        assert stop.tolist() == [3]
+        assert winner.tolist() == [0]
+        assert stage_total_patients(DESIGN, 3) == 1854
 
     def test_patient_accounting_matches_schedule(self):
-        rng = np.random.default_rng(19)
-        seen = set()
-        for _ in range(200):
-            out = simulate_trial(DESIGN, NULL, rng)
-            seen.add(out.stop_stage)
-            assert out.total_patients == \
-                stage_total_patients(DESIGN, out.stop_stage)
-            expected_drops = (out.stop_stage if out.stop_stage < 3 else 2)
-            assert len(out.drop_order.dropped) == expected_drops
-        assert 3 in seen
+        stop, _, dropped_at = self._decide(
+            DESIGN, NULL, np.random.default_rng(19), 200)
+        n = DESIGN.n_per_stage
+        for s, drops in zip(stop.tolist(), dropped_at.tolist()):
+            # one drop at each interim up to the stop, none at the final
+            assert sorted(d for d in drops if d) == \
+                list(range(1, min(s, 2) + 1))
+            # a dropped arm holds its stage's patients, every survivor
+            # and the control hold s stages'
+            survivors = drops.count(0)
+            assert sum(d * n for d in drops) + (survivors + 1) * s * n == \
+                stage_total_patients(DESIGN, s)
+        assert 3 in stop
 
     def test_outcomes_reproducible(self):
-        runs = []
-        for _ in range(2):
-            rng = np.random.default_rng(101)
-            runs.append([simulate_trial(DESIGN, LFC, rng) for _ in range(50)])
-        assert runs[0] == runs[1]
+        runs = [self._decide(DESIGN, LFC, np.random.default_rng(101), 50)
+                for _ in range(2)]
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
 
 class TestEstimateCharacteristics:
@@ -206,8 +213,6 @@ class TestEstimateCharacteristics:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="reps"):
             estimate_characteristics(DESIGN, NULL, 0)
-        with pytest.raises(ValueError, match="focal"):
-            estimate_characteristics(DESIGN, NULL, 10, focal_arm=4)
         with pytest.raises(ValueError, match="length"):
             estimate_characteristics(DESIGN, EffectConfig((0.1,)), 10)
 
@@ -315,7 +320,7 @@ class TestEventMembership:
         z = draw_statistics(design, effects, np.random.default_rng(41), m)
         stop, winner, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, terms in enumerate(win_event_rectangles(design, 1), start=1):
+        for j, terms in enumerate(win_event_rectangles(design), start=1):
             members = np.zeros(m, dtype=np.int64)
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
