@@ -5,12 +5,12 @@ statistic for arm k at stage j is
 
     Z_{k,j} = (Xbar_{k,j} - Xbar_{0,j}) / sqrt(V_j),    V_j = 2 sigma^2 / (j n),
 
-so E[Z_{k,j}] = delta_k sqrt(j n) / (sigma sqrt(2)).  Every single statistic
-and every same-stage difference Z_{k,j} - Z_{k*,j} has unit variance under
-this equal-allocation model, which is why the covariances returned here are
-also correlations.  The building blocks are the stage ratio
-r = sqrt(min(j, j*) / max(j, j*)) and the arm rule: same arm contributes r,
-different arms r/2 (the shared control is half the variance).
+so E[Z_{k,j}] = delta_k sqrt(j n) / (sigma sqrt(2)).  Every coordinate is a
+same-stage contrast Z_{a,j} - Z_{b,j} of two groups, group 0 the control
+(Z_{0,j} = 0: b = 0 gives arm a's own statistic), and has unit variance under
+this equal-allocation model, so the covariances returned here are also
+correlations.  With the stage ratio r = sqrt(min(j, j*) / max(j, j*)), each
+group two contrasts share adds r/2 at the same sign and -r/2 at opposite ones.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "StatCoord",
     "TrialDesign",
     "single",
-    "difference",
     "corr_between",
     "mean_of",
     "build_moment_problem",
@@ -120,63 +119,46 @@ class EffectConfig:
         return cls((theta_prime,) * arms)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class StatCoord:
-    """One coordinate of the joint statistic vector.
+    """One coordinate of the joint statistic vector: the stage-`stage`
+    contrast Z_{arm_a} - Z_{arm_b} of two groups, group 0 the control.
+    With arm_b = 0 it is arm_a's own statistic (see `single`)."""
 
-    kind "single" is Z_{arm_a, stage}; kind "difference" is
-    Z_{arm_a, stage} - Z_{arm_b, stage}.  arm_b is 0 (unused) for singles.
-    """
-
-    kind: str
     arm_a: int
     arm_b: int
     stage: int
 
     def __post_init__(self):
-        if self.kind not in ("single", "difference"):
-            raise ValueError(f"unknown coordinate kind {self.kind!r}")
-        if self.kind == "difference" and self.arm_a == self.arm_b:
-            raise ValueError("difference coordinate needs two distinct arms")
+        if self.arm_a == self.arm_b:
+            raise ValueError("a contrast needs two distinct groups")
 
     def validate(self, design: TrialDesign) -> None:
-        arms = (self.arm_a,) if self.kind == "single" else (self.arm_a, self.arm_b)
-        for a in arms:
-            if not 1 <= a <= design.arms:
-                raise ValueError(f"arm index {a} outside 1..{design.arms}")
+        if not (1 <= self.arm_a <= design.arms
+                and 0 <= self.arm_b <= design.arms):
+            raise ValueError(f"arm indices ({self.arm_a}, {self.arm_b}) "
+                             f"outside 1..{design.arms} and 0..{design.arms}")
         if not 1 <= self.stage <= design.stages:
             raise ValueError(f"stage {self.stage} outside 1..{design.stages}")
 
 
 def single(arm: int, stage: int) -> StatCoord:
-    return StatCoord("single", arm, 0, stage)
-
-
-def difference(arm_a: int, arm_b: int, stage: int) -> StatCoord:
-    return StatCoord("difference", arm_a, arm_b, stage)
-
-
-def _signed_arms(c: StatCoord):
-    if c.kind == "single":
-        return ((1.0, c.arm_a),)
-    return ((1.0, c.arm_a), (-1.0, c.arm_b))
+    return StatCoord(arm, 0, stage)
 
 
 def corr_between(a: StatCoord, b: StatCoord) -> float:
     """Correlation of two coordinates (both have unit variance).
 
-    Expands each coordinate into signed arm terms and applies the pair rule:
-    same arm contributes the stage ratio r, different arms r/2.  All the
-    special cases (matched, swapped, one shared arm, disjoint) fall out of
-    this bilinear expansion.
+    Group g's standardized cumulative mean has variance 1/2 at every
+    stage; at two stages it covaries r/2, since the later mean holds the
+    earlier one's patients, and distinct groups are independent.  So
+    Z_a - Z_b at one stage against Z_c - Z_d at another correlates
+    r/2 ([a=c] - [a=d] - [b=c] + [b=d]).
     """
-    jmin, jmax = min(a.stage, b.stage), max(a.stage, b.stage)
-    r = math.sqrt(jmin / jmax)
-    total = 0.0
-    for sa, ka in _signed_arms(a):
-        for sb, kb in _signed_arms(b):
-            total += sa * sb * (r if ka == kb else 0.5 * r)
-    return total
+    r = math.sqrt(min(a.stage, b.stage) / max(a.stage, b.stage))
+    shared = ((a.arm_a == b.arm_a) - (a.arm_a == b.arm_b)
+              - (a.arm_b == b.arm_a) + (a.arm_b == b.arm_b))
+    return 0.5 * r * shared
 
 
 def mean_of(design: TrialDesign, effects: EffectConfig, c: StatCoord) -> float:
@@ -185,9 +167,8 @@ def mean_of(design: TrialDesign, effects: EffectConfig, c: StatCoord) -> float:
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     scale = math.sqrt(c.stage * design.n_per_stage) / (design.sigma * math.sqrt(2.0))
-    if c.kind == "single":
-        return effects.deltas[c.arm_a - 1] * scale
-    return (effects.deltas[c.arm_a - 1] - effects.deltas[c.arm_b - 1]) * scale
+    deltas = (0.0, *effects.deltas)
+    return (deltas[c.arm_a] - deltas[c.arm_b]) * scale
 
 
 def build_moment_problem(design: TrialDesign, effects: EffectConfig,

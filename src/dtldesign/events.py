@@ -28,7 +28,6 @@ from .covariance import (
     StatCoord,
     TrialDesign,
     build_moment_problem,
-    difference,
     single,
 )
 from .mvn import OrthantProblem, ProbabilityEstimate, mvn_rectangle_prob
@@ -36,7 +35,6 @@ from .mvn import OrthantProblem, ProbabilityEstimate, mvn_rectangle_prob
 __all__ = [
     "PERMUTATION_CAP",
     "CapacityError",
-    "DropOrder",
     "EventProblemSet",
     "pwer_problem",
     "win_problems",
@@ -60,25 +58,6 @@ class CapacityError(ValueError):
 
 
 @dataclass(frozen=True)
-class DropOrder:
-    """Arms dropped at stages 1..len(dropped), in stage order."""
-
-    dropped: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dropped",
-                           tuple(int(m) for m in self.dropped))
-        if len(set(self.dropped)) != len(self.dropped):
-            raise ValueError("dropped arms must be distinct")
-        if any(m < 1 for m in self.dropped):
-            raise ValueError("arm indices start at 1")
-
-    def survivors(self, design: TrialDesign) -> tuple[int, ...]:
-        gone = set(self.dropped)
-        return tuple(a for a in range(1, design.arms + 1) if a not in gone)
-
-
-@dataclass(frozen=True)
 class EventProblemSet:
     """Rectangle problems whose signed-weight sum is one event probability."""
 
@@ -98,7 +77,9 @@ class EventProblemSet:
 
 
 def _coord_key(c: StatCoord):
-    return (c.stage, c.kind, c.arm_a, c.arm_b)
+    # within a stage, arm-vs-arm contrasts before arms' own statistics; the
+    # order fixes each problem's index in its set, and so its seed
+    return (c.stage, c.arm_b == 0, c.arm_a, c.arm_b)
 
 
 def _rect(constraints):
@@ -122,18 +103,22 @@ def _check_inputs(design: TrialDesign,
         raise ValueError("effects length must match the number of arms")
 
 
-def _drop_constraints(design: TrialDesign, order: DropOrder):
-    """Argmin constraints making order.dropped the realized drop sequence."""
+def _survivors(design: TrialDesign, order) -> tuple[int, ...]:
+    return tuple(a for a in range(1, design.arms + 1) if a not in order)
+
+
+def _drop_constraints(design: TrialDesign, order):
+    """Argmin constraints: stage i drops arm order[i - 1], the lowest."""
     cons = []
     in_trial = set(range(1, design.arms + 1))
-    for i, m in enumerate(order.dropped, start=1):
+    for i, m in enumerate(order, start=1):
         for a in sorted(in_trial - {m}):
-            cons.append((difference(a, m, i), 0.0, math.inf))
+            cons.append((StatCoord(a, m, i), 0.0, math.inf))
         in_trial.remove(m)
     return cons
 
 
-def _no_stop_options(design: TrialDesign, order: DropOrder, upto: int):
+def _no_stop_options(design: TrialDesign, order, upto: int):
     """Per-stage signed options for 'did not stop at stages 1..upto'.
 
     After the stage-i drop the trial stops only if every survivor clears
@@ -142,14 +127,13 @@ def _no_stop_options(design: TrialDesign, order: DropOrder, upto: int):
     options = []
     in_trial = set(range(1, design.arms + 1))
     for i in range(1, upto + 1):
-        in_trial.remove(order.dropped[i - 1])
+        in_trial.remove(order[i - 1])
         options.append([(1, ()), (-1, tuple(_crosses(design, a, i)
                                             for a in sorted(in_trial)))])
     return options
 
 
-def _path_rects(design: TrialDesign, order: DropOrder, end_stage: int,
-                extras):
+def _path_rects(design: TrialDesign, order, end_stage: int, extras):
     """(sign, rect) descriptions for: drops follow `order`, no earlier stop,
     the trial ends at end_stage (all after-drop survivors cross, vacuous at
     the final stage), plus event-specific extra constraints."""
@@ -157,7 +141,7 @@ def _path_rects(design: TrialDesign, order: DropOrder, end_stage: int,
     stop_cons = []
     if end_stage < design.stages:
         stop_cons = [_crosses(design, a, end_stage)
-                     for a in order.survivors(design)]
+                     for a in _survivors(design, order)]
     combos = itertools.product(*_no_stop_options(design, order, end_stage - 1))
     rects = ((math.prod(sign for sign, _ in combo),
               _rect([*base, *itertools.chain(*(c for _, c in combo)),
@@ -193,10 +177,7 @@ def _symmetry_maps(deltas, fixed: frozenset[int]):
 def _relabeled_key(items, pi):
     out = []
     for c, lo, hi in items:
-        if c.kind == "single":
-            key = (c.stage, c.kind, pi[c.arm_a], 0)
-        else:
-            key = (c.stage, c.kind, pi[c.arm_a], pi[c.arm_b])
+        key = (c.stage, c.arm_b == 0, pi[c.arm_a], pi[c.arm_b])
         out.append((key, lo, hi))
     out.sort()
     return tuple(out)
@@ -207,8 +188,8 @@ def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
         # certain event: keep a carrier coordinate the integrator prunes
         return build_moment_problem(design, effects, [single(1, 1)],
                                     [-math.inf], [math.inf])
-    coords = [StatCoord(kind, arm_a, arm_b, stage)
-              for (stage, kind, arm_a, arm_b), _, _ in key]
+    coords = [StatCoord(arm_a, arm_b, stage)
+              for (stage, _, arm_a, arm_b), _, _ in key]
     lowers = [lo for _, lo, _ in key]
     uppers = [hi for _, _, hi in key]
     return build_moment_problem(design, effects, coords, lowers, uppers)
@@ -222,8 +203,8 @@ def _collapse(design: TrialDesign, effects: EffectConfig, paths, gamma):
     over the symmetry group, so two rectangles share a key exactly when one
     is an effect-preserving relabeling of the other.  No weight cancels to
     zero: a sign is -1 to the number of stages before the ending one that
-    carry singles (only all-above options put them there), and relabeling
-    keeps stages.
+    carry arms' own statistics (only all-above options put them there), and
+    relabeling keeps stages.
     """
     table: dict = {}
     for sign, items in paths:
@@ -251,18 +232,17 @@ def _crosses(design: TrialDesign, arm: int, stage: int):
 def _stop_paths(design: TrialDesign, j: int):
     for perm in itertools.permutations(range(1, design.arms + 1),
                                        _drops_before_decision(design, j)):
-        yield DropOrder(perm), ()
+        yield perm, ()
 
 
 def _win_paths(design: TrialDesign, j: int):
     for perm in itertools.permutations(range(2, design.arms + 1),
                                        _drops_before_decision(design, j)):
-        order = DropOrder(perm)
         if j < design.stages:
-            yield order, [(difference(1, s, j), 0.0, math.inf)
-                          for s in order.survivors(design) if s != 1]
+            yield perm, [(StatCoord(1, s, j), 0.0, math.inf)
+                         for s in _survivors(design, perm) if s != 1]
         else:
-            yield order, [_crosses(design, 1, j)]
+            yield perm, [_crosses(design, 1, j)]
 
 
 def _reject_paths(design: TrialDesign, j: int):
@@ -271,12 +251,12 @@ def _reject_paths(design: TrialDesign, j: int):
         # arm 1 survives the stage-j drop; its crossing is part of the
         # all-survivors-cross stop constraint
         for perm in itertools.permutations(rivals, j):
-            yield DropOrder(perm), ()
+            yield perm, ()
         for perm in itertools.permutations(rivals, j - 1):
-            yield DropOrder(perm + (1,)), [_crosses(design, 1, j)]
+            yield perm + (1,), [_crosses(design, 1, j)]
     else:
         for perm in itertools.permutations(rivals, j - 1):
-            yield DropOrder(perm), [_crosses(design, 1, j)]
+            yield perm, [_crosses(design, 1, j)]
 
 
 def _stage_rects(design: TrialDesign, paths):

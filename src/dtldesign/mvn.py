@@ -55,6 +55,10 @@ _MAX_EVALUATIONS = 1 << 24
 # Most integrand rows per call; a call holds whole shifts, at least one.
 _SLAB = 1 << 14
 
+# Standardizing a bound far from the mean (say 1e308 away) overflows to
+# +-inf, whose ndtr is the exact limit 0 or 1, so such overflow is ignored.
+_ignore_overflow = np.errstate(over="ignore")
+
 
 class NotPositiveSemiDefiniteError(ValueError):
     """Correlation matrix has an eigenvalue below the accepted tolerance."""
@@ -137,10 +141,12 @@ class OrthantProblem:
 
 
 def _npdf(t: float) -> float:
-    # standard normal density; exp underflows to 0 at +-inf as needed
+    # standard normal density; t * t on a Python float overflows silently
+    t = float(t)
     return math.exp(-0.5 * t * t) / _SQRT_TWO_PI
 
 
+@_ignore_overflow
 def _pivoted_cholesky(corr, lower, upper):
     """Cholesky factor with greedy variable reordering (Genz ordering).
 
@@ -196,6 +202,7 @@ def _pivoted_cholesky(corr, lower, upper):
     return np.tril(L), a, b
 
 
+@_ignore_overflow
 def _fold(L, a, b):
     """Attach every row to the last pivot j it loads on (Genz & Bretz 2009).
 
@@ -228,6 +235,7 @@ def _fold(L, a, b):
              c[last == j]) for j in range(rank)]
 
 
+@_ignore_overflow
 def _sov_integrand(pivots, x):
     """Transformed integrand on the unit cube, vectorized over points x.
 

@@ -93,14 +93,35 @@ def random_rectangle_problem(rng, dim):
 def rect_satisfied(z, rect):
     """Which simulated paths satisfy every constraint of a rectangle.
 
-    z has shape (paths, arms, stages) with 1-based arm/stage coordinates;
+    z has shape (paths, arms, stages), arm k at index k - 1;
     rect is a tuple of (coordinate, lower, upper).  Strict inequalities on
     both sides; boundary ties have probability zero.
     """
+    # group 0, the control, contributes Z_{0,j} = 0
+    groups = np.concatenate([np.zeros_like(z[:, :1]), z], axis=1)
     ok = np.ones(z.shape[0], dtype=bool)
     for coord, lo, hi in rect:
-        v = z[:, coord.arm_a - 1, coord.stage - 1]
-        if coord.kind == "difference":
-            v = v - z[:, coord.arm_b - 1, coord.stage - 1]
+        v = (groups[:, coord.arm_a, coord.stage - 1]
+             - groups[:, coord.arm_b, coord.stage - 1])
         ok &= (v > lo) & (v < hi)
     return ok
+
+
+def arm_rule_corr(a, b):
+    """Correlation of two statistic coordinates by the arm-level pair rule.
+
+    Each coordinate expands into signed treatment-arm terms (the control,
+    group 0, adds none); a pair of terms contributes the stage ratio r for
+    the same arm and r/2 for different arms, which share only the control.
+    The terms are summed in expansion order.
+    """
+    r = math.sqrt(min(a.stage, b.stage) / max(a.stage, b.stage))
+
+    def terms(c):
+        return [(s, k) for s, k in ((1.0, c.arm_a), (-1.0, c.arm_b)) if k]
+
+    total = 0.0
+    for sa, ka in terms(a):
+        for sb, kb in terms(b):
+            total += sa * sb * (r if ka == kb else 0.5 * r)
+    return total

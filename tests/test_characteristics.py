@@ -402,6 +402,30 @@ class TestFullReport:
             est = set_probability(pset, target_abs_error=DEFAULT_TARGET)
             assert est.converged, (pset.stage, est)
 
+    def test_k3_record_report_bits(self):
+        # exact floats: each problem's integration seed is its index in a
+        # canonically sorted set, so reordering coordinates or problems
+        # reseeds the integrals and moves these
+        design, _, normal, effects = _load_designed(str(K3_RECORD))
+        assert full_report(design, normal, effects) == \
+            OperatingCharacteristics(
+                pwer=0.02499667296965913,
+                power_lfc=0.9013371684475063,
+                type_i_global_null=0.019107972210750692,
+                max_n=1854,
+                ess={"all_relevant": 1485.2815090988288,
+                     "global_null": 1846.3635156819005,
+                     "lfc": 1596.1682281374265},
+                stop_probs={
+                    "all_relevant": (0.037888403193455926,
+                                     0.8002293842256262,
+                                     0.16188279008310036),
+                    "global_null": (2.336540773698584e-05,
+                                    0.018472749671670678,
+                                    0.9815029976048415),
+                    "lfc": (0.000943968301742303, 0.6234484202221009,
+                            0.3756082935795692)})
+
     def test_k4_design_reports_at_a_finer_target(self):
         # the design `dtldesign design` gives with arms = 4; at the
         # default target its stop-stage sets exceed the error allowance

@@ -21,10 +21,10 @@ from dtldesign.covariance import (
     TrialDesign,
     build_moment_problem,
     corr_between,
-    difference,
     mean_of,
     single,
 )
+from oracles import arm_rule_corr
 
 S2 = math.sqrt(2.0)
 S3 = math.sqrt(3.0)
@@ -105,17 +105,9 @@ class TestEffectConfig:
 
 
 class TestStatCoord:
-    def test_kinds(self):
-        assert single(2, 1).kind == "single"
-        assert difference(1, 3, 2).kind == "difference"
-
     def test_rejects_equal_arms_in_difference(self):
         with pytest.raises(ValueError):
-            difference(2, 2, 1)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            StatCoord("ratio", 1, 2, 1)
+            StatCoord(2, 2, 1)
 
     def test_validate_ranges(self):
         with pytest.raises(ValueError):
@@ -123,8 +115,11 @@ class TestStatCoord:
         with pytest.raises(ValueError):
             single(1, 4).validate(DESIGN)
         with pytest.raises(ValueError):
-            difference(1, 4, 2).validate(DESIGN)
+            StatCoord(1, 4, 2).validate(DESIGN)
+        with pytest.raises(ValueError):
+            StatCoord(0, 1, 2).validate(DESIGN)
         single(3, 3).validate(DESIGN)  # must not raise
+        assert single(3, 3) == StatCoord(3, 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -144,37 +139,59 @@ class TestPairRules:
 
     def test_single_vs_difference(self):
         # Z_{1,1} with Z_{1,1}-Z_{2,1}: 1 - 1/2
-        assert corr_between(single(1, 1), difference(1, 2, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert corr_between(single(1, 1), StatCoord(1, 2, 1)) == pytest.approx(0.5, abs=1e-15)
         # Z_{2,1} with Z_{1,1}-Z_{2,1}: 1/2 - 1
-        assert corr_between(single(2, 1), difference(1, 2, 1)) == pytest.approx(-0.5, abs=1e-15)
+        assert corr_between(single(2, 1), StatCoord(1, 2, 1)) == pytest.approx(-0.5, abs=1e-15)
         # no shared arm: Z_{3,1} with Z_{1,2}-Z_{2,2}: r/2 - r/2
-        assert corr_between(single(3, 1), difference(1, 2, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert corr_between(single(3, 1), StatCoord(1, 2, 2)) == pytest.approx(0.0, abs=1e-15)
         # shared arm across stages: Z_{1,1} with Z_{1,2}-Z_{2,2}
         r = math.sqrt(0.5)
-        assert corr_between(single(1, 1), difference(1, 2, 2)) == pytest.approx(r - 0.5 * r, abs=1e-15)
+        assert corr_between(single(1, 1), StatCoord(1, 2, 2)) == pytest.approx(r - 0.5 * r, abs=1e-15)
 
     def test_difference_vs_difference_all_cases(self):
         r = math.sqrt(0.5)
         # matched pair across stages
-        assert corr_between(difference(1, 2, 1), difference(1, 2, 2)) == pytest.approx(r, abs=1e-15)
+        assert corr_between(StatCoord(1, 2, 1), StatCoord(1, 2, 2)) == pytest.approx(r, abs=1e-15)
         # swapped pair
-        assert corr_between(difference(1, 2, 1), difference(2, 1, 2)) == pytest.approx(-r, abs=1e-15)
+        assert corr_between(StatCoord(1, 2, 1), StatCoord(2, 1, 2)) == pytest.approx(-r, abs=1e-15)
         # share first arms only
-        assert corr_between(difference(1, 2, 1), difference(1, 3, 2)) == pytest.approx(0.5 * r, abs=1e-15)
+        assert corr_between(StatCoord(1, 2, 1), StatCoord(1, 3, 2)) == pytest.approx(0.5 * r, abs=1e-15)
         # first of one is second of the other
-        assert corr_between(difference(1, 2, 2), difference(2, 3, 1)) == pytest.approx(-0.5 * r, abs=1e-15)
+        assert corr_between(StatCoord(1, 2, 2), StatCoord(2, 3, 1)) == pytest.approx(-0.5 * r, abs=1e-15)
         # identical coordinates have unit correlation
-        assert corr_between(difference(1, 2, 1), difference(1, 2, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert corr_between(StatCoord(1, 2, 1), StatCoord(1, 2, 1)) == pytest.approx(1.0, abs=1e-15)
         # same stage, one shared arm
-        assert corr_between(difference(1, 3, 1), difference(2, 3, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert corr_between(StatCoord(1, 3, 1), StatCoord(2, 3, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_disjoint_difference_pairs(self):
         # needs four arms: Z_{1,1}-Z_{2,1} with Z_{3,2}-Z_{4,2}
-        assert corr_between(difference(1, 2, 1), difference(3, 4, 2)) == pytest.approx(0.0, abs=1e-15)
+        assert corr_between(StatCoord(1, 2, 1), StatCoord(3, 4, 2)) == pytest.approx(0.0, abs=1e-15)
 
     def test_symmetry(self):
-        a, b = single(2, 1), difference(1, 2, 3)
+        a, b = single(2, 1), StatCoord(1, 2, 3)
         assert corr_between(a, b) == corr_between(b, a)
+
+
+def test_group_rule_matches_arm_rule_on_every_k5_pair():
+    # every coordinate of a five-arm design: 5 arms' own statistics and 20
+    # ordered arm contrasts at each of 5 stages
+    coords = [StatCoord(a, b, j) for j in range(1, 6)
+              for a in range(1, 6) for b in range(6) if a != b]
+    assert len(coords) == 125
+    differ = 0
+    for x in coords:
+        for y in coords:
+            got, want = corr_between(x, y), arm_rule_corr(x, y)
+            if x.arm_b and (y.arm_a, y.arm_b) == (x.arm_b, x.arm_a) \
+                    and x.stage != y.stage:
+                # swapped pair: the arm rule rounds a -1.5 r partial sum
+                r = math.sqrt(min(x.stage, y.stage) / max(x.stage, y.stage))
+                assert got == -r
+                assert abs(got - want) <= math.ulp(r)
+                differ += got != want
+            else:
+                assert got == want, (x, y)
+    assert differ == 280
 
 
 class TestMeans:
@@ -193,10 +210,10 @@ class TestMeans:
     def test_difference_mean(self):
         cfg = EffectConfig((0.594, 0.098, 0.098))
         want = (0.594 - 0.098) * math.sqrt(2 * 206) / (math.sqrt(9.47) * S2)
-        assert mean_of(DESIGN, cfg, difference(1, 2, 2)) == pytest.approx(want, rel=1e-15)
+        assert mean_of(DESIGN, cfg, StatCoord(1, 2, 2)) == pytest.approx(want, rel=1e-15)
 
     def test_null_means_vanish(self):
-        for c in [single(1, 1), single(3, 2), difference(2, 3, 3)]:
+        for c in [single(1, 1), single(3, 2), StatCoord(2, 3, 3)]:
             assert mean_of(DESIGN, NULL, c) == 0.0
 
     def test_effects_length_mismatch(self):
@@ -221,8 +238,8 @@ class TestGoldenMatrices:
 
     def test_win_stage1(self):
         # arm 1 best and both survivors cross at the first interim
-        coords = [single(1, 1), difference(1, 2, 1), difference(1, 3, 1),
-                  single(2, 1), difference(2, 3, 1)]
+        coords = [single(1, 1), StatCoord(1, 2, 1), StatCoord(1, 3, 1),
+                  single(2, 1), StatCoord(2, 3, 1)]
         want = np.array([
             [1.0, 0.5, 0.5, 0.5, 0.0],
             [0.5, 1.0, 0.5, -0.5, -0.5],
@@ -233,8 +250,8 @@ class TestGoldenMatrices:
         np.testing.assert_allclose(corr_matrix(DESIGN, coords), want, rtol=0, atol=1e-12)
 
     def test_win_stage2(self):
-        coords = [single(1, 2), difference(1, 2, 2), difference(1, 3, 1),
-                  difference(2, 3, 1), single(1, 1), single(2, 1)]
+        coords = [single(1, 2), StatCoord(1, 2, 2), StatCoord(1, 3, 1),
+                  StatCoord(2, 3, 1), single(1, 1), single(2, 1)]
         q = 1 / (2 * S2)
         want = np.array([
             [1.0, 0.5, q, 0.0, 1 / S2, q],
@@ -247,8 +264,8 @@ class TestGoldenMatrices:
         np.testing.assert_allclose(corr_matrix(DESIGN, coords), want, rtol=0, atol=1e-12)
 
     def test_win_stage3(self):
-        coords = [single(1, 3), difference(1, 3, 1), difference(2, 3, 1),
-                  difference(1, 2, 2), single(1, 1), single(2, 1), single(1, 2)]
+        coords = [single(1, 3), StatCoord(1, 3, 1), StatCoord(2, 3, 1),
+                  StatCoord(1, 2, 2), single(1, 1), single(2, 1), single(1, 2)]
         q2 = 1 / (2 * S2)
         q3 = 1 / (2 * S3)
         want = np.array([
@@ -264,7 +281,7 @@ class TestGoldenMatrices:
 
     def test_stop_stage1(self):
         # both survivors cross, third arm dropped
-        coords = [single(1, 1), difference(1, 3, 1), single(2, 1), difference(2, 3, 1)]
+        coords = [single(1, 1), StatCoord(1, 3, 1), single(2, 1), StatCoord(2, 3, 1)]
         want = np.array([
             [1.0, 0.5, 0.5, 0.0],
             [0.5, 1.0, 0.0, 0.5],
@@ -274,8 +291,8 @@ class TestGoldenMatrices:
         np.testing.assert_allclose(corr_matrix(DESIGN, coords), want, rtol=0, atol=1e-12)
 
     def test_stop_stage2_matches_win_stage2_structure(self):
-        coords = [single(1, 2), difference(1, 2, 2), difference(1, 3, 1),
-                  difference(2, 3, 1), single(1, 1), single(2, 1)]
+        coords = [single(1, 2), StatCoord(1, 2, 2), StatCoord(1, 3, 1),
+                  StatCoord(2, 3, 1), single(1, 1), single(2, 1)]
         got = corr_matrix(DESIGN, coords)
         # same coordinate list as the stage-2 win event, so same matrix
         q = 1 / (2 * S2)
@@ -283,7 +300,7 @@ class TestGoldenMatrices:
         assert got[1, 3] == pytest.approx(-q, abs=1e-12)
 
     def test_stop_stage3(self):
-        coords = [difference(1, 3, 1), difference(2, 3, 1), difference(1, 2, 2),
+        coords = [StatCoord(1, 3, 1), StatCoord(2, 3, 1), StatCoord(1, 2, 2),
                   single(1, 1), single(2, 1), single(1, 2)]
         q = 1 / (2 * S2)
         want = np.array([
@@ -297,7 +314,7 @@ class TestGoldenMatrices:
         np.testing.assert_allclose(corr_matrix(DESIGN, coords), want, rtol=0, atol=1e-12)
 
     def test_reject_stage1_survivor(self):
-        coords = [single(1, 1), difference(1, 3, 1), single(2, 1), difference(2, 3, 1)]
+        coords = [single(1, 1), StatCoord(1, 3, 1), single(2, 1), StatCoord(2, 3, 1)]
         want = np.array([
             [1.0, 0.5, 0.5, 0.0],
             [0.5, 1.0, 0.0, 0.5],
@@ -309,7 +326,7 @@ class TestGoldenMatrices:
     def test_reject_stage1_dropped_arm(self):
         # arm 1 loses the drop but still clears the boundary while both
         # survivors clear it too
-        coords = [single(1, 1), difference(1, 2, 1), difference(1, 3, 1),
+        coords = [single(1, 1), StatCoord(1, 2, 1), StatCoord(1, 3, 1),
                   single(2, 1), single(3, 1)]
         want = np.array([
             [1.0, 0.5, 0.5, 0.5, 0.5],
@@ -323,7 +340,7 @@ class TestGoldenMatrices:
     def test_reject_stage2(self):
         # the stage-2 drop constraint integrates out when two arms remain,
         # leaving five coordinates
-        coords = [single(1, 2), difference(1, 3, 1), difference(2, 3, 1),
+        coords = [single(1, 2), StatCoord(1, 3, 1), StatCoord(2, 3, 1),
                   single(1, 1), single(2, 1)]
         q = 1 / (2 * S2)
         want = np.array([
@@ -336,8 +353,8 @@ class TestGoldenMatrices:
         np.testing.assert_allclose(corr_matrix(DESIGN, coords), want, rtol=0, atol=1e-12)
 
     def test_reject_stage3_matches_win_stage3(self):
-        coords = [single(1, 3), difference(1, 3, 1), difference(2, 3, 1),
-                  difference(1, 2, 2), single(1, 1), single(2, 1), single(1, 2)]
+        coords = [single(1, 3), StatCoord(1, 3, 1), StatCoord(2, 3, 1),
+                  StatCoord(1, 2, 2), single(1, 1), single(2, 1), single(1, 2)]
         got = corr_matrix(DESIGN, coords)
         assert got[0, 6] == pytest.approx(S2 / S3, abs=1e-12)
         assert got[3, 2] == pytest.approx(-1 / (2 * S2), abs=1e-12)
@@ -346,8 +363,8 @@ class TestGoldenMatrices:
     def test_lfc_means_on_win_stage2_coords(self):
         theta_p, theta_0 = 0.594, 0.098
         cfg = EffectConfig.least_favorable(3, theta_p, theta_0)
-        coords = [single(1, 2), difference(1, 2, 2), difference(1, 3, 1),
-                  difference(2, 3, 1), single(1, 1), single(2, 1)]
+        coords = [single(1, 2), StatCoord(1, 2, 2), StatCoord(1, 3, 1),
+                  StatCoord(2, 3, 1), single(1, 1), single(2, 1)]
         prob = build_moment_problem(DESIGN, cfg, coords,
                                     [-np.inf] * 6, [np.inf] * 6)
         s = math.sqrt(206) / (math.sqrt(9.47) * S2)
@@ -380,7 +397,7 @@ class TestBuildMomentProblem:
             build_moment_problem(DESIGN, NULL, [single(9, 1)], [0.0], [np.inf])
 
     def test_unit_diagonal_exact(self):
-        coords = [single(1, 1), difference(1, 2, 2), single(3, 3)]
+        coords = [single(1, 1), StatCoord(1, 2, 2), single(3, 3)]
         prob = build_moment_problem(DESIGN, NULL, coords,
                                     [-np.inf] * 3, [np.inf] * 3)
         assert np.all(np.diag(prob.corr) == 1.0)
@@ -395,7 +412,7 @@ def coord_strategy(max_arms):
                         st.integers(1, max_arms), st.integers(1, max_arms))
     pairs = st.tuples(st.integers(1, max_arms), st.integers(1, max_arms)).filter(
         lambda t: t[0] != t[1])
-    diffs = st.builds(lambda t, j: difference(t[0], t[1], j),
+    diffs = st.builds(lambda t, j: StatCoord(t[0], t[1], j),
                       pairs, st.integers(1, max_arms))
     return st.one_of(singles, diffs)
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from dtldesign import events
 from dtldesign.covariance import EffectConfig, TrialDesign, single
 from dtldesign.events import (
     CapacityError,
-    DropOrder,
     EventProblemSet,
     _weighted_sum,
     global_null_typeI_problems,
@@ -54,18 +54,10 @@ def prob(problem, seed=0, target=1e-6):
 # domain types
 
 
-class TestDropOrder:
-    def test_survivors(self):
-        assert DropOrder((3, 1)).survivors(DESIGN) == (2,)
-        assert DropOrder(()).survivors(DESIGN) == (1, 2, 3)
-
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            DropOrder((2, 2))
-
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
-            DropOrder((0,))
+def test_survivors():
+    # a drop order is the tuple of arms dropped at stages 1, 2, ...
+    assert events._survivors(DESIGN, (3, 1)) == (2,)
+    assert events._survivors(DESIGN, ()) == (1, 2, 3)
 
 
 class TestEventProblemSet:
@@ -330,10 +322,35 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
                 coords = [c for c, _, _ in rect]
                 assert len(set(coords)) == len(coords)
                 assert all(lo < hi for _, lo, hi in rect)
-                keys = [(c.stage, c.kind, c.arm_a, c.arm_b) for c in coords]
+                # contrasts of two arms before an arm's own statistic
+                keys = [(c.stage, c.arm_b == 0, c.arm_a, c.arm_b)
+                        for c in coords]
                 assert keys == sorted(keys)
                 n_rects += 1
     assert n_rects > 0
+
+
+def test_no_raw_rectangle_holds_a_swapped_pair():
+    # Z_a - Z_b at one stage against Z_b - Z_a at another is the one pair
+    # whose correlation the arm-level rule rounds (tests/oracles.py); no
+    # enumerated rectangle constrains both, so that rounding never reached
+    # a reported number
+    n_rects = 0
+    for k in range(2, 6):
+        for kind in ("finite", "dtl"):
+            design = _obf_design(k).with_boundaries(_boundaries(k, kind))
+            for paths in (events._stop_paths, events._win_paths,
+                          events._reject_paths):
+                for terms in events._stage_rects(design, paths):
+                    for _, rect in terms:
+                        pairs = {(c.arm_a, c.arm_b, c.stage)
+                                 for c, _, _ in rect}
+                        assert not any(
+                            (b, a, i) in pairs
+                            for a, b, j in pairs if b
+                            for i in range(1, k + 1) if i != j)
+                        n_rects += 1
+    assert n_rects == 5638
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,30 @@ def test_unconstrained_coordinates_are_dropped():
     a = mvn_rectangle_prob(full, 1e-6, seed=9)
     b = mvn_rectangle_prob(sub, 1e-6, seed=9)
     assert a.value == pytest.approx(b.value, abs=2e-6)
+
+
+_EQUI = np.eye(3) * 0.5 + 0.5
+# rank 2: the third coordinate loads 0.0999 on the second pivot
+_DEPENDENT = np.array([[1.0, 0.0, 0.995], [0.0, 1.0, math.sqrt(1 - 0.995**2)],
+                       [0.995, math.sqrt(1 - 0.995**2), 1.0]])
+
+
+@pytest.mark.parametrize("corr, mean, lower, upper, want", [
+    (_EQUI, (1e308,) * 3, (0.0,) * 3, (INF,) * 3, 1.0),
+    (_EQUI, (1e308, -1e308, 1e308), (0.0, -INF, 0.0), (INF, 0.0, INF), 1.0),
+    (_EQUI, (1e308, 1e308, -1e308), (0.0,) * 3, (INF,) * 3, 0.0),
+    (_EQUI, (1e308, 0.0, 0.0), (-INF, -1.0, -1.0), (5.0, 1.0, 1.0), 0.0),
+    (_DEPENDENT, (1e308,) * 3, (0.0,) * 3, (INF,) * 3, 1.0),
+    (_DEPENDENT, (1e308, -1e308, 1e308), (0.0,) * 3, (INF,) * 3, 0.0),
+])
+def test_extreme_means_give_exact_limits(corr, mean, lower, upper, want):
+    # bounds standardize to +-inf, whose ndtr is the exact limit; no
+    # arithmetic on the way may warn
+    problem = OrthantProblem(np.array(mean), corr, np.array(lower),
+                             np.array(upper))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mvn_rectangle_prob(problem).value == want
 
 
 def test_rejects_non_psd():

@@ -9,10 +9,10 @@ from dtldesign import simulate
 from dtldesign.characteristics import stage_total_patients
 from dtldesign.covariance import (
     EffectConfig,
+    StatCoord,
     TrialDesign,
     build_moment_problem,
     corr_between,
-    difference,
     mean_of,
     single,
 )
@@ -70,24 +70,24 @@ class TestDrawStatistics:
         (single(1, 1), single(2, 1)),
         (single(1, 1), single(1, 3)),
         (single(1, 1), single(2, 2)),
-        (difference(1, 2, 2), difference(2, 3, 1)),
-        (single(3, 2), difference(1, 3, 3)),
+        (StatCoord(1, 2, 2), StatCoord(2, 3, 1)),
+        (single(3, 2), StatCoord(1, 3, 3)),
     ])
     def test_moments_match_covariance_module(self, a, b):
         m = 100_000
         z = draw_statistics(DESIGN, LFC, np.random.default_rng(23), m)
+        # group 0, the control, contributes Z_{0,j} = 0
+        groups = np.concatenate([np.zeros_like(z[:, :1]), z], axis=1)
 
         def values(c):
-            v = z[:, c.arm_a - 1, c.stage - 1]
-            if c.kind == "difference":
-                v = v - z[:, c.arm_b - 1, c.stage - 1]
-            return v
+            return (groups[:, c.arm_a, c.stage - 1]
+                    - groups[:, c.arm_b, c.stage - 1])
 
         va, vb = values(a), values(b)
         rho = corr_between(a, b)
         assert abs(np.corrcoef(va, vb)[0, 1] - rho) <= \
             4.0 * (1.0 - rho ** 2) / math.sqrt(m)
-        # both coordinate kinds have unit variance, so the mean SE is 1/sqrt(m)
+        # every contrast has unit variance, so the mean SE is 1/sqrt(m)
         for coord, v in ((a, va), (b, vb)):
             assert abs(v.mean() - mean_of(DESIGN, LFC, coord)) <= \
                 4.0 / math.sqrt(m)
