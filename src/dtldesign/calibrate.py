@@ -43,7 +43,6 @@ __all__ = [
     "ConvergenceError",
     "CalibrationConfig",
     "BoundaryShape",
-    "obf_shape",
     "calibrate_boundaries",
     "find_sample_size",
     "design_trial",
@@ -153,14 +152,6 @@ class BoundaryShape:
         if not math.isfinite(mults[-1]):
             raise ValueError("final multiplier must be finite")
         return mults
-
-
-def obf_shape(stages: int, c: float) -> tuple[float, ...]:
-    """O'Brien-Fleming boundaries u_j = c sqrt(J/j)."""
-    if c <= 0.0:
-        raise ValueError("scale c must be positive")
-    return tuple(c * m
-                 for m in BoundaryShape("obrien_fleming").multipliers(stages))
 
 
 def _converged(est: ProbabilityEstimate, what: str) -> float:

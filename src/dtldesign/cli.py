@@ -262,8 +262,11 @@ def _endpoint_from_record(rec: dict):
     if rec["type"] == "binary":
         return BinaryEndpointSpec(rec["p_control"], rec["rd_relevant"],
                                   rec["rd_uninteresting"])
-    return NormalEffectSpec(rec["theta_prime"], rec["theta_zero"],
-                            rec["sigma_sq"])
+    if rec["type"] == "normal":
+        return NormalEffectSpec(rec["theta_prime"], rec["theta_zero"],
+                                rec["sigma_sq"])
+    raise ValueError(
+        f"endpoint.type must be binary or normal, got {rec['type']!r}")
 
 
 def _design_record(design: TrialDesign) -> dict:
@@ -286,12 +289,17 @@ def _load_designed(path: str):
         text = fh.read()
     if text.lstrip().startswith("{"):
         rec = json.loads(text)
-        endpoint = _endpoint_from_record(rec["endpoint"])
-        normal = (binary_to_normal(endpoint)
-                  if isinstance(endpoint, BinaryEndpointSpec) else endpoint)
-        design = _design_from_record(rec["design"])
-        effects = {name: EffectConfig(tuple(v))
-                   for name, v in rec["effects"].items()}
+        try:
+            endpoint = _endpoint_from_record(rec["endpoint"])
+            normal = (binary_to_normal(endpoint)
+                      if isinstance(endpoint, BinaryEndpointSpec)
+                      else endpoint)
+            design = _design_from_record(rec["design"])
+            effects = {name: EffectConfig(tuple(v))
+                       for name, v in rec["effects"].items()}
+        except KeyError as exc:
+            raise ValueError(
+                f"design record lacks the key {exc.args[0]!r}") from None
         return design, endpoint, normal, effects
     parsed = parse_config(text)
     if parsed.design is None:

@@ -61,14 +61,18 @@ class TrialDesign:
     def __post_init__(self):
         object.__setattr__(self, "boundaries",
                            tuple(float(u) for u in self.boundaries))
+        for name in ("arms", "stages", "n_per_stage"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.arms < 1:
             raise ValueError("arms must be at least 1")
         if self.stages != self.arms:
             raise ValueError("stages must equal arms (one drop per interim)")
         if len(self.boundaries) != self.stages:
             raise ValueError("need one boundary per stage")
-        if not (isinstance(self.n_per_stage, (int, np.integer))
-                and self.n_per_stage >= 1):
+        if self.n_per_stage < 1:
             raise ValueError("n_per_stage must be a positive integer")
         for u in self.boundaries:
             if math.isnan(u) or u == -math.inf:

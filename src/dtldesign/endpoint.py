@@ -17,14 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import expit, logit
+from scipy.special import logit
 
 __all__ = [
     "BinaryEndpointSpec",
     "NormalEffectSpec",
     "binary_to_normal",
     "risk_decrease_to_log_odds",
-    "treated_rate_from_log_odds",
 ]
 
 
@@ -94,13 +93,6 @@ def risk_decrease_to_log_odds(p_control: float, rd: float) -> float:
     if rd == 0.0:
         return 0.0
     return float(logit(p_control) - logit(treated))
-
-
-def treated_rate_from_log_odds(p_control: float, theta: float) -> float:
-    """Invert risk_decrease_to_log_odds: the treated rate giving theta."""
-    if not 0.0 < p_control < 1.0:
-        raise ValueError("p_control must be in (0, 1)")
-    return float(expit(logit(p_control) - theta))
 
 
 def binary_to_normal(spec: BinaryEndpointSpec) -> NormalEffectSpec:

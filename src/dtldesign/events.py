@@ -42,8 +42,6 @@ __all__ = [
     "stop_stage_problems",
     "reject_problems",
     "global_null_typeI_problems",
-    "stop_event_rectangles",
-    "win_event_rectangles",
     "set_probability",
     "total_probability",
 ]
@@ -92,15 +90,6 @@ def _rect(constraints):
     if any(not lo < hi for _, lo, hi in rect):
         return None
     return rect
-
-
-def _check_inputs(design: TrialDesign,
-                  effects: EffectConfig | None = None) -> None:
-    if design.arms > PERMUTATION_CAP:
-        raise CapacityError(f"{design.arms} arms exceeds the enumeration "
-                            f"cap of {PERMUTATION_CAP}")
-    if effects is not None and len(effects.deltas) != design.arms:
-        raise ValueError("effects length must match the number of arms")
 
 
 def _survivors(design: TrialDesign, order) -> tuple[int, ...]:
@@ -260,7 +249,12 @@ def _reject_paths(design: TrialDesign, j: int):
 
 
 def _stage_rects(design: TrialDesign, paths):
-    """Raw (sign, rect) pairs of one event family, one tuple per stage."""
+    """Raw (sign, rect) pairs of one event family, one tuple per stage.
+
+    Over one stage's pairs, the signs of the rectangles a statistic path
+    satisfies sum to the indicator of that stage's event, up to boundary
+    ties.
+    """
     for j in range(1, design.stages + 1):
         yield tuple(term for order, extras in paths(design, j)
                     for term in _path_rects(design, order, j, extras))
@@ -270,7 +264,11 @@ def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
                 fixed: frozenset[int]) -> list[EventProblemSet]:
     """Collapsed per-stage problem sets of one event family; relabelings
     never move the `fixed` arms."""
-    _check_inputs(design, effects)
+    if design.arms > PERMUTATION_CAP:
+        raise CapacityError(f"{design.arms} arms exceeds the enumeration "
+                            f"cap of {PERMUTATION_CAP}")
+    if len(effects.deltas) != design.arms:
+        raise ValueError("effects length must match the number of arms")
     gamma = _symmetry_maps(effects.deltas, fixed)
     return [EventProblemSet(j, _collapse(design, effects, rects, gamma))
             for j, rects in enumerate(_stage_rects(design, paths), start=1)]
@@ -338,35 +336,15 @@ def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:
     return reject_problems(design, effects)
 
 
-def stop_event_rectangles(design: TrialDesign):
-    """Raw (sign, rectangle) pairs of the end-at-stage events, one tuple
-    per stage, without the relabeling collapse.
-
-    Each rectangle is a tuple of (coordinate, lower, upper) constraints and
-    each sign is +1 or -1.  The signs of the stage-j rectangles a realized
-    statistic path satisfies sum to 1 if the trial ends at stage j and to 0
-    otherwise, up to boundary ties, so a simulated path can be tested
-    against the uncollapsed form directly.
-    """
-    _check_inputs(design)
-    return list(_stage_rects(design, _stop_paths))
-
-
-def win_event_rectangles(design: TrialDesign):
-    """Raw (sign, rectangle) pairs of the arm-1 win events, one tuple per
-    stage, without the relabeling collapse.  The signed sum over the
-    stage-j rectangles a path satisfies is 1 if the trial ends at stage j
-    with arm 1 recommended and 0 otherwise."""
-    _check_inputs(design)
-    return list(_stage_rects(design, _win_paths))
-
-
 def _weighted_sum(terms) -> ProbabilityEstimate:
     """Sum of (weight, estimate) pairs; converged if every term converged.
 
     Bounds combine in quadrature, sqrt(sum (w * bound)^2): every problem
     integrates with its own (seed, stage, idx) sub-seed, so the terms'
-    errors are independent and 3-sigma bounds add as 3 times the joint sigma.
+    errors are independent, and bounds that are each 3 times an estimated
+    standard error add as 3 times the joint one.  Each estimate has 11
+    degrees of freedom, so neither is a true three-sigma bound (see
+    mvn.ProbabilityEstimate).
     """
     value = 0.0
     square = 0.0

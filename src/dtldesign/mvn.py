@@ -70,8 +70,10 @@ class ProbabilityEstimate:
 
     Attributes:
         value: estimated probability in [0, 1].
-        error_bound: three-sigma spread of the independent randomizations
-            (0.0 when the value was computed exactly).
+        error_bound: 3 times the standard error estimated from the
+            spread of the 12 randomizations, which has 11 degrees of
+            freedom, so not a true three-sigma bound (see
+            mvn_rectangle_prob); 0.0 when the value was computed exactly.
         evaluations: integrand evaluations spent.
         converged: False when the evaluation cap was reached before the
             requested error target.
@@ -261,7 +263,7 @@ def _sov_integrand(pivots, x):
 
 
 def mvn_rectangle_prob(problem: OrthantProblem,
-                       target_abs_error: float = 1e-5,
+                       target_abs_error: float,
                        seed: int | tuple[int, ...] = 0
                        ) -> ProbabilityEstimate:
     """Estimate P(lower <= Z <= upper) for Z ~ N(mean, corr).
@@ -271,14 +273,18 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     `qmc.Sobol(dim, seed=rng)` would), then draws _RANDOMIZATIONS further
     random digital shifts, each XORed onto the set's 30-bit integer
     points.  Given the scramble, the shifted point sets are
-    independent and each gives an unbiased estimate, so the spread of the
-    estimates is an honest three-sigma bound; averaged over the scramble,
-    their variance equals that of as many independently scrambled sets.
+    independent and each gives an unbiased estimate; averaged over the
+    scramble, their variance equals that of as many independently
+    scrambled sets.  The error bound is 3 times the standard error
+    estimated from their spread, which has 11 degrees of freedom, so it
+    misses more often than a true three-sigma bound: on 400 seeds of the
+    K=3 `pwer_problem` the true error exceeded it 5-6 times at target
+    1e-5 and 11 times at 1e-6 (ROADMAP item 2).
 
     Args:
         problem: the rectangle problem; unit-diagonal correlation.
-        target_abs_error: the point count doubles until the three-sigma
-            error estimate drops below this value, spending at most
+        target_abs_error: the point count doubles until the error bound
+            drops below this value, spending at most
             _MAX_EVALUATIONS.  Must be positive and finite.
         seed: integration seed, a non-negative int or a tuple of them (as
             `(seed, stage, index)` from `events.set_probability`).  Results
@@ -287,7 +293,7 @@ def mvn_rectangle_prob(problem: OrthantProblem,
             estimate.
 
     Returns:
-        ProbabilityEstimate with the estimate, a three-sigma error bound,
+        ProbabilityEstimate with the estimate, its error bound,
         the evaluation count and a convergence flag.  Rank one is exact.
     """
     if not 0.0 < target_abs_error < math.inf:

@@ -31,7 +31,6 @@ from .covariance import EffectConfig, TrialDesign
 
 __all__ = [
     "SimulationResult",
-    "draw_statistics",
     "estimate_characteristics",
 ]
 
@@ -56,12 +55,6 @@ class SimulationResult:
     estimates: dict[str, tuple[float, float]]
     seed: int
 
-    def value(self, metric: str) -> float:
-        return self.estimates[metric][0]
-
-    def stderr(self, metric: str) -> float:
-        return self.estimates[metric][1]
-
 
 def _z_from_increments(design: TrialDesign, effects: EffectConfig,
                        xi: np.ndarray) -> np.ndarray:
@@ -75,22 +68,6 @@ def _z_from_increments(design: TrialDesign, effects: EffectConfig,
     mean = deltas[:, None] * (np.sqrt(j * design.n_per_stage)
                               / (design.sigma * math.sqrt(2.0)))
     return mean[None, :, :] + noise
-
-
-def draw_statistics(design: TrialDesign, effects: EffectConfig,
-                    rng: np.random.Generator, paths: int) -> np.ndarray:
-    """Draw simulated statistic paths, shape (paths, arms, stages).
-
-    Entry [p, k-1, j-1] is Z_{k,j} for path p.  Uses the caller's
-    generator; for the replicate-addressed stream used by the estimator
-    see estimate_characteristics.
-    """
-    if paths < 1:
-        raise ValueError("paths must be at least 1")
-    if len(effects.deltas) != design.arms:
-        raise ValueError("effects length must match the number of arms")
-    xi = rng.standard_normal((paths, design.arms + 1, design.stages))
-    return _z_from_increments(design, effects, xi)
 
 
 def _decide_paths(design: TrialDesign, z: np.ndarray):

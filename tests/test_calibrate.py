@@ -18,7 +18,6 @@ from dtldesign.calibrate import (
     calibrate_boundaries,
     design_trial,
     find_sample_size,
-    obf_shape,
 )
 from dtldesign.characteristics import comparator_separate_trials
 from dtldesign.cli import parse_config
@@ -36,6 +35,11 @@ TEMPLATE1 = TrialDesign(1, 1, 10, (2.0,), 0.025, 1.0)
 CFG = CalibrationConfig(alpha=0.025, power_target=0.9)
 DTL_SHAPE = BoundaryShape("custom", (math.inf, math.inf, 1.0))
 CONFIG_K3 = Path(__file__).resolve().parent.parent / "configs" / "poptarts.cfg"
+
+
+def obf(stages, c):
+    """O'Brien-Fleming boundaries u_j = c sqrt(J/j)."""
+    return tuple(c * m for m in BoundaryShape().multipliers(stages))
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,10 @@ class TestBoundaryShape:
         assert m == pytest.approx(
             (math.sqrt(3.0), math.sqrt(1.5), 1.0), abs=1e-15)
 
+    def test_rejects_zero_stages(self):
+        with pytest.raises(ValueError, match="stages"):
+            BoundaryShape().multipliers(0)
+
     def test_pocock_multipliers(self):
         assert BoundaryShape("pocock").multipliers(4) == (1.0,) * 4
 
@@ -115,23 +123,17 @@ class TestBoundaryShape:
 
 class TestObfShape:
     def test_three_stage_reference_scale(self):
-        u = obf_shape(3, 2.004)
+        u = obf(3, 2.004)
         assert u == pytest.approx((3.471, 2.454, 2.004), abs=1e-3)
 
     def test_single_stage(self):
-        assert obf_shape(1, 1.96) == (1.96,)
+        assert obf(1, 1.96) == (1.96,)
 
     def test_final_boundary_two(self):
-        u = obf_shape(3, 2.00)
+        u = obf(3, 2.00)
         assert u[0] == pytest.approx(3.464, abs=5e-4)
         assert u[1] == pytest.approx(2.449, abs=5e-4)
         assert u[2] == 2.00
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            obf_shape(3, 0.0)
-        with pytest.raises(ValueError):
-            obf_shape(0, 2.0)
 
 
 class TestCalibrateBoundaries:
@@ -190,10 +192,10 @@ class TestGoldenBoundaries:
         (5, 2.0401840209960938),
     ])
     def test_obrien_fleming(self, stages, final):
-        template = TrialDesign(stages, stages, 10, obf_shape(stages, 1.0),
+        template = TrialDesign(stages, stages, 10, obf(stages, 1.0),
                                0.025, SIGMA)
         d = calibrate_boundaries(template, BoundaryShape(), CFG)
-        assert d.boundaries == obf_shape(stages, final)
+        assert d.boundaries == obf(stages, final)
 
     def test_dtl_shape(self, calibrated_dtl):
         assert calibrated_dtl.boundaries == (math.inf, math.inf,
@@ -214,7 +216,7 @@ class TestGoldenBoundaries:
 class TestNoCrossing:
     @pytest.mark.parametrize("stages", range(1, 9))
     def test_node_doubling_moves_nothing(self, stages, monkeypatch):
-        cases = [(obf_shape(stages, c), drift)
+        cases = [(obf(stages, c), drift)
                  for c in (1.8, 2.0, 2.2) for drift in (0.0, 1.9)]
         coarse = [calibrate._no_crossing(u, drift) for u, drift in cases]
         monkeypatch.setattr(calibrate, "_QUADRATURE_NODES",

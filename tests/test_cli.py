@@ -330,6 +330,26 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "argument --seed" in err and "non-negative integer" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["design"].update(arms=3.0, stages=3.0),
+         "arms must be an integer, got 3.0"),
+        (lambda r: r["design"].update(n_per_stage=True),
+         "n_per_stage must be an integer, got True"),
+        (lambda r: r["endpoint"].update(type="weird"),
+         "endpoint.type must be binary or normal, got 'weird'"),
+        (lambda r: r.pop("effects"),
+         "design record lacks the key 'effects'"),
+    ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects"])
+    def test_malformed_record_is_refused_by_name(self, tmp_path, capsys,
+                                                 edit, message):
+        record = json.loads(K3_RECORD.read_text(encoding="utf-8"))
+        edit(record)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        assert cli.main(["evaluate", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["design"])

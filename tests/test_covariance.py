@@ -72,6 +72,8 @@ class TestTrialDesign:
         dict(arms=2, stages=2, n_per_stage=10, boundaries=(2.0, 2.0), alpha=1.0, sigma=1.0),
         dict(arms=2, stages=2, n_per_stage=10, boundaries=(2.0, 2.0), alpha=0.025, sigma=0.0),
         dict(arms=2, stages=2, n_per_stage=10, boundaries=(2.0, 2.0), alpha=0.025, sigma=math.inf),
+        dict(arms=2, stages=2, n_per_stage=True, boundaries=(2.0, 2.0), alpha=0.025, sigma=1.0),
+        dict(arms=2.0, stages=2.0, n_per_stage=10, boundaries=(2.0, 2.0), alpha=0.025, sigma=1.0),
     ])
     def test_rejects_bad_designs(self, kwargs):
         with pytest.raises(ValueError):

@@ -4,13 +4,13 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit, logit
 
 from dtldesign.endpoint import (
     BinaryEndpointSpec,
     NormalEffectSpec,
     binary_to_normal,
     risk_decrease_to_log_odds,
-    treated_rate_from_log_odds,
 )
 
 
@@ -103,5 +103,6 @@ def test_log_odds_increasing_in_risk_decrease(p, rd_a, rd_b):
 )
 def test_round_trip_recovers_treated_rate(p, rd):
     theta = risk_decrease_to_log_odds(p, rd)
-    assert treated_rate_from_log_odds(p, theta) == pytest.approx(
-        p - rd, abs=1e-12)
+    # theta = logit(p) - logit(p - rd), so the treated rate is
+    # expit(logit(p) - theta)
+    assert expit(logit(p) - theta) == pytest.approx(p - rd, abs=1e-12)

@@ -23,10 +23,8 @@ from dtldesign.events import (
     pwer_problem,
     reject_problems,
     set_probability,
-    stop_event_rectangles,
     stop_stage_problems,
     total_probability,
-    win_event_rectangles,
     win_problems,
 )
 from dtldesign.mvn import ProbabilityEstimate, mvn_rectangle_prob
@@ -275,7 +273,7 @@ def test_stop_weights_count_raw_rectangles(k, effects):
     design = _obf_design(k)
     _check_weights_count_raw_rectangles(
         stop_stage_problems(design, _COLLAPSE_EFFECTS[effects](k)),
-        stop_event_rectangles(design))
+        list(events._stage_rects(design, events._stop_paths)))
 
 
 @pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
@@ -284,7 +282,7 @@ def test_win_weights_count_raw_rectangles(k, effects):
     design = _obf_design(k)
     _check_weights_count_raw_rectangles(
         win_problems(design, _COLLAPSE_EFFECTS[effects](k)),
-        win_event_rectangles(design))
+        list(events._stage_rects(design, events._win_paths)))
 
 
 def test_k5_lfc_problem_counts():
@@ -313,7 +311,8 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
     # each path constrains a coordinate at most once, so a rectangle is its
     # sorted constraint list, pruned when an infinite boundary empties it
     design = _obf_design(k).with_boundaries(_boundaries(k, kind))
-    families = [stop_event_rectangles(design), win_event_rectangles(design)]
+    families = [events._stage_rects(design, paths)
+                for paths in (events._stop_paths, events._win_paths)]
     n_rects = 0
     for stages in families:
         for terms in stages:

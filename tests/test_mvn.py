@@ -15,7 +15,6 @@ from scipy.special import ndtr
 from scipy.stats import multivariate_normal, qmc
 
 from dtldesign import (
-    EffectConfig,
     NotPositiveSemiDefiniteError,
     OrthantProblem,
     ProbabilityEstimate,
@@ -24,7 +23,8 @@ from dtldesign import (
 )
 from dtldesign import _sobol
 from dtldesign.cli import _load_designed
-from dtldesign.events import pwer_problem, win_problems
+from dtldesign.covariance import StatCoord, build_moment_problem, single
+from dtldesign.events import pwer_problem
 
 import oracles
 
@@ -34,14 +34,16 @@ K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
 
 
 def test_dim1_lower_tail_exact():
-    est = mvn_rectangle_prob(OrthantProblem([0.0], [[1.0]], [-INF], [0.0]))
+    est = mvn_rectangle_prob(OrthantProblem([0.0], [[1.0]], [-INF], [0.0]),
+                             1e-5)
     assert est.value == pytest.approx(0.5, abs=1e-15)
     assert est.error_bound == 0.0
     assert est.converged
 
 
 def test_dim1_shifted_mean():
-    est = mvn_rectangle_prob(OrthantProblem([1.0], [[1.0]], [-INF], [0.0]))
+    est = mvn_rectangle_prob(OrthantProblem([1.0], [[1.0]], [-INF], [0.0]),
+                             1e-5)
     assert est.value == pytest.approx(ndtr(-1.0), abs=1e-15)
 
 
@@ -254,7 +256,7 @@ def test_extreme_means_give_exact_limits(corr, mean, lower, upper, want):
                              np.array(upper))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert mvn_rectangle_prob(problem).value == want
+        assert mvn_rectangle_prob(problem, 1e-5).value == want
 
 
 def test_rejects_non_psd():
@@ -298,18 +300,29 @@ def _k3_pwer_problem():
     return pwer_problem(_load_designed(str(K3_RECORD))[0])
 
 
+def _k3_problem(effects, coords):
+    """A one-sided upper problem on the K=3 record: a contrast of two arms
+    is bounded below by 0, an arm's own statistic by its stage's boundary,
+    and every upper bound is +inf."""
+    design, _, _, configs = _load_designed(str(K3_RECORD))
+    lowers = [0.0 if c.arm_b else design.boundaries[c.stage - 1]
+              for c in coords]
+    return build_moment_problem(design, configs[effects], coords, lowers,
+                                [INF] * len(coords))
+
+
 def _k3_win_problem():
-    # a one-sided upper problem: every upper bound is +inf
-    design = _load_designed(str(K3_RECORD))[0]
-    wins = win_problems(design, EffectConfig.global_null(design.arms))
-    return wins[-1].problems[2][1]
+    # a stage-3 win of arm 1 under the global null
+    return _k3_problem("global_null", [
+        StatCoord(1, 2, 1), StatCoord(3, 2, 1), StatCoord(1, 3, 2),
+        single(1, 2), single(1, 3)])
 
 
 def _k3_lfc_win_problem():
     # the 7-coordinate stage-3 win problem of arm 1 at the LFC
-    design, _, _, effects = _load_designed(str(K3_RECORD))
-    wins = win_problems(design, effects["lfc"])
-    return wins[-1].problems[0][1]
+    return _k3_problem("lfc", [
+        StatCoord(1, 2, 1), StatCoord(3, 2, 1), single(1, 1), single(3, 1),
+        StatCoord(1, 3, 2), single(1, 2), single(1, 3)])
 
 
 # (problem, target, seed) -> (value.hex(), error_bound.hex(), evaluations),

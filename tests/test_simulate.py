@@ -18,20 +18,17 @@ from dtldesign.covariance import (
 )
 from dtldesign.endpoint import BinaryEndpointSpec, binary_to_normal
 from dtldesign.events import (
+    _stage_rects,
+    _stop_paths,
+    _win_paths,
     reject_problems,
     set_probability,
-    stop_event_rectangles,
     stop_stage_problems,
     total_probability,
-    win_event_rectangles,
     win_problems,
 )
 from dtldesign.mvn import mvn_rectangle_prob
-from dtldesign.simulate import (
-    SimulationResult,
-    draw_statistics,
-    estimate_characteristics,
-)
+from dtldesign.simulate import SimulationResult, estimate_characteristics
 from oracles import rect_satisfied
 
 EFF = binary_to_normal(BinaryEndpointSpec(0.12, 0.05, 0.01))
@@ -40,6 +37,13 @@ DTL = TrialDesign(3, 3, 203, (math.inf, math.inf, 1.95996398454), 0.025,
                   EFF.sigma)
 NULL = EffectConfig.global_null(3)
 LFC = EffectConfig.least_favorable(3, EFF.theta_prime, EFF.theta_zero)
+
+
+def _draw(design, effects, rng, paths):
+    """Statistic paths (paths, arms, stages) through the estimator's own
+    increment-to-statistic map, from the caller's random source."""
+    xi = rng.standard_normal((paths, design.arms + 1, design.stages))
+    return simulate._z_from_increments(design, effects, xi)
 
 
 class _ZeroDraw:
@@ -51,17 +55,11 @@ class _ZeroDraw:
 
 
 class TestDrawStatistics:
-    def test_shape_and_determinism(self):
-        a = draw_statistics(DESIGN, LFC, np.random.default_rng(5), 40)
-        b = draw_statistics(DESIGN, LFC, np.random.default_rng(5), 40)
-        assert a.shape == (40, 3, 3)
-        assert np.array_equal(a, b)
-
     def test_stagewise_correlation_within_arm(self):
         # corr(Z_{1,1}, Z_{1,2}) = sqrt(1/2); correlation estimates have
         # standard error about (1 - rho^2)/sqrt(m)
         m = 100_000
-        z = draw_statistics(DESIGN, NULL, np.random.default_rng(11), m)
+        z = _draw(DESIGN, NULL, np.random.default_rng(11), m)
         r = np.corrcoef(z[:, 0, 0], z[:, 0, 1])[0, 1]
         rho = math.sqrt(0.5)
         assert abs(r - rho) <= 4.0 * (1.0 - rho ** 2) / math.sqrt(m)
@@ -75,7 +73,7 @@ class TestDrawStatistics:
     ])
     def test_moments_match_covariance_module(self, a, b):
         m = 100_000
-        z = draw_statistics(DESIGN, LFC, np.random.default_rng(23), m)
+        z = _draw(DESIGN, LFC, np.random.default_rng(23), m)
         # group 0, the control, contributes Z_{0,j} = 0
         groups = np.concatenate([np.zeros_like(z[:, :1]), z], axis=1)
 
@@ -93,13 +91,6 @@ class TestDrawStatistics:
                 4.0 / math.sqrt(m)
             assert abs(v.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / m)
 
-    def test_input_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="paths"):
-            draw_statistics(DESIGN, NULL, rng, 0)
-        with pytest.raises(ValueError, match="length"):
-            draw_statistics(DESIGN, EffectConfig((0.0, 0.0)), rng, 4)
-
 
 class TestSimulateTrial:
     """The drop and stopping rules of simulate._decide_paths, one trial per
@@ -107,7 +98,7 @@ class TestSimulateTrial:
 
     @staticmethod
     def _decide(design, effects, draw, paths):
-        z = draw_statistics(design, effects, draw, paths)
+        z = _draw(design, effects, draw, paths)
         return simulate._decide_paths(design, z)
 
     def test_infinite_interims_always_reach_final_stage(self):
@@ -183,9 +174,10 @@ class TestEstimateCharacteristics:
     def test_stop_histogram_counts_every_replicate(self):
         reps = 12_345
         res = estimate_characteristics(DESIGN, NULL, reps, seed=2)
-        counts = [round(res.value(f"stop_stage_{j}") * reps) for j in (1, 2, 3)]
-        for j, c in zip((1, 2, 3), counts):
-            assert abs(res.value(f"stop_stage_{j}") * reps - c) < 1e-6
+        stops = [res.estimates[f"stop_stage_{j}"][0] for j in (1, 2, 3)]
+        counts = [round(p * reps) for p in stops]
+        for p, c in zip(stops, counts):
+            assert abs(p * reps - c) < 1e-6
         assert sum(counts) == reps
 
     def test_probability_standard_errors(self):
@@ -200,15 +192,17 @@ class TestEstimateCharacteristics:
     def test_selection_implies_rejection(self):
         for effects in (NULL, LFC):
             res = estimate_characteristics(DESIGN, effects, 30_000, seed=13)
-            assert res.value("power") <= res.value("reject")
-            assert res.value("reject") <= res.value("focal_crossing") + 1e-12
+            value = {m: est[0] for m, est in res.estimates.items()}
+            assert value["power"] <= value["reject"]
+            assert value["reject"] <= value["focal_crossing"] + 1e-12
 
     def test_single_replicate(self):
         res = estimate_characteristics(DESIGN, LFC, 1, seed=0)
-        assert res.stderr("ess") == 0.0
+        assert res.estimates["ess"][1] == 0.0
         for name in ("power", "reject", "focal_crossing"):
-            assert res.value(name) in (0.0, 1.0)
-        assert sum(res.value(f"stop_stage_{j}") for j in (1, 2, 3)) == 1.0
+            assert res.estimates[name][0] in (0.0, 1.0)
+        assert sum(res.estimates[f"stop_stage_{j}"][0]
+                   for j in (1, 2, 3)) == 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="reps"):
@@ -300,10 +294,11 @@ class TestEventMembership:
     ])
     def test_stop_rectangles_partition_paths(self, design, effects):
         m = 100_000
-        z = draw_statistics(design, effects, np.random.default_rng(37), m)
+        z = _draw(design, effects, np.random.default_rng(37), m)
         stop, _, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, terms in enumerate(stop_event_rectangles(design), start=1):
+        for j, terms in enumerate(_stage_rects(design, _stop_paths),
+                                  start=1):
             members = np.zeros(m, dtype=np.int64)
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
@@ -317,10 +312,11 @@ class TestEventMembership:
     ])
     def test_win_rectangles_match_selection(self, design, effects):
         m = 100_000
-        z = draw_statistics(design, effects, np.random.default_rng(41), m)
+        z = _draw(design, effects, np.random.default_rng(41), m)
         stop, winner, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, terms in enumerate(win_event_rectangles(design), start=1):
+        for j, terms in enumerate(_stage_rects(design, _win_paths),
+                                  start=1):
             members = np.zeros(m, dtype=np.int64)
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
