@@ -276,7 +276,18 @@ def _design_record(design: TrialDesign) -> dict:
             "alpha": design.alpha, "sigma": design.sigma}
 
 
+def _typed(value, kind, field: str):
+    """value, unless it is not a kind (a bool is not a number): then a
+    ValueError naming its record field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(
+            f"design record field {field!r} has the wrong type: {value!r}")
+    return value
+
+
 def _design_from_record(rec: dict) -> TrialDesign:
+    for key in ("alpha", "sigma"):
+        _typed(rec[key], (int, float), f"design.{key}")
     return TrialDesign(rec["arms"], rec["stages"], rec["n_per_stage"],
                        tuple(float(u) for u in rec["boundaries"]),
                        rec["alpha"], rec["sigma"])
@@ -290,13 +301,16 @@ def _load_designed(path: str):
     if text.lstrip().startswith("{"):
         rec = json.loads(text)
         try:
-            endpoint = _endpoint_from_record(rec["endpoint"])
+            endpoint = _endpoint_from_record(
+                _typed(rec["endpoint"], dict, "endpoint"))
             normal = (binary_to_normal(endpoint)
                       if isinstance(endpoint, BinaryEndpointSpec)
                       else endpoint)
-            design = _design_from_record(rec["design"])
-            effects = {name: EffectConfig(tuple(v))
-                       for name, v in rec["effects"].items()}
+            design = _design_from_record(_typed(rec["design"], dict, "design"))
+            effects = {}
+            for name, v in _typed(rec["effects"], dict, "effects").items():
+                effects[name] = EffectConfig(
+                    tuple(_typed(v, list, f"effects.{name}")))
         except KeyError as exc:
             raise ValueError(
                 f"design record lacks the key {exc.args[0]!r}") from None

@@ -16,10 +16,15 @@ each), and normals come from uniforms through the inverse CDF.  Every
 replicate's draws are a pure function of (seed, replicate index), so the
 estimates are bit-identical no matter how replicates are batched, and the
 integer accumulators make the aggregation order immaterial as well.
+
+Layout: a batch is held as (groups, stages, paths) arrays, paths last, so
+every step runs on contiguous per-group vectors.  Each path sees the same
+float operations and comparisons in any layout, so no result depends on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -58,92 +63,106 @@ class SimulationResult:
 
 def _z_from_increments(design: TrialDesign, effects: EffectConfig,
                        xi: np.ndarray) -> np.ndarray:
-    """Map standard normal stage increments (paths, arms+1, stages) to the
-    cumulative statistics (paths, arms, stages); row 0 of axis 1 is the
-    control."""
+    """Map standard normal stage increments (groups, stages, paths), group 0
+    the control, to the cumulative statistics (arms, stages, paths).
+
+    Works in place and returns a view of xi.  Each step runs on vectors
+    along the paths axis; every path sees the same float operations in any
+    layout, so the values do not depend on it."""
+    for j in range(1, design.stages):
+        xi[:, j] += xi[:, j - 1]
     j = np.arange(1, design.stages + 1, dtype=np.float64)
-    s = np.cumsum(xi, axis=2)
-    noise = (s[:, 1:, :] - s[:, :1, :]) / np.sqrt(2.0 * j)
     deltas = np.asarray(effects.deltas, dtype=np.float64)
     mean = deltas[:, None] * (np.sqrt(j * design.n_per_stage)
                               / (design.sigma * math.sqrt(2.0)))
-    return mean[None, :, :] + noise
+    z = xi[1:]
+    z -= xi[:1]
+    z /= np.sqrt(2.0 * j)[:, None]
+    z += mean[:, :, None]
+    return z
+
+
+def _first_extreme(zj: np.ndarray, dead: np.ndarray, keeps) -> list:
+    """Per arm, the mask of paths on which it holds the lowest value among
+    the alive arms (keeps = np.less_equal) or the highest (np.greater_equal),
+    exact ties to the lowest index; zj and dead are (arms, paths)."""
+    marks = [~dead[a] for a in range(zj.shape[0])]
+    for a, b in itertools.combinations(range(zj.shape[0]), 2):
+        keeps_a = keeps(zj[a], zj[b])
+        marks[a] &= keeps_a | dead[b]
+        marks[b] &= ~keeps_a | dead[a]
+    return marks
 
 
 def _decide_paths(design: TrialDesign, z: np.ndarray):
     """Run the drop and stopping rules on every path at once.
 
-    Returns (stop, winner, dropped_at): ending stage per path, selected
-    arm per path (0 when no arm is recommended as best), and the stage at
-    which each arm was dropped (0 for never).  Exact ties go to the lowest
-    arm index.
+    z is (arms, stages, paths).  Returns (stop, winner, dropped_at): ending
+    stage per path, selected arm per path (0 when no arm is recommended as
+    best), and the stage at which each arm was dropped, (arms, paths) with 0
+    for never.  Exact ties go to the lowest arm index.  The decisions do not
+    depend on the layout.
     """
-    m = z.shape[0]
-    stages = design.stages
-    alive = np.ones((m, design.arms), dtype=bool)
+    arms, stages, m = z.shape
+    dead = np.zeros((arms, m), dtype=bool)
     running = np.ones(m, dtype=bool)
     stop = np.zeros(m, dtype=np.int64)
     winner = np.zeros(m, dtype=np.int64)
-    dropped_at = np.zeros((m, design.arms), dtype=np.int64)
-    for j in range(1, stages + 1):
-        zj = z[:, :, j - 1]
-        u = design.boundaries[j - 1]
+    dropped_at = np.zeros((arms, m), dtype=np.int64)
+    for j, u in enumerate(design.boundaries, start=1):
+        zj = z[:, j - 1]
         if j < stages:
-            loser = np.where(alive, zj, np.inf).argmin(axis=1)
-            rows = np.flatnonzero(running)
-            alive[rows, loser[rows]] = False
-            dropped_at[rows, loser[rows]] = j
-            if math.isinf(u):
-                continue
-            stopping = running & np.all((zj > u) | ~alive, axis=1)
-            rows = np.flatnonzero(stopping)
-            if rows.size:
-                best = np.where(alive[rows], zj[rows], -np.inf).argmax(axis=1)
-                winner[rows] = best + 1
-                stop[rows] = j
-                running[rows] = False
-        else:
-            rows = np.flatnonzero(running)
-            stop[rows] = stages
-            surv = alive[rows].argmax(axis=1)
-            crossed = zj[rows, surv] > u
-            winner[rows[crossed]] = surv[crossed] + 1
+            for a, loser in enumerate(_first_extreme(zj, dead, np.less_equal)):
+                loser &= running
+                dead[a] |= loser
+                dropped_at[a] += j * loser
+        # every survivor clears u; at the final stage one arm survives
+        crossing = running.copy()
+        for a in range(arms):
+            crossing &= (zj[a] > u) | dead[a]
+        for a, best in enumerate(_first_extreme(zj, dead, np.greater_equal)):
+            winner += (a + 1) * (best & crossing)
+        ending = crossing if j < stages else running
+        stop += j * ending
+        running &= ~ending
     return stop, winner, dropped_at
 
 
 def _focal_rejected(design: TrialDesign, z: np.ndarray, stop: np.ndarray,
                     dropped_at: np.ndarray) -> np.ndarray:
-    """Per-path indicator that arm 1's null was rejected.
+    """Per-path indicator that arm 1's null was rejected; z is (arms,
+    stages, paths) and dropped_at (arms, paths).
 
-    At an early stop a surviving arm 1 has cleared the boundary by the stop
-    rule itself; an arm dropped at the ending stage still rejects if its
-    own statistic cleared.  At the final stage the survivor must clear.
+    Arm 1 rejects when its statistic clears the boundary at the ending stage
+    and it either survives to that stage or is the arm dropped there.  (At
+    an early stop a survivor has cleared by the stop rule itself.)
     """
-    stages = design.stages
-    u = np.asarray(design.boundaries)
-    df = dropped_at[:, 0]
-    z_at_stop = z[np.arange(z.shape[0]), 0, stop - 1]
-    crossed = z_at_stop > u[stop - 1]
-    early = stop < stages
-    survivor = df == 0
-    return np.where(early, survivor | ((df == stop) & crossed),
-                    survivor & crossed)
+    crossed = np.zeros(z.shape[2], dtype=bool)
+    for j, u in enumerate(design.boundaries, start=1):
+        crossed |= (stop == j) & (z[0, j - 1] > u)
+    return crossed & ((dropped_at[0] == 0) | (dropped_at[0] == stop))
 
 
-def _chunk_increments(seed: int, start: int, count: int, arms: int,
-                      stages: int) -> np.ndarray:
-    """Standard normal increments for replicates [start, start+count).
+def _increment_chunks(seed: int, reps: int, arms: int, stages: int):
+    """Standard normal increments (arms+1, stages, m) for successive batches
+    of at most _CHUNK replicates, written into buffers reused across
+    batches.
 
-    Each replicate owns a fixed run of Philox counter blocks, so the
-    returned values depend only on (seed, replicate index).
+    One Philox stream is read in order, B counter blocks per replicate, so
+    replicate r reads blocks [r*B, (r+1)*B) and the values depend only on
+    (seed, replicate index).
     """
     words = (arms + 1) * stages
-    blocks_per_rep = -(-words // 4)
-    bits = np.random.Philox(np.random.SeedSequence(seed))
-    bits.advance(start * blocks_per_rep)
-    u = np.random.Generator(bits).random(count * 4 * blocks_per_rep)
-    u = u.reshape(count, 4 * blocks_per_rep)[:, :words]
-    return ndtri(np.maximum(u, _TINY)).reshape(count, arms + 1, stages)
+    width = 4 * -(-words // 4)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    u = np.empty((min(_CHUNK, reps), width))
+    xi = np.empty((arms + 1, stages, len(u)))
+    for start in range(0, reps, len(u)):
+        m = min(len(u), reps - start)
+        gen.random(out=u[:m])
+        np.maximum(u[:m, :words], _TINY, out=u[:m, :words])
+        ndtri(u[:m, :words].T, out=xi.reshape(words, -1)[:, :m])
+        yield xi[:, :, :m]
 
 
 def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
@@ -161,6 +180,8 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
 
     Deterministic given (seed, reps); independent of batching.
     """
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be at least 1")
     if len(effects.deltas) != design.arms:
@@ -173,21 +194,18 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
     stop_counts = np.zeros(stages, dtype=np.int64)
     patient_sum = 0
     patient_sq = 0
-    done = 0
-    while done < reps:
-        m = min(_CHUNK, reps - done)
-        xi = _chunk_increments(seed, done, m, design.arms, stages)
+    for xi in _increment_chunks(seed, reps, design.arms, stages):
         z = _z_from_increments(design, effects, xi)
         stop, winner, dropped_at = _decide_paths(design, z)
         wins += int(np.count_nonzero(winner == 1))
         rejects += int(np.count_nonzero(
             _focal_rejected(design, z, stop, dropped_at)))
-        crossings += int(np.count_nonzero(np.any(z[:, 0, :] > u_arr, axis=1)))
+        crossings += int(np.count_nonzero(
+            np.any(z[0] > u_arr[:, None], axis=0)))
         stop_counts += np.bincount(stop - 1, minlength=stages)
         tot = patients[stop - 1]
         patient_sum += int(tot.sum())
         patient_sq += int((tot * tot).sum())
-        done += m
 
     def binomial(count: int) -> tuple[float, float]:
         p = count / reps

@@ -93,16 +93,16 @@ def random_rectangle_problem(rng, dim):
 def rect_satisfied(z, rect):
     """Which simulated paths satisfy every constraint of a rectangle.
 
-    z has shape (paths, arms, stages), arm k at index k - 1;
+    z has shape (arms, stages, paths), arm k at index k - 1;
     rect is a tuple of (coordinate, lower, upper).  Strict inequalities on
     both sides; boundary ties have probability zero.
     """
     # group 0, the control, contributes Z_{0,j} = 0
-    groups = np.concatenate([np.zeros_like(z[:, :1]), z], axis=1)
-    ok = np.ones(z.shape[0], dtype=bool)
+    groups = np.concatenate([np.zeros_like(z[:1]), z])
+    ok = np.ones(z.shape[2], dtype=bool)
     for coord, lo, hi in rect:
-        v = (groups[:, coord.arm_a, coord.stage - 1]
-             - groups[:, coord.arm_b, coord.stage - 1])
+        v = (groups[coord.arm_a, coord.stage - 1]
+             - groups[coord.arm_b, coord.stage - 1])
         ok &= (v > lo) & (v < hi)
     return ok
 

@@ -339,7 +339,14 @@ class TestErrorHandling:
          "endpoint.type must be binary or normal, got 'weird'"),
         (lambda r: r.pop("effects"),
          "design record lacks the key 'effects'"),
-    ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects"])
+        (lambda r: r["design"].update(alpha="0.025"),
+         "design record field 'design.alpha' has the wrong type: '0.025'"),
+        (lambda r: r["effects"].update(lfc=0.5),
+         "design record field 'effects.lfc' has the wrong type: 0.5"),
+        (lambda r: r.update(endpoint="binary"),
+         "design record field 'endpoint' has the wrong type: 'binary'"),
+    ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects",
+            "string_alpha", "number_effects", "string_endpoint"])
     def test_malformed_record_is_refused_by_name(self, tmp_path, capsys,
                                                  edit, message):
         record = json.loads(K3_RECORD.read_text(encoding="utf-8"))

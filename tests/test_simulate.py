@@ -1,12 +1,14 @@
 """Monte Carlo machinery: path laws, trial mechanics, estimator agreement."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dtldesign import simulate
 from dtldesign.characteristics import stage_total_patients
+from dtldesign.cli import _load_designed
 from dtldesign.covariance import (
     EffectConfig,
     StatCoord,
@@ -37,13 +39,20 @@ DTL = TrialDesign(3, 3, 203, (math.inf, math.inf, 1.95996398454), 0.025,
                   EFF.sigma)
 NULL = EffectConfig.global_null(3)
 LFC = EffectConfig.least_favorable(3, EFF.theta_prime, EFF.theta_zero)
+K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
+             / "design_k3.json")
+# the design `dtldesign design` gives for configs/poptarts.cfg with arms = 4
+K4 = TrialDesign(4, 4, 156, (4.04876708984375, 2.8629106646734397,
+                             2.337556769207387, 2.024383544921875),
+                 0.025, EFF.sigma)
 
 
 def _draw(design, effects, rng, paths):
-    """Statistic paths (paths, arms, stages) through the estimator's own
-    increment-to-statistic map, from the caller's random source."""
+    """Statistic paths (arms, stages, paths) through the estimator's own
+    increment-to-statistic map, from the caller's random source.  The
+    normals are drawn path by path, as (paths, groups, stages)."""
     xi = rng.standard_normal((paths, design.arms + 1, design.stages))
-    return simulate._z_from_increments(design, effects, xi)
+    return simulate._z_from_increments(design, effects, xi.transpose(1, 2, 0))
 
 
 class _ZeroDraw:
@@ -60,7 +69,7 @@ class TestDrawStatistics:
         # standard error about (1 - rho^2)/sqrt(m)
         m = 100_000
         z = _draw(DESIGN, NULL, np.random.default_rng(11), m)
-        r = np.corrcoef(z[:, 0, 0], z[:, 0, 1])[0, 1]
+        r = np.corrcoef(z[0, 0], z[0, 1])[0, 1]
         rho = math.sqrt(0.5)
         assert abs(r - rho) <= 4.0 * (1.0 - rho ** 2) / math.sqrt(m)
 
@@ -75,11 +84,11 @@ class TestDrawStatistics:
         m = 100_000
         z = _draw(DESIGN, LFC, np.random.default_rng(23), m)
         # group 0, the control, contributes Z_{0,j} = 0
-        groups = np.concatenate([np.zeros_like(z[:, :1]), z], axis=1)
+        groups = np.concatenate([np.zeros_like(z[:1]), z])
 
         def values(c):
-            return (groups[:, c.arm_a, c.stage - 1]
-                    - groups[:, c.arm_b, c.stage - 1])
+            return (groups[c.arm_a, c.stage - 1]
+                    - groups[c.arm_b, c.stage - 1])
 
         va, vb = values(a), values(b)
         rho = corr_between(a, b)
@@ -107,10 +116,10 @@ class TestSimulateTrial:
         assert np.all(stop == 3)
         assert stage_total_patients(DTL, 3) == 1827
         # one arm dropped at each interim, and any winner survived both
-        assert np.array_equal(np.sort(dropped_at, axis=1),
-                              np.tile([0, 1, 2], (300, 1)))
+        assert np.array_equal(np.sort(dropped_at, axis=0),
+                              np.tile([[0], [1], [2]], (1, 300)))
         won = np.flatnonzero(winner)
-        assert np.all(dropped_at[won, winner[won] - 1] == 0)
+        assert np.all(dropped_at[winner[won] - 1, won] == 0)
 
     def test_separated_arm_never_dropped(self):
         # arm 1 forced maximal; rivals can never clear the interim bound, so
@@ -119,13 +128,13 @@ class TestSimulateTrial:
                                 -10.0 * EFF.sigma))
         stop, winner, dropped_at = self._decide(
             DESIGN, effects, np.random.default_rng(7), 300)
-        assert np.all(dropped_at[:, 0] == 0)
+        assert np.all(dropped_at[0] == 0)
         assert np.all(stop == 2)
         assert np.all(winner == 1)
 
     def test_ties_drop_lowest_arm_index(self):
         stop, winner, dropped_at = self._decide(DESIGN, NULL, _ZeroDraw(), 1)
-        assert dropped_at.tolist() == [[1, 2, 0]]
+        assert dropped_at.tolist() == [[1], [2], [0]]
         assert stop.tolist() == [3]
         assert winner.tolist() == [0]
         assert stage_total_patients(DESIGN, 3) == 1854
@@ -134,7 +143,7 @@ class TestSimulateTrial:
         stop, _, dropped_at = self._decide(
             DESIGN, NULL, np.random.default_rng(19), 200)
         n = DESIGN.n_per_stage
-        for s, drops in zip(stop.tolist(), dropped_at.tolist()):
+        for s, drops in zip(stop.tolist(), dropped_at.T.tolist()):
             # one drop at each interim up to the stop, none at the final
             assert sorted(d for d in drops if d) == \
                 list(range(1, min(s, 2) + 1))
@@ -209,7 +218,178 @@ class TestEstimateCharacteristics:
             estimate_characteristics(DESIGN, NULL, 0)
         with pytest.raises(ValueError, match="length"):
             estimate_characteristics(DESIGN, EffectConfig((0.1,)), 10)
+        with pytest.raises(ValueError,
+                           match="reps must be an integer, got 100000.0"):
+            estimate_characteristics(DESIGN, NULL, 100_000.0)
+        with pytest.raises(ValueError,
+                           match="reps must be an integer, got True"):
+            estimate_characteristics(DESIGN, NULL, True)
 
+
+# estimates at seed 0, recorded before the simulator kernel was rewritten
+# for speed; any change to the draws or the decision rules shows here
+_RECORDED_ESTIMATES = {
+    ("k3_global_null", 1): {
+        "power": (0.0, 0.0),
+        "reject": (0.0, 0.0),
+        "focal_crossing": (0.0, 0.0),
+        "ess": (1854.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.0, 0.0),
+        "stop_stage_3": (1.0, 0.0),
+    },
+    ("k3_global_null", 12_345): {
+        "power": (0.017982989064398543, 0.0011960377805553877),
+        "reject": (0.018388011340623733, 0.0012091822440963545),
+        "focal_crossing": (0.0246253543944917, 0.0013948625960437213),
+        "ess": (1845.5897934386392, 0.5243792065309794),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.020413122721749697, 0.0012727135135312381),
+        "stop_stage_3": (0.9795868772782503, 0.0012727135135312373),
+    },
+    ("k3_global_null", 100_000): {
+        "power": (0.01864, 0.0004276979120828158),
+        "reject": (0.01928, 0.0004348365394030267),
+        "focal_crossing": (0.02519, 0.0004955347000967742),
+        "ess": (1846.12462, 0.1792901027607574),
+        "stop_stage_1": (5e-05, 2.2360120751015635e-05),
+        "stop_stage_2": (0.01899, 0.0004316176537168052),
+        "stop_stage_3": (0.98096, 0.0004321744832819257),
+    },
+    ("k3_lfc", 1): {
+        "power": (1.0, 0.0),
+        "reject": (1.0, 0.0),
+        "focal_crossing": (1.0, 0.0),
+        "ess": (1442.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (1.0, 0.0),
+        "stop_stage_3": (0.0, 0.0),
+    },
+    ("k3_lfc", 12_345): {
+        "power": (0.9007695423248279, 0.0026908147309207256),
+        "reject": (0.9036046982584042, 0.002656266386745614),
+        "focal_crossing": (0.9189145402997165, 0.0024567643771798557),
+        "ess": (1596.737788578372, 1.8177643479863141),
+        "stop_stage_1": (0.0015390846496557311, 0.00035281841188010275),
+        "stop_stage_2": (0.6205751316322398, 0.004367315157791355),
+        "stop_stage_3": (0.3778857837181045, 0.004363849785212899),
+    },
+    ("k3_lfc", 100_000): {
+        "power": (0.90144, 0.0009425811710404574),
+        "reject": (0.90387, 0.00093214281684729),
+        "focal_crossing": (0.91959, 0.0008599083201132549),
+        "ess": (1595.63686, 0.6355181669526114),
+        "stop_stage_1": (0.00109, 0.00010434614990501565),
+        "stop_stage_2": (0.62437, 0.0015314440998613042),
+        "stop_stage_3": (0.37454, 0.0015305547634763025),
+    },
+    ("k3_all_relevant", 1): {
+        "power": (1.0, 0.0),
+        "reject": (1.0, 0.0),
+        "focal_crossing": (1.0, 0.0),
+        "ess": (1442.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (1.0, 0.0),
+        "stop_stage_3": (0.0, 0.0),
+    },
+    ("k3_all_relevant", 12_345): {
+        "power": (0.32604293236127985, 0.0042189848327432505),
+        "reject": (0.5226407452409882, 0.004495507830772365),
+        "focal_crossing": (0.9189145402997165, 0.0024567643771798557),
+        "ess": (1485.3025516403402, 1.817302241574818),
+        "stop_stage_1": (0.038963142972863504, 0.00174161223014468),
+        "stop_stage_2": (0.7974888618874038, 0.003616939322831044),
+        "stop_stage_3": (0.16354799513973267, 0.003328875696117692),
+    },
+    ("k3_all_relevant", 100_000): {
+        "power": (0.32524, 0.0014814146698342095),
+        "reject": (0.52167, 0.001579653161614916),
+        "focal_crossing": (0.91959, 0.0008599083201132549),
+        "ess": (1485.44334, 0.6313706100104094),
+        "stop_stage_1": (0.03747, 0.0006005497406543442),
+        "stop_stage_2": (0.80088, 0.0012628191699526896),
+        "stop_stage_3": (0.16165, 0.0011641274736900594),
+    },
+    ("dtl_lfc", 1): {
+        "power": (1.0, 0.0),
+        "reject": (1.0, 0.0),
+        "focal_crossing": (1.0, 0.0),
+        "ess": (1827.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.0, 0.0),
+        "stop_stage_3": (1.0, 0.0),
+    },
+    ("dtl_lfc", 12_345): {
+        "power": (0.8995544754961523, 0.0027054124397393395),
+        "reject": (0.8995544754961523, 0.0027054124397393395),
+        "focal_crossing": (0.9181855002025111, 0.002466804930068729),
+        "ess": (1827.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.0, 0.0),
+        "stop_stage_3": (1.0, 0.0),
+    },
+    ("dtl_lfc", 100_000): {
+        "power": (0.90072, 0.0009456398976354584),
+        "reject": (0.90072, 0.0009456398976354584),
+        "focal_crossing": (0.91956, 0.0008600546866333557),
+        "ess": (1827.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.0, 0.0),
+        "stop_stage_3": (1.0, 0.0),
+    },
+    ("k4_lfc", 1): {
+        "power": (1.0, 0.0),
+        "reject": (1.0, 0.0),
+        "focal_crossing": (1.0, 0.0),
+        "ess": (1404.0, 0.0),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (1.0, 0.0),
+        "stop_stage_3": (0.0, 0.0),
+        "stop_stage_4": (0.0, 0.0),
+    },
+    ("k4_lfc", 12_345): {
+        "power": (0.903280680437424, 0.0026602498654777268),
+        "reject": (0.9083029566626164, 0.0025974517153497887),
+        "focal_crossing": (0.9261239368165249, 0.0023541865790386238),
+        "ess": (1946.8976913730255, 1.3908604165549938),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.016767922235722963, 0.0011556387554683856),
+        "stop_stage_3": (0.718023491292021, 0.004049768928147915),
+        "stop_stage_4": (0.265208586472256, 0.003973107168169076),
+    },
+    ("k4_lfc", 100_000): {
+        "power": (0.90077, 0.0009454279829791375),
+        "reject": (0.90508, 0.0009268775194166703),
+        "focal_crossing": (0.92196, 0.0008482320342925041),
+        "ess": (1948.65528, 0.4856125866130966),
+        "stop_stage_1": (0.0, 0.0),
+        "stop_stage_2": (0.01518, 0.00038664670695610486),
+        "stop_stage_3": (0.71636, 0.0014254415119534017),
+        "stop_stage_4": (0.26846, 0.0014013894119765569),
+    },
+}
+
+
+
+def _recorded_case(name):
+    if name.startswith("k3_"):
+        design, _, _, effects = _load_designed(str(K3_RECORD))
+        return design, effects[name[3:]]
+    if name == "dtl_lfc":
+        return DTL, LFC
+    return K4, EffectConfig.least_favorable(4, EFF.theta_prime,
+                                            EFF.theta_zero)
+
+
+@pytest.mark.parametrize("name, reps, chunk", [
+    *((name, reps, simulate._CHUNK) for name, reps in _RECORDED_ESTIMATES),
+    ("k4_lfc", 12_345, 977),
+])
+def test_estimates_reproduce_recorded_bits(name, reps, chunk, monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    design, effects = _recorded_case(name)
+    res = estimate_characteristics(design, effects, reps, seed=0)
+    assert res.estimates == _RECORDED_ESTIMATES[name, reps]
 
 def _random_design(design_seed):
     """A moderate random three-arm design; odd seeds get an infinite first
