@@ -258,24 +258,6 @@ def _endpoint_record(endpoint) -> dict:
             "sigma_sq": endpoint.sigma_sq}
 
 
-def _endpoint_from_record(rec: dict):
-    if rec["type"] == "binary":
-        return BinaryEndpointSpec(rec["p_control"], rec["rd_relevant"],
-                                  rec["rd_uninteresting"])
-    if rec["type"] == "normal":
-        return NormalEffectSpec(rec["theta_prime"], rec["theta_zero"],
-                                rec["sigma_sq"])
-    raise ValueError(
-        f"endpoint.type must be binary or normal, got {rec['type']!r}")
-
-
-def _design_record(design: TrialDesign) -> dict:
-    return {"arms": design.arms, "stages": design.stages,
-            "n_per_stage": design.n_per_stage,
-            "boundaries": [_num_out(u) for u in design.boundaries],
-            "alpha": design.alpha, "sigma": design.sigma}
-
-
 def _typed(value, kind, field: str):
     """value, unless it is not a kind (a bool is not a number): then a
     ValueError naming its record field."""
@@ -285,9 +267,31 @@ def _typed(value, kind, field: str):
     return value
 
 
+def _endpoint_from_record(rec: dict):
+    if rec["type"] == "binary":
+        spec, keys = BinaryEndpointSpec, ("p_control", "rd_relevant",
+                                          "rd_uninteresting")
+    elif rec["type"] == "normal":
+        spec, keys = NormalEffectSpec, ("theta_prime", "theta_zero",
+                                        "sigma_sq")
+    else:
+        raise ValueError(
+            f"endpoint.type must be binary or normal, got {rec['type']!r}")
+    return spec(*(_typed(rec[key], (int, float), f"endpoint.{key}")
+                  for key in keys))
+
+
+def _design_record(design: TrialDesign) -> dict:
+    return {"arms": design.arms, "stages": design.stages,
+            "n_per_stage": design.n_per_stage,
+            "boundaries": [_num_out(u) for u in design.boundaries],
+            "alpha": design.alpha, "sigma": design.sigma}
+
+
 def _design_from_record(rec: dict) -> TrialDesign:
     for key in ("alpha", "sigma"):
         _typed(rec[key], (int, float), f"design.{key}")
+    _typed(rec["boundaries"], list, "design.boundaries")
     return TrialDesign(rec["arms"], rec["stages"], rec["n_per_stage"],
                        tuple(float(u) for u in rec["boundaries"]),
                        rec["alpha"], rec["sigma"])

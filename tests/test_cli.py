@@ -345,8 +345,14 @@ class TestErrorHandling:
          "design record field 'effects.lfc' has the wrong type: 0.5"),
         (lambda r: r.update(endpoint="binary"),
          "design record field 'endpoint' has the wrong type: 'binary'"),
+        (lambda r: r["endpoint"].update(p_control="0.12"),
+         "design record field 'endpoint.p_control' has the wrong type: "
+         "'0.12'"),
+        (lambda r: r["design"].update(boundaries=3.4),
+         "design record field 'design.boundaries' has the wrong type: 3.4"),
     ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects",
-            "string_alpha", "number_effects", "string_endpoint"])
+            "string_alpha", "number_effects", "string_endpoint",
+            "string_p_control", "number_boundaries"])
     def test_malformed_record_is_refused_by_name(self, tmp_path, capsys,
                                                  edit, message):
         record = json.loads(K3_RECORD.read_text(encoding="utf-8"))

@@ -226,8 +226,8 @@ class TestEstimateCharacteristics:
             estimate_characteristics(DESIGN, NULL, True)
 
 
-# estimates at seed 0, recorded before the simulator kernel was rewritten
-# for speed; any change to the draws or the decision rules shows here
+# exact estimates at seed 0, recorded from the earlier (paths, arms, stages)
+# kernel; any change to the draws or the decision rules shows here
 _RECORDED_ESTIMATES = {
     ("k3_global_null", 1): {
         "power": (0.0, 0.0),
@@ -390,6 +390,7 @@ def test_estimates_reproduce_recorded_bits(name, reps, chunk, monkeypatch):
     design, effects = _recorded_case(name)
     res = estimate_characteristics(design, effects, reps, seed=0)
     assert res.estimates == _RECORDED_ESTIMATES[name, reps]
+
 
 def _random_design(design_seed):
     """A moderate random three-arm design; odd seeds get an infinite first
