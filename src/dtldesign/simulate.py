@@ -148,9 +148,9 @@ def _increment_chunks(seed: int, reps: int, arms: int, stages: int):
     of at most _CHUNK replicates, written into buffers reused across
     batches.
 
-    One Philox stream is read in order, B counter blocks per replicate, so
-    replicate r reads blocks [r*B, (r+1)*B) and the values depend only on
-    (seed, replicate index).
+    One Philox stream is read in order, B = ceil(words / 4) counter blocks
+    per replicate, so replicate r reads blocks [r*B, (r+1)*B) and the values
+    depend only on (seed, replicate index).
     """
     words = (arms + 1) * stages
     width = 4 * -(-words // 4)
