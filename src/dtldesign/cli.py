@@ -259,8 +259,8 @@ def _endpoint_record(endpoint) -> dict:
 
 
 def _typed(value, kind, field: str):
-    """value, unless it is not a kind (a bool is not a number): then a
-    ValueError naming its record field."""
+    """value if it is a kind (a bool never counts as a number); otherwise a
+    ValueError naming the record field."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(
             f"design record field {field!r} has the wrong type: {value!r}")
