@@ -29,14 +29,27 @@ from dtldesign.simulate import estimate_characteristics
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config",
                         default=str(ROOT / "configs" / "poptarts.cfg"),
                         help="trial config file (default: bundled example)")
-    parser.add_argument("--points", type=int, default=5,
-                        help="lattice points per axis (default 5)")
-    parser.add_argument("--reps", type=int, default=100_000,
+    # two points are the least that reach both ends of the focal axis,
+    # -theta' and the null edge 0
+    parser.add_argument("--points", type=_at_least(2), default=5,
+                        help="lattice points per axis (default 5, at least 2)")
+    parser.add_argument("--reps", type=_at_least(1), default=100_000,
                         help="simulation replicates per point")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--show", type=int, default=10,

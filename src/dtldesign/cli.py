@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .calibrate import BoundaryShape, CalibrationConfig, design_trial
 from .characteristics import (
@@ -50,10 +50,13 @@ __all__ = [
 ]
 
 _SECTIONS = ("design", "endpoint", "calibration", "effects")
+# endpoint.type -> spec; the spec's fields are the endpoint keys of both the
+# config file and the design record
+_ENDPOINTS = {"binary": BinaryEndpointSpec, "normal": NormalEffectSpec}
 _KNOWN_KEYS = {
     "design": ("arms", "shape", "boundaries", "n"),
-    "endpoint": ("type", "p_control", "rd_relevant", "rd_uninteresting",
-                 "theta_prime", "theta_zero", "sigma_sq"),
+    "endpoint": ("type", *(f.name for spec in _ENDPOINTS.values()
+                           for f in fields(spec))),
     "calibration": ("alpha", "power", "omega"),
 }
 _REQUIRED = ("design.arms", "endpoint.type", "calibration.alpha",
@@ -180,20 +183,12 @@ def parse_config(text: str) -> ParsedConfig:
         shape = BoundaryShape(_SHAPES[shape_name])
 
     kind = _take(entries, "endpoint", "type", str, required=True)
-    if kind == "binary":
-        endpoint = BinaryEndpointSpec(
-            _take(entries, "endpoint", "p_control", float, required=True),
-            _take(entries, "endpoint", "rd_relevant", float, required=True),
-            _take(entries, "endpoint", "rd_uninteresting", float,
-                  required=True))
-        normal = binary_to_normal(endpoint)
-    elif kind == "normal":
-        endpoint = normal = NormalEffectSpec(
-            _take(entries, "endpoint", "theta_prime", float, required=True),
-            _take(entries, "endpoint", "theta_zero", float, required=True),
-            _take(entries, "endpoint", "sigma_sq", float, required=True))
-    else:
+    if kind not in _ENDPOINTS:
         raise ParseError("endpoint.type must be binary or normal")
+    endpoint = _ENDPOINTS[kind](*(
+        _take(entries, "endpoint", f.name, float, required=True)
+        for f in fields(_ENDPOINTS[kind])))
+    normal = _normal(endpoint)
 
     calibration = CalibrationConfig(
         alpha=_take(entries, "calibration", "alpha", float, required=True),
@@ -248,14 +243,17 @@ def _num_out(x: float):
     return "inf" if x == math.inf else x
 
 
-def _endpoint_record(endpoint) -> dict:
+def _normal(endpoint) -> NormalEffectSpec:
+    """The working normal scale of either endpoint."""
     if isinstance(endpoint, BinaryEndpointSpec):
-        return {"type": "binary", "p_control": endpoint.p_control,
-                "rd_relevant": endpoint.rd_relevant,
-                "rd_uninteresting": endpoint.rd_uninteresting}
-    return {"type": "normal", "theta_prime": endpoint.theta_prime,
-            "theta_zero": endpoint.theta_zero,
-            "sigma_sq": endpoint.sigma_sq}
+        return binary_to_normal(endpoint)
+    return endpoint
+
+
+def _endpoint_record(endpoint) -> dict:
+    kind = next(k for k, spec in _ENDPOINTS.items()
+                if isinstance(endpoint, spec))
+    return {"type": kind, **asdict(endpoint)}
 
 
 def _typed(value, kind, field: str):
@@ -268,17 +266,13 @@ def _typed(value, kind, field: str):
 
 
 def _endpoint_from_record(rec: dict):
-    if rec["type"] == "binary":
-        spec, keys = BinaryEndpointSpec, ("p_control", "rd_relevant",
-                                          "rd_uninteresting")
-    elif rec["type"] == "normal":
-        spec, keys = NormalEffectSpec, ("theta_prime", "theta_zero",
-                                        "sigma_sq")
-    else:
+    kind = rec["type"]
+    spec = _ENDPOINTS.get(kind) if isinstance(kind, str) else None
+    if spec is None:
         raise ValueError(
-            f"endpoint.type must be binary or normal, got {rec['type']!r}")
-    return spec(*(_typed(rec[key], (int, float), f"endpoint.{key}")
-                  for key in keys))
+            f"endpoint.type must be binary or normal, got {kind!r}")
+    return spec(*(_typed(rec[f.name], (int, float), f"endpoint.{f.name}")
+                  for f in fields(spec)))
 
 
 def _design_record(design: TrialDesign) -> dict:
@@ -291,9 +285,11 @@ def _design_record(design: TrialDesign) -> dict:
 def _design_from_record(rec: dict) -> TrialDesign:
     for key in ("alpha", "sigma"):
         _typed(rec[key], (int, float), f"design.{key}")
-    _typed(rec["boundaries"], list, "design.boundaries")
+    bounds = _typed(rec["boundaries"], list, "design.boundaries")
     return TrialDesign(rec["arms"], rec["stages"], rec["n_per_stage"],
-                       tuple(float(u) for u in rec["boundaries"]),
+                       tuple(math.inf if u == "inf" else
+                             _typed(u, (int, float), "design.boundaries")
+                             for u in bounds),
                        rec["alpha"], rec["sigma"])
 
 
@@ -307,14 +303,14 @@ def _load_designed(path: str):
         try:
             endpoint = _endpoint_from_record(
                 _typed(rec["endpoint"], dict, "endpoint"))
-            normal = (binary_to_normal(endpoint)
-                      if isinstance(endpoint, BinaryEndpointSpec)
-                      else endpoint)
+            normal = _normal(endpoint)
             design = _design_from_record(_typed(rec["design"], dict, "design"))
             effects = {}
             for name, v in _typed(rec["effects"], dict, "effects").items():
-                effects[name] = EffectConfig(
-                    tuple(_typed(v, list, f"effects.{name}")))
+                field = f"effects.{name}"
+                effects[name] = EffectConfig(tuple(
+                    _typed(x, (int, float), field)
+                    for x in _typed(v, list, field)))
         except KeyError as exc:
             raise ValueError(
                 f"design record lacks the key {exc.args[0]!r}") from None

@@ -82,65 +82,55 @@ def _z_from_increments(design: TrialDesign, effects: EffectConfig,
     return z
 
 
-def _first_extreme(zj: np.ndarray, dead: np.ndarray, keeps) -> list:
+def _first_loser(zj: np.ndarray, dead: np.ndarray) -> list:
     """Per arm, the mask of paths on which it holds the lowest value among
-    the alive arms (keeps = np.less_equal) or the highest (np.greater_equal),
-    exact ties to the lowest index; zj and dead are (arms, paths)."""
+    the alive arms, exact ties to the lowest index; zj and dead are (arms,
+    paths)."""
     marks = [~dead[a] for a in range(zj.shape[0])]
     for a, b in itertools.combinations(range(zj.shape[0]), 2):
-        keeps_a = keeps(zj[a], zj[b])
-        marks[a] &= keeps_a | dead[b]
-        marks[b] &= ~keeps_a | dead[a]
+        lower = zj[a] <= zj[b]
+        marks[a] &= lower | dead[b]
+        marks[b] &= ~lower | dead[a]
     return marks
 
 
 def _decide_paths(design: TrialDesign, z: np.ndarray):
     """Run the drop and stopping rules on every path at once.
 
-    z is (arms, stages, paths).  Returns (stop, winner, dropped_at): ending
-    stage per path, selected arm per path (0 when no arm is recommended as
-    best), and the stage at which each arm was dropped, (arms, paths) with 0
-    for never.  Exact ties go to the lowest arm index.  The decisions do not
-    depend on the layout.
+    z is (arms, stages, paths).  Returns (stop, won, rejected): the ending
+    stage per path, and arm 1's two outcomes as boolean masks.  won: the
+    trial stops with every survivor clearing the boundary and arm 1 the
+    highest of them.  rejected: arm 1 clears the boundary at the ending
+    stage, having survived to it or been the arm dropped there.  Exact ties
+    go to the lowest arm index, in the drop and in the selection alike, so
+    arm 1 wins a tie for best and is dropped on a tie for worst.  The
+    decisions do not depend on the layout.
     """
     arms, stages, m = z.shape
     dead = np.zeros((arms, m), dtype=bool)
     running = np.ones(m, dtype=bool)
     stop = np.zeros(m, dtype=np.int64)
-    winner = np.zeros(m, dtype=np.int64)
-    dropped_at = np.zeros((arms, m), dtype=np.int64)
+    won = np.zeros(m, dtype=bool)
+    rejected = np.zeros(m, dtype=bool)
     for j, u in enumerate(design.boundaries, start=1):
         zj = z[:, j - 1]
+        alive = ~dead[0]
         if j < stages:
-            for a, loser in enumerate(_first_extreme(zj, dead, np.less_equal)):
-                loser &= running
-                dead[a] |= loser
-                dropped_at[a] += j * loser
+            for a, loser in enumerate(_first_loser(zj, dead)):
+                dead[a] |= loser & running
         # every survivor clears u; at the final stage one arm survives
         crossing = running.copy()
         for a in range(arms):
             crossing &= (zj[a] > u) | dead[a]
-        for a, best in enumerate(_first_extreme(zj, dead, np.greater_equal)):
-            winner += (a + 1) * (best & crossing)
+        best = ~dead[0]
+        for a in range(1, arms):
+            best &= (zj[0] >= zj[a]) | dead[a]
+        won |= best & crossing
         ending = crossing if j < stages else running
+        rejected |= ending & alive & (zj[0] > u)
         stop += j * ending
         running &= ~ending
-    return stop, winner, dropped_at
-
-
-def _focal_rejected(design: TrialDesign, z: np.ndarray, stop: np.ndarray,
-                    dropped_at: np.ndarray) -> np.ndarray:
-    """Per-path indicator that arm 1's null was rejected; z is (arms,
-    stages, paths) and dropped_at (arms, paths).
-
-    Arm 1 rejects when its statistic clears the boundary at the ending stage
-    and it either survives to that stage or is the arm dropped there.  (At
-    an early stop a survivor has cleared by the stop rule itself.)
-    """
-    crossed = np.zeros(z.shape[2], dtype=bool)
-    for j, u in enumerate(design.boundaries, start=1):
-        crossed |= (stop == j) & (z[0, j - 1] > u)
-    return crossed & ((dropped_at[0] == 0) | (dropped_at[0] == stop))
+    return stop, won, rejected
 
 
 def _increment_chunks(seed: int, reps: int, arms: int, stages: int):
@@ -188,24 +178,22 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
         raise ValueError("effects length must match the number of arms")
     stages = design.stages
     u_arr = np.asarray(design.boundaries)
-    patients = np.array([stage_total_patients(design, j)
-                         for j in range(1, stages + 1)], dtype=np.int64)
     wins = rejects = crossings = 0
     stop_counts = np.zeros(stages, dtype=np.int64)
-    patient_sum = 0
-    patient_sq = 0
     for xi in _increment_chunks(seed, reps, design.arms, stages):
         z = _z_from_increments(design, effects, xi)
-        stop, winner, dropped_at = _decide_paths(design, z)
-        wins += int(np.count_nonzero(winner == 1))
-        rejects += int(np.count_nonzero(
-            _focal_rejected(design, z, stop, dropped_at)))
+        stop, won, rejected = _decide_paths(design, z)
+        wins += int(np.count_nonzero(won))
+        rejects += int(np.count_nonzero(rejected))
         crossings += int(np.count_nonzero(
             np.any(z[0] > u_arr[:, None], axis=0)))
         stop_counts += np.bincount(stop - 1, minlength=stages)
-        tot = patients[stop - 1]
-        patient_sum += int(tot.sum())
-        patient_sq += int((tot * tot).sum())
+    # every path ending at stage j recruits that stage's total
+    patients = [int(stage_total_patients(design, j))
+                for j in range(1, stages + 1)]
+    counts = stop_counts.tolist()
+    patient_sum = sum(c * t for c, t in zip(counts, patients))
+    patient_sq = sum(c * t * t for c, t in zip(counts, patients))
 
     def binomial(count: int) -> tuple[float, float]:
         p = count / reps

@@ -350,9 +350,23 @@ class TestErrorHandling:
          "'0.12'"),
         (lambda r: r["design"].update(boundaries=3.4),
          "design record field 'design.boundaries' has the wrong type: 3.4"),
+        (lambda r: r["effects"]["lfc"].__setitem__(0, "0.5942591794077365"),
+         "design record field 'effects.lfc' has the wrong type: "
+         "'0.5942591794077365'"),
+        (lambda r: r["effects"].update(lfc=[True, 0, 0]),
+         "design record field 'effects.lfc' has the wrong type: True"),
+        (lambda r: r["design"]["boundaries"].__setitem__(0, True),
+         "design record field 'design.boundaries' has the wrong type: True"),
+        (lambda r: r["design"]["boundaries"].__setitem__(1, "foo"),
+         "design record field 'design.boundaries' has the wrong type: "
+         "'foo'"),
+        (lambda r: r["endpoint"].update(type=["binary"]),
+         "endpoint.type must be binary or normal, got ['binary']"),
     ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects",
             "string_alpha", "number_effects", "string_endpoint",
-            "string_p_control", "number_boundaries"])
+            "string_p_control", "number_boundaries", "string_effect_entry",
+            "bool_effect_entry", "bool_boundary", "string_boundary",
+            "list_endpoint_type"])
     def test_malformed_record_is_refused_by_name(self, tmp_path, capsys,
                                                  edit, message):
         record = json.loads(K3_RECORD.read_text(encoding="utf-8"))

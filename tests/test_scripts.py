@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -21,6 +23,17 @@ def test_type1_sweep_designs_and_passes(capsys):
     assert "design: n=206/arm/stage" in out
     assert "8 lattice points, 2000 replicates each" in out
     assert "all points within alpha + 4 SE" in out
+
+
+@pytest.mark.parametrize("argv", [["--points", "0"], ["--points", "1"],
+                                  ["--reps", "0"], ["--reps", "-5"]])
+def test_type1_sweep_refuses_a_vacuous_lattice(argv, capsys):
+    # refused by argparse before any design or simulation runs
+    sweep = _load("type1_sweep")
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_reproduce_comparison_writes_the_multi_arm_row(tmp_path, capsys):

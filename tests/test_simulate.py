@@ -20,6 +20,7 @@ from dtldesign.covariance import (
 )
 from dtldesign.endpoint import BinaryEndpointSpec, binary_to_normal
 from dtldesign.events import (
+    _reject_paths,
     _stage_rects,
     _stop_paths,
     _win_paths,
@@ -111,48 +112,55 @@ class TestSimulateTrial:
         return simulate._decide_paths(design, z)
 
     def test_infinite_interims_always_reach_final_stage(self):
-        stop, winner, dropped_at = self._decide(
+        stop, won, rejected = self._decide(
             DTL, LFC, np.random.default_rng(3), 300)
         assert np.all(stop == 3)
         assert stage_total_patients(DTL, 3) == 1827
-        # one arm dropped at each interim, and any winner survived both
-        assert np.array_equal(np.sort(dropped_at, axis=0),
-                              np.tile([[0], [1], [2]], (1, 300)))
-        won = np.flatnonzero(winner)
-        assert np.all(dropped_at[winner[won] - 1, won] == 0)
+        # no drop at the final stage, so arm 1 rejects exactly when it
+        # survives both interims and clears: the same paths it wins on
+        assert np.array_equal(won, rejected)
+        assert 0 < np.count_nonzero(won) < 300
+
+    def test_won_implies_rejected(self):
+        stop, won, rejected = self._decide(
+            DESIGN, LFC, np.random.default_rng(29), 2000)
+        assert not np.any(won & ~rejected)
+        # arm 1 dropped at the ending stage rejects without winning
+        assert np.any(rejected & ~won)
+        assert set(stop.tolist()) <= {1, 2, 3}
 
     def test_separated_arm_never_dropped(self):
         # arm 1 forced maximal; rivals can never clear the interim bound, so
         # every trial drops them in turn and stops at stage 2 with arm 1
         effects = EffectConfig((10.0 * EFF.sigma, -10.0 * EFF.sigma,
                                 -10.0 * EFF.sigma))
-        stop, winner, dropped_at = self._decide(
+        stop, won, rejected = self._decide(
             DESIGN, effects, np.random.default_rng(7), 300)
-        assert np.all(dropped_at[0] == 0)
         assert np.all(stop == 2)
-        assert np.all(winner == 1)
+        assert np.all(won)
+        assert np.all(rejected)
 
     def test_ties_drop_lowest_arm_index(self):
-        stop, winner, dropped_at = self._decide(DESIGN, NULL, _ZeroDraw(), 1)
-        assert dropped_at.tolist() == [[1], [2], [0]]
+        # all statistics tie at 0 and only the final boundary can be
+        # cleared: arm 1 is dropped first, so it neither wins nor rejects;
+        # were ties dropped from the highest index, it would do both
+        design = TrialDesign(3, 3, DESIGN.n_per_stage,
+                             (math.inf, math.inf, -1.0), 0.025, EFF.sigma)
+        stop, won, rejected = self._decide(design, NULL, _ZeroDraw(), 1)
         assert stop.tolist() == [3]
-        assert winner.tolist() == [0]
-        assert stage_total_patients(DESIGN, 3) == 1854
+        assert won.tolist() == [False]
+        assert rejected.tolist() == [False]
 
-    def test_patient_accounting_matches_schedule(self):
-        stop, _, dropped_at = self._decide(
-            DESIGN, NULL, np.random.default_rng(19), 200)
-        n = DESIGN.n_per_stage
-        for s, drops in zip(stop.tolist(), dropped_at.T.tolist()):
-            # one drop at each interim up to the stop, none at the final
-            assert sorted(d for d in drops if d) == \
-                list(range(1, min(s, 2) + 1))
-            # a dropped arm holds its stage's patients, every survivor
-            # and the control hold s stages'
-            survivors = drops.count(0)
-            assert sum(d * n for d in drops) + (survivors + 1) * s * n == \
-                stage_total_patients(DESIGN, s)
-        assert 3 in stop
+    def test_ties_select_lowest_arm_index(self):
+        # arms 1 and 2 tie above arm 3, which is dropped; both survivors
+        # clear, and the tie for best goes to arm 1
+        design = TrialDesign(3, 3, DESIGN.n_per_stage, (-1.0, -1.0, -1.0),
+                             0.025, EFF.sigma)
+        effects = EffectConfig((EFF.sigma, EFF.sigma, 0.0))
+        stop, won, rejected = self._decide(design, effects, _ZeroDraw(), 1)
+        assert stop.tolist() == [1]
+        assert won.tolist() == [True]
+        assert rejected.tolist() == [True]
 
     def test_outcomes_reproducible(self):
         runs = [self._decide(DESIGN, LFC, np.random.default_rng(101), 50)
@@ -494,7 +502,7 @@ class TestEventMembership:
     def test_win_rectangles_match_selection(self, design, effects):
         m = 100_000
         z = _draw(design, effects, np.random.default_rng(41), m)
-        stop, winner, _ = simulate._decide_paths(design, z)
+        stop, won, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
         for j, terms in enumerate(_stage_rects(design, _win_paths),
                                   start=1):
@@ -502,6 +510,26 @@ class TestEventMembership:
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
             counts += members
-            assert np.array_equal(members, (winner == 1) & (stop == j))
+            assert np.array_equal(members, won & (stop == j))
         assert np.all(counts <= 1)
-        assert np.array_equal(counts == 1, winner == 1)
+        assert np.array_equal(counts == 1, won)
+
+    @pytest.mark.parametrize("design, effects", [
+        (DESIGN, NULL),
+        (DESIGN, LFC),
+        (DTL, LFC),
+    ])
+    def test_reject_rectangles_match_rejection(self, design, effects):
+        m = 100_000
+        z = _draw(design, effects, np.random.default_rng(43), m)
+        stop, _, rejected = simulate._decide_paths(design, z)
+        counts = np.zeros(m, dtype=np.int64)
+        for j, terms in enumerate(_stage_rects(design, _reject_paths),
+                                  start=1):
+            members = np.zeros(m, dtype=np.int64)
+            for sign, rect in terms:
+                members += sign * rect_satisfied(z, rect)
+            counts += members
+            assert np.array_equal(members, rejected & (stop == j))
+        assert np.all(counts <= 1)
+        assert np.array_equal(counts == 1, rejected)
