@@ -50,6 +50,10 @@ __all__ = [
 
 _SHAPE_KINDS = ("obrien_fleming", "pocock", "custom")
 _MAX_BISECTIONS = 200  # scale bisections before calibrate_boundaries gives up
+# the boundary scale bisection searches c in this bracket, and the sample
+# size searches n in 1.._MAX_N
+_SCALE_BRACKET = (0.5, 10.0)
+_MAX_N = 100_000
 # Gauss-Legendre nodes per stage of the no-crossing recursion: 128 nodes
 # move its value by under 1e-13 at up to eight stages
 _QUADRATURE_NODES = 64
@@ -65,7 +69,7 @@ BRACKET_RETRY_FACTOR = 5
 
 
 class BracketError(ValueError):
-    """The scale bracket does not straddle the PWER target."""
+    """No boundary scale in the search bracket reaches the PWER target."""
 
 
 class SearchLimitError(RuntimeError):
@@ -78,22 +82,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Targets and search limits for both calibration passes.
+    """Targets for both calibration passes.
 
     Attributes:
         alpha: pairwise type I error target.
         power_target: required power under the least favourable
             configuration (1 - beta).
         omega: width of the accepted PWER window [alpha - omega, alpha].
-        bracket: (c_lo, c_hi) bracket for the boundary scale bisection.
-        max_n: cap on the per-stage sample size search.
     """
 
     alpha: float
     power_target: float
     omega: float = 1e-5
-    bracket: tuple[float, float] = (0.5, 10.0)
-    max_n: int = 100_000
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -102,12 +102,6 @@ class CalibrationConfig:
             raise ValueError("power_target must be in (0, 1)")
         if not 0.0 < self.omega < self.alpha:
             raise ValueError("need 0 < omega < alpha")
-        c_lo, c_hi = self.bracket
-        if not 0.0 < c_lo < c_hi < math.inf:
-            raise ValueError(
-                f"bracket {self.bracket} must satisfy 0 < c_lo < c_hi < inf")
-        if self.max_n < 1:
-            raise ValueError("max_n must be positive")
 
 
 @dataclass(frozen=True)
@@ -211,8 +205,8 @@ def calibrate_boundaries(design_template: TrialDesign,
     """Bisect the boundary scale until PWER falls in [alpha - omega, alpha].
 
     PWER is continuous and strictly decreasing in the scale, so plain
-    bisection converges; the bracket endpoints are checked to straddle the
-    window first.  PWER comes from _no_crossing, deterministic and
+    bisection converges; the ends of _SCALE_BRACKET are checked to straddle
+    the window first.  PWER comes from _no_crossing, deterministic and
     converged far below the window width.  Returns the template with the
     calibrated boundaries and cfg.alpha installed.
     """
@@ -227,21 +221,23 @@ def calibrate_boundaries(design_template: TrialDesign,
     def done(design: TrialDesign) -> TrialDesign:
         return dataclasses.replace(design, alpha=cfg.alpha)
 
-    c_lo, c_hi = cfg.bracket
+    c_lo, c_hi = _SCALE_BRACKET
     d_lo, p_lo = at(c_lo)      # largest PWER: boundaries lowest here
     if window_lo <= p_lo <= window_hi:
         return done(d_lo)
     if p_lo < window_lo:
         raise BracketError(
-            f"PWER at c_lo={c_lo} is {p_lo:.6f}, below the window "
-            f"[{window_lo:.6f}, {window_hi:.6f}]; lower c_lo")
+            f"PWER at the lowest boundary scale {c_lo} is {p_lo:.6g}, below "
+            f"the window [{window_lo:.6g}, {window_hi:.6g}]: alpha is out of "
+            "the search's reach")
     d_hi, p_hi = at(c_hi)
     if window_lo <= p_hi <= window_hi:
         return done(d_hi)
     if p_hi > window_hi:
         raise BracketError(
-            f"PWER at c_hi={c_hi} is {p_hi:.6f}, above the window "
-            f"[{window_lo:.6f}, {window_hi:.6f}]; raise c_hi")
+            f"PWER at the highest boundary scale {c_hi} is {p_hi:.6g}, above "
+            f"the window [{window_lo:.6g}, {window_hi:.6g}]: alpha is out of "
+            "the search's reach")
 
     for _ in range(_MAX_BISECTIONS):
         c_mid = 0.5 * (c_lo + c_hi)
@@ -355,7 +351,7 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
         return visited[n][0]
 
     n = _smallest_passing_n(
-        power_at, cfg.power_target, cfg.max_n,
+        power_at, cfg.power_target, _MAX_N,
         *_one_look_model(cfg.alpha, cfg.power_target, theta_prime,
                          design.sigma, design.stages))
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .calibrate import (_QUADRATURE_NODES, _TAIL_SDS, ConvergenceError,
-                        _converged, _gauss_legendre, _no_crossing,
-                        _one_look_model, _smallest_passing_n)
+from .calibrate import (_MAX_N, _QUADRATURE_NODES, _TAIL_SDS,
+                        ConvergenceError, _converged, _gauss_legendre,
+                        _no_crossing, _one_look_model, _smallest_passing_n)
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
@@ -228,8 +228,8 @@ def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
 
 
 def comparator_multiarm(arms: int, alpha: float, power_target: float,
-                        theta_prime: float, theta_zero: float, sigma: float,
-                        *, max_n: int = 100_000) -> tuple[int, int]:
+                        theta_prime: float, theta_zero: float, sigma: float
+                        ) -> tuple[int, int]:
     """Single-look K-arm design: (n per arm, maximum total patients).
 
     Pairwise error control needs only the marginal critical value; the
@@ -245,7 +245,7 @@ def comparator_multiarm(arms: int, alpha: float, power_target: float,
     n = _smallest_passing_n(
         lambda n: multiarm_lfc_power(arms, n, alpha, theta_prime,
                                      theta_zero, sigma),
-        power_target, max_n,
+        power_target, _MAX_N,
         *_one_look_model(alpha, power_target, theta_prime, sigma))
     return n, (arms + 1) * n
 

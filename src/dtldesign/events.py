@@ -96,46 +96,31 @@ def _survivors(design: TrialDesign, order) -> tuple[int, ...]:
     return tuple(a for a in range(1, design.arms + 1) if a not in order)
 
 
-def _drop_constraints(design: TrialDesign, order):
-    """Argmin constraints: stage i drops arm order[i - 1], the lowest."""
-    cons = []
-    in_trial = set(range(1, design.arms + 1))
-    for i, m in enumerate(order, start=1):
-        for a in sorted(in_trial - {m}):
-            cons.append((StatCoord(a, m, i), 0.0, math.inf))
-        in_trial.remove(m)
-    return cons
-
-
-def _no_stop_options(design: TrialDesign, order, upto: int):
-    """Per-stage signed options for 'did not stop at stages 1..upto'.
-
-    After the stage-i drop the trial stops only if every survivor clears
-    u_i, so not stopping is the whole space (+1) minus all-above (-1).
-    """
-    options = []
-    in_trial = set(range(1, design.arms + 1))
-    for i in range(1, upto + 1):
-        in_trial.remove(order[i - 1])
-        options.append([(1, ()), (-1, tuple(_crosses(design, a, i)
-                                            for a in sorted(in_trial)))])
-    return options
-
-
 def _path_rects(design: TrialDesign, order, end_stage: int, extras):
-    """(sign, rect) descriptions for: drops follow `order`, no earlier stop,
-    the trial ends at end_stage (all after-drop survivors cross, vacuous at
-    the final stage), plus event-specific extra constraints."""
-    base = _drop_constraints(design, order)
-    stop_cons = []
-    if end_stage < design.stages:
-        stop_cons = [_crosses(design, a, end_stage)
-                     for a in _survivors(design, order)]
-    combos = itertools.product(*_no_stop_options(design, order, end_stage - 1))
+    """(sign, rect) descriptions of one path: drops follow `order`, no
+    earlier stop, the trial ends at end_stage, plus event-specific extras.
+
+    One walk over the order: stage i drops arm order[i - 1] from `alive`,
+    the lowest of them (argmin contrasts), and lists "every survivor
+    clears u_i".  The ending stage takes that list as its stop constraint
+    (the final stage has none); each earlier stage takes the per-interim
+    option "did not stop" = unconstrained (+1) minus all cross (-1).  Each
+    combination of options is one rectangle, signed by the product.
+    """
+    alive = list(range(1, design.arms + 1))
+    base, options, stop_cons = [], [], []
+    for i, m in enumerate(order, start=1):
+        alive.remove(m)
+        base += [(StatCoord(a, m, i), 0.0, math.inf) for a in alive]
+        crossings = [_crosses(design, a, i) for a in alive]
+        if i < end_stage:
+            options.append([(1, []), (-1, crossings)])
+        else:
+            stop_cons = crossings
     rects = ((math.prod(sign for sign, _ in combo),
               _rect([*base, *itertools.chain(*(c for _, c in combo)),
                      *stop_cons, *extras]))
-             for combo in combos)
+             for combo in itertools.product(*options))
     return [(sign, rect) for sign, rect in rects if rect is not None]
 
 
@@ -192,8 +177,8 @@ def _collapse(design: TrialDesign, effects: EffectConfig, paths, gamma):
     over the symmetry group, so two rectangles share a key exactly when one
     is an effect-preserving relabeling of the other.  No weight cancels to
     zero: a sign is -1 to the number of stages before the ending one that
-    carry arms' own statistics (only all-above options put them there), and
-    relabeling keeps stages.
+    carry arms' own statistics (only the -1 term of _path_rects' per-interim
+    option puts them there), and relabeling keeps stages.
     """
     table: dict = {}
     for sign, items in paths:

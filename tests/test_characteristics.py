@@ -345,9 +345,9 @@ class TestComparators:
         assert abs(got - want) <= 1e-12
 
     def test_multiarm_search_cap(self):
-        with pytest.raises(SearchLimitError):
-            comparator_multiarm(3, 0.025, 0.9, EFF.theta_prime,
-                                EFF.theta_zero, EFF.sigma, max_n=16)
+        # an effect this small needs more patients than the search allows
+        with pytest.raises(SearchLimitError, match="max_n=100000"):
+            comparator_multiarm(3, 0.025, 0.9, 1e-3, 0.0, EFF.sigma)
 
 
 class TestAnalyticEstimates:

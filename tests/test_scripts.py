@@ -1,7 +1,6 @@
 """Smoke runs of the scripts under scripts/ on the bundled config."""
 
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -35,11 +34,3 @@ def test_type1_sweep_refuses_a_vacuous_lattice(argv, capsys):
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
 
-
-def test_reproduce_comparison_writes_the_multi_arm_row(tmp_path, capsys):
-    compare = _load("reproduce_comparison")
-    out = tmp_path / "compare.json"
-    assert compare.main(["--out", str(out)]) == 0
-    assert "multi_arm" in capsys.readouterr().out
-    rows = {row["name"]: row for row in json.loads(out.read_text())["rows"]}
-    assert rows["multi_arm"]["max_n"] == 2276

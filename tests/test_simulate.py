@@ -46,6 +46,10 @@ K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
 K4 = TrialDesign(4, 4, 156, (4.04876708984375, 2.8629106646734397,
                              2.337556769207387, 2.024383544921875),
                  0.025, EFF.sigma)
+LFC4 = EffectConfig.least_favorable(4, EFF.theta_prime, EFF.theta_zero)
+# the same design with stopping disabled at stages 1 and 3
+K4_SKIP = K4.with_boundaries((math.inf, K4.boundaries[1], math.inf,
+                              K4.boundaries[3]))
 
 
 def _draw(design, effects, rng, paths):
@@ -385,8 +389,7 @@ def _recorded_case(name):
         return design, effects[name[3:]]
     if name == "dtl_lfc":
         return DTL, LFC
-    return K4, EffectConfig.least_favorable(4, EFF.theta_prime,
-                                            EFF.theta_zero)
+    return K4, LFC4
 
 
 @pytest.mark.parametrize("name, reps, chunk", [
@@ -474,15 +477,24 @@ class TestAgreementWithAnalyticEngine:
 class TestEventMembership:
     """The enumerated signed rectangles must describe exactly the paths the
     simulator assigns to each event: over a stage's rectangles, the signs
-    of those a path satisfies sum to its event indicator."""
+    of those a path satisfies sum to its event indicator.  At four arms
+    "did not stop" spans up to three interims."""
+
+    @staticmethod
+    def _paths(design):
+        # the K4 design has 521 raw rectangles over the three families,
+        # DESIGN 72
+        return 100_000 if design.arms == 3 else 30_000
 
     @pytest.mark.parametrize("design, effects", [
         (DESIGN, NULL),
         (DESIGN, LFC),
         (DTL, LFC),
+        (K4, LFC4),
+        (K4_SKIP, LFC4),
     ])
     def test_stop_rectangles_partition_paths(self, design, effects):
-        m = 100_000
+        m = self._paths(design)
         z = _draw(design, effects, np.random.default_rng(37), m)
         stop, _, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
@@ -498,9 +510,11 @@ class TestEventMembership:
     @pytest.mark.parametrize("design, effects", [
         (DESIGN, LFC),
         (DTL, NULL),
+        (K4, LFC4),
+        (K4_SKIP, LFC4),
     ])
     def test_win_rectangles_match_selection(self, design, effects):
-        m = 100_000
+        m = self._paths(design)
         z = _draw(design, effects, np.random.default_rng(41), m)
         stop, won, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
@@ -518,9 +532,11 @@ class TestEventMembership:
         (DESIGN, NULL),
         (DESIGN, LFC),
         (DTL, LFC),
+        (K4, LFC4),
+        (K4_SKIP, LFC4),
     ])
     def test_reject_rectangles_match_rejection(self, design, effects):
-        m = 100_000
+        m = self._paths(design)
         z = _draw(design, effects, np.random.default_rng(43), m)
         stop, _, rejected = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
