@@ -49,7 +49,6 @@ __all__ = [
 ]
 
 _SHAPE_KINDS = ("obrien_fleming", "pocock", "custom")
-_MAX_BISECTIONS = 200  # scale bisections before calibrate_boundaries gives up
 # the boundary scale bisection searches c in this bracket, and the sample
 # size searches n in 1.._MAX_N
 _SCALE_BRACKET = (0.5, 10.0)
@@ -206,9 +205,11 @@ def calibrate_boundaries(design_template: TrialDesign,
 
     PWER is continuous and strictly decreasing in the scale, so plain
     bisection converges; the ends of _SCALE_BRACKET are checked to straddle
-    the window first.  PWER comes from _no_crossing, deterministic and
-    converged far below the window width.  Returns the template with the
-    calibrated boundaries and cfg.alpha installed.
+    the window first.  Bisection ends when the bracket can no longer be
+    halved in floating point, which happens only when the window is
+    narrower than PWER's rounding there.  PWER comes from _no_crossing,
+    deterministic and converged far below the window width.  Returns the
+    template with the calibrated boundaries and cfg.alpha installed.
     """
     mults = shape.multipliers(design_template.stages)
     window_lo = cfg.alpha - cfg.omega
@@ -239,8 +240,7 @@ def calibrate_boundaries(design_template: TrialDesign,
             f"the window [{window_lo:.6g}, {window_hi:.6g}]: alpha is out of "
             "the search's reach")
 
-    for _ in range(_MAX_BISECTIONS):
-        c_mid = 0.5 * (c_lo + c_hi)
+    while (c_mid := 0.5 * (c_lo + c_hi)) not in (c_lo, c_hi):
         d_mid, p_mid = at(c_mid)
         if window_lo <= p_mid <= window_hi:
             return done(d_mid)
@@ -248,9 +248,10 @@ def calibrate_boundaries(design_template: TrialDesign,
             c_lo = c_mid
         else:
             c_hi = c_mid
-    raise ConvergenceError(
-        "bisection exhausted its iteration budget without landing in "
-        f"the PWER window [{window_lo:.6f}, {window_hi:.6f}]")
+    raise BracketError(
+        f"the boundary scale bisection stopped at {c_lo:.6g} without PWER "
+        f"landing in the window [{window_lo:.6g}, {window_hi:.6g}]: "
+        "alpha or omega is finer than PWER can resolve")
 
 
 def _one_look_model(alpha: float, power_target: float, theta_prime: float,

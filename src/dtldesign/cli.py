@@ -155,6 +155,13 @@ def _float_list(value: str) -> tuple[float, ...]:
     return tuple(float(part) for part in value.split(","))
 
 
+def _arm_count(value: str) -> int:
+    arms = int(value)
+    if arms < 1:
+        raise ValueError(value)
+    return arms
+
+
 def parse_config(text: str) -> ParsedConfig:
     """Parse and validate a config file; see the module docstring for the
     schema.  Raises ParseError with a line number for schema problems and
@@ -165,7 +172,7 @@ def parse_config(text: str) -> ParsedConfig:
     if missing:
         raise ParseError("missing required keys: " + ", ".join(missing))
 
-    arms = _take(entries, "design", "arms", int, required=True)
+    arms = _take(entries, "design", "arms", _arm_count, required=True)
     shape_name = _take(entries, "design", "shape", str, default="obf")
     if shape_name not in _SHAPES:
         raise ParseError(f"design.shape must be one of {', '.join(_SHAPES)}")
@@ -201,13 +208,12 @@ def parse_config(text: str) -> ParsedConfig:
     for (section, key) in [k for k in entries if k[0] == "effects"]:
         value, no = entries.pop((section, key))
         try:
-            deltas = _float_list(value)
+            effects[key] = EffectConfig(_float_list(value))
         except ValueError:
             raise ParseError(f"bad value for effects.{key}: {value!r}", no)
-        if len(deltas) != arms:
-            raise ParseError(
-                f"effects.{key} needs {arms} values, got {len(deltas)}", no)
-        effects[key] = EffectConfig(deltas)
+        if len(effects[key].deltas) != arms:
+            raise ParseError(f"effects.{key} needs {arms} values, got "
+                             f"{len(effects[key].deltas)}", no)
     if not effects:
         effects = _default_effects(arms, normal)
 

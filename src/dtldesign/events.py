@@ -92,10 +92,6 @@ def _rect(constraints):
     return rect
 
 
-def _survivors(design: TrialDesign, order) -> tuple[int, ...]:
-    return tuple(a for a in range(1, design.arms + 1) if a not in order)
-
-
 def _path_rects(design: TrialDesign, order, end_stage: int, extras):
     """(sign, rect) descriptions of one path: drops follow `order`, no
     earlier stop, the trial ends at end_stage, plus event-specific extras.
@@ -125,36 +121,23 @@ def _path_rects(design: TrialDesign, order, end_stage: int, extras):
 
 
 def _symmetry_maps(deltas, fixed: frozenset[int]):
-    """Arm relabelings that preserve the effect vector and the fixed arms.
-
-    Returned as tuples indexed by arm (entry 0 unused).  Arms only trade
-    places within groups of bit-identical effects, so collapsing is off for
-    effects that merely round to the same value.
+    """The permutations pi of arms 1..K with delta_pi(a) == delta_a for
+    every arm a and pi(a) == a for every arm in `fixed`, as tuples indexed
+    by arm with entry 0 (the control) fixed.  The effect test is exact
+    equality, so arms whose effects merely round alike never trade places.
     """
-    classes: dict[float, list[int]] = {}
-    for a in range(1, len(deltas) + 1):
-        if a in fixed:
-            continue
-        classes.setdefault(deltas[a - 1], []).append(a)
-    members = list(classes.values())
-    maps = []
-    for combo in itertools.product(
-            *(itertools.permutations(m) for m in members)):
-        pi = list(range(len(deltas) + 1))
-        for src_group, dst_group in zip(members, combo):
-            for src, dst in zip(src_group, dst_group):
-                pi[src] = dst
-        maps.append(tuple(pi))
-    return maps
+    arms = range(1, len(deltas) + 1)
+    return [(0, *p) for p in itertools.permutations(arms)
+            if all(deltas[b - 1] == deltas[a - 1]
+                   and (a not in fixed or b == a)
+                   for a, b in zip(arms, p))]
 
 
 def _relabeled_key(items, pi):
-    out = []
-    for c, lo, hi in items:
-        key = (c.stage, c.arm_b == 0, pi[c.arm_a], pi[c.arm_b])
-        out.append((key, lo, hi))
-    out.sort()
-    return tuple(out)
+    # _coord_key under pi, flattened with the bounds: flat tuples sort as
+    # the nested ones would and are cheaper to build and compare
+    return tuple(sorted([(c.stage, c.arm_b == 0, pi[c.arm_a], pi[c.arm_b],
+                          lo, hi) for c, lo, hi in items]))
 
 
 def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
@@ -163,9 +146,9 @@ def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
         return build_moment_problem(design, effects, [single(1, 1)],
                                     [-math.inf], [math.inf])
     coords = [StatCoord(arm_a, arm_b, stage)
-              for (stage, _, arm_a, arm_b), _, _ in key]
-    lowers = [lo for _, lo, _ in key]
-    uppers = [hi for _, _, hi in key]
+              for stage, _, arm_a, arm_b, _, _ in key]
+    lowers = [lo for *_, lo, _ in key]
+    uppers = [hi for *_, hi in key]
     return build_moment_problem(design, effects, coords, lowers, uppers)
 
 
@@ -188,33 +171,29 @@ def _collapse(design: TrialDesign, effects: EffectConfig, paths, gamma):
                  for key in sorted(table))
 
 
-def _drops_before_decision(design: TrialDesign, stage: int) -> int:
-    # a drop happens at every stage except the last
-    return stage if stage < design.stages else design.stages - 1
-
-
 def _crosses(design: TrialDesign, arm: int, stage: int):
     return (single(arm, stage), design.boundaries[stage - 1], math.inf)
 
 
 # One generator per event family: for the ending stage j it yields each
-# drop order with the extra constraints that order carries, and
-# _path_rects adds the shared no-earlier-stop and end-at-stage constraints.
-# The public docstrings below say what each event is; the win and reject
-# events are about arm 1, the stop event about no arm.
+# drop order (min(j, J - 1) arms: every stage but the last drops one) with
+# the extra constraints that order carries, and _path_rects adds the shared
+# no-earlier-stop and end-at-stage constraints.  The public docstrings
+# below say what each event is; the win and reject events are about arm 1,
+# the stop event about no arm.
 
 def _stop_paths(design: TrialDesign, j: int):
     for perm in itertools.permutations(range(1, design.arms + 1),
-                                       _drops_before_decision(design, j)):
+                                       min(j, design.stages - 1)):
         yield perm, ()
 
 
 def _win_paths(design: TrialDesign, j: int):
-    for perm in itertools.permutations(range(2, design.arms + 1),
-                                       _drops_before_decision(design, j)):
+    rivals = range(2, design.arms + 1)
+    for perm in itertools.permutations(rivals, min(j, design.stages - 1)):
         if j < design.stages:
             yield perm, [(StatCoord(1, s, j), 0.0, math.inf)
-                         for s in _survivors(design, perm) if s != 1]
+                         for s in rivals if s not in perm]
         else:
             yield perm, [_crosses(design, 1, j)]
 

@@ -173,6 +173,21 @@ class TestCalibrateBoundaries:
             calibrate_boundaries(TEMPLATE3, BoundaryShape(),
                                  CalibrationConfig(1e-25, 0.9, omega=1e-26))
 
+    @pytest.mark.parametrize("template, cfg", [
+        # PWER is 0.0 at scale 10 on one stage and -1.8e-15 on two, so the
+        # bracket straddles the window but no scale lands in it
+        (TEMPLATE1, CalibrationConfig(1e-25, 0.9, omega=1e-26)),
+        (TrialDesign(2, 2, 10, (2.5, 2.0), 0.025, 1.0),
+         CalibrationConfig(1e-25, 0.9, omega=1e-26)),
+        # a window far narrower than PWER's rounding near 0.025
+        (TEMPLATE3, CalibrationConfig(0.025, 0.9, omega=1e-19)),
+    ])
+    def test_window_finer_than_pwer_resolves(self, template, cfg):
+        with pytest.raises(BracketError,
+                           match=r"window \[.*\]: alpha or omega is finer "
+                                 "than PWER can resolve"):
+            calibrate_boundaries(template, BoundaryShape(), cfg)
+
 
 class TestGoldenBoundaries:
     """The exact floats the bisection stops at: a change of integrator that

@@ -84,6 +84,19 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="line 2.*design.arms"):
             parse_config(text)
 
+    @pytest.mark.parametrize("arms", ["0", "-1"])
+    def test_too_few_arms_names_the_key(self, arms):
+        text = MOTIVATING.replace("arms = 3", f"arms = {arms}")
+        with pytest.raises(ParseError, match=(
+                f"line 2: bad value for design.arms: '{arms}'")):
+            parse_config(text)
+
+    def test_non_finite_effect_names_the_key(self):
+        text = MOTIVATING + "\n[effects]\nodd = nan, 0, 0\n"
+        with pytest.raises(ParseError, match=(
+                "line 17: bad value for effects.odd: 'nan, 0, 0'")):
+            parse_config(text)
+
     def test_alpha_out_of_range_names_the_field(self):
         text = MOTIVATING.replace("alpha = 0.025", "alpha = 1.5")
         with pytest.raises(ValueError, match="alpha"):

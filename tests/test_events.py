@@ -6,6 +6,7 @@ assertions check the headline operating characteristics of that design and
 the exact partition identity sum_j P(stop at j) = 1.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -52,10 +53,23 @@ def prob(problem, seed=0, target=1e-6):
 # domain types
 
 
-def test_survivors():
-    # a drop order is the tuple of arms dropped at stages 1, 2, ...
-    assert events._survivors(DESIGN, (3, 1)) == (2,)
-    assert events._survivors(DESIGN, ()) == (1, 2, 3)
+@pytest.mark.parametrize("fixed", [frozenset(), frozenset((1,))])
+@pytest.mark.parametrize("deltas", [
+    (0.0,) * k for k in range(1, 7)] + [
+    (0.5,) + (0.1,) * (k - 1) for k in range(2, 7)] + [
+    (0.2, 0.2, 0.1, 0.1, 0.0, 0.0)[:k] for k in range(3, 7)] + [
+    (0.1, 0.3, 0.1, 0.3, 0.1, 0.3)[:k] for k in range(3, 7)])
+def test_symmetry_maps_are_the_effect_preserving_relabelings(deltas, fixed):
+    maps = events._symmetry_maps(deltas, fixed)
+    arms = range(1, len(deltas) + 1)
+    classes = collections.Counter(deltas[a - 1] for a in arms
+                                  if a not in fixed)
+    assert len(set(maps)) == len(maps)
+    assert len(maps) == math.prod(map(math.factorial, classes.values()))
+    for pi in maps:
+        assert sorted(pi) == [0, *arms]
+        assert pi[0] == 0 and all(pi[a] == a for a in fixed)
+        assert all(deltas[pi[a] - 1] == deltas[a - 1] for a in arms)
 
 
 class TestEventProblemSet:

@@ -53,3 +53,31 @@ def test_no_export_only_tests_use():
               for n in getattr(importlib.import_module(name), "__all__", [])
               if n not in used]
     assert not unused
+
+
+def _private_module_names(tree: ast.Module) -> list[str]:
+    """Module-level `_name` functions, classes and assigned constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif (isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_read_in_src():
+    """A private helper or constant that nothing in src/ reads is dead code
+    (say, one left behind after its only call was inlined)."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "dtldesign").rglob("*.py")}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.name}:{n}" for path, tree in trees.items()
+              for n in _private_module_names(tree) if n not in read]
+    assert not unread
