@@ -38,6 +38,7 @@ from .calibrate import (_MAX_N, _QUADRATURE_NODES, _TAIL_SDS,
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
+    _weighted_sum,
     global_null_typeI_problems,
     power_lfc_problems,
     reject_problems,
@@ -154,20 +155,23 @@ def type_i_global_null(design: TrialDesign, *,
                           target_abs_error=target_abs_error, seed=seed)
 
 
+def _stop_estimates(design: TrialDesign, effects: EffectConfig,
+                    **integration) -> list[ProbabilityEstimate]:
+    """P(trial ends at stage j), j = 1..J: the interim sets integrated, then
+    the final stage as one minus them, their bounds in quadrature."""
+    interim = [set_probability(pset, **integration)
+               for pset in stop_stage_problems(design, effects)]
+    return [*interim, _weighted_sum(
+        [(1, ProbabilityEstimate(1.0, 0.0, 0)), *((-1, e) for e in interim)])]
+
+
 def stop_stage_probabilities(design: TrialDesign, effects: EffectConfig,
                              *, target_abs_error: float = DEFAULT_TARGET,
                              seed: int = 0) -> tuple[float, ...]:
     """P(trial ends at stage j) for j = 1..J; sums to one."""
-    out = [_checked(set_probability(pset, target_abs_error=target_abs_error,
-                                    seed=seed),
-                    f"stop-stage {pset.stage}")
-           for pset in stop_stage_problems(design, effects)]
-    total = math.fsum(out)
-    if abs(total - 1.0) > _PARTITION_SLACK:
-        raise ConvergenceError(
-            f"stop-stage probabilities sum to {total:.7f}; "
-            "the event partition leaks")
-    return tuple(out)
+    return tuple(_checked(est, f"stop-stage {j}") for j, est in enumerate(
+        _stop_estimates(design, effects, target_abs_error=target_abs_error,
+                        seed=seed), start=1))
 
 
 def stage_total_patients(design: TrialDesign, stage: int) -> int:
@@ -316,9 +320,8 @@ def analytic_estimates(design: TrialDesign, effects: EffectConfig, *,
     kw = {"target_abs_error": target_abs_error, "seed": seed}
     win = total_probability(win_problems(design, effects), **kw)
     rej = total_probability(reject_problems(design, effects), **kw)
-    stops = tuple(_converged(set_probability(pset, **kw),
-                             f"stop-stage {pset.stage}")
-                  for pset in stop_stage_problems(design, effects))
+    stops = tuple(_converged(est, f"stop-stage {j}") for j, est in
+                  enumerate(_stop_estimates(design, effects, **kw), start=1))
     out = {"power": _converged(win, "power"),
            "reject": _converged(rej, "reject"),
            "focal_crossing": 1.0 - _no_crossing(

@@ -155,11 +155,11 @@ def _float_list(value: str) -> tuple[float, ...]:
     return tuple(float(part) for part in value.split(","))
 
 
-def _arm_count(value: str) -> int:
-    arms = int(value)
-    if arms < 1:
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
         raise ValueError(value)
-    return arms
+    return number
 
 
 def parse_config(text: str) -> ParsedConfig:
@@ -172,12 +172,12 @@ def parse_config(text: str) -> ParsedConfig:
     if missing:
         raise ParseError("missing required keys: " + ", ".join(missing))
 
-    arms = _take(entries, "design", "arms", _arm_count, required=True)
+    arms = _take(entries, "design", "arms", _positive_int, required=True)
     shape_name = _take(entries, "design", "shape", str, default="obf")
     if shape_name not in _SHAPES:
         raise ParseError(f"design.shape must be one of {', '.join(_SHAPES)}")
     boundaries = _take(entries, "design", "boundaries", _float_list)
-    n_per_stage = _take(entries, "design", "n", int)
+    n_per_stage = _take(entries, "design", "n", _positive_int)
     if shape_name == "custom":
         if boundaries is None:
             raise ParseError("design.shape = custom needs design.boundaries")

@@ -8,7 +8,8 @@ where arm 1 sits when the trial ends.  Its "did not stop at stage i" is
 the signed pair "unconstrained - every survivor clears u_i", so a
 path expands into signed rectangle events on a jointly normal vector, and
 the enumerators below reduce an event system to a signed-weight list of
-OrthantProblems.
+OrthantProblems.  Stop events cover the interim stages only: the stages
+partition the sample space, so the final one is one minus them.
 
 Paths that are arm relabelings of one another integrate to the same value
 whenever the relabeling preserves the true effects (and arm 1, when the
@@ -46,8 +47,8 @@ __all__ = [
     "total_probability",
 ]
 
-# K! drop orders times 2 signed no-stop options per interim grows
-# brutally; the cap keeps accidental K=12 calls from hanging the process.
+# K! drop orders (at the last interim) times 2 signed no-stop options per
+# interim grows brutally; the cap keeps accidental K=12 calls from hanging.
 PERMUTATION_CAP = 8
 
 
@@ -120,7 +121,7 @@ def _path_rects(design: TrialDesign, order, end_stage: int, extras):
     return [(sign, rect) for sign, rect in rects if rect is not None]
 
 
-def _symmetry_maps(deltas, fixed: frozenset[int]):
+def _symmetry_maps(deltas, fixed: tuple[int, ...]):
     """The permutations pi of arms 1..K with delta_pi(a) == delta_a for
     every arm a and pi(a) == a for every arm in `fixed`, as tuples indexed
     by arm with entry 0 (the control) fixed.  The effect test is exact
@@ -141,10 +142,6 @@ def _relabeled_key(items, pi):
 
 
 def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
-    if not key:
-        # certain event: keep a carrier coordinate the integrator prunes
-        return build_moment_problem(design, effects, [single(1, 1)],
-                                    [-math.inf], [math.inf])
     coords = [StatCoord(arm_a, arm_b, stage)
               for stage, _, arm_a, arm_b, _, _ in key]
     lowers = [lo for *_, lo, _ in key]
@@ -176,15 +173,14 @@ def _crosses(design: TrialDesign, arm: int, stage: int):
 
 
 # One generator per event family: for the ending stage j it yields each
-# drop order (min(j, J - 1) arms: every stage but the last drops one) with
+# drop order (j arms, or J - 1 at the final stage, which drops none) with
 # the extra constraints that order carries, and _path_rects adds the shared
 # no-earlier-stop and end-at-stage constraints.  The public docstrings
 # below say what each event is; the win and reject events are about arm 1,
 # the stop event about no arm.
 
 def _stop_paths(design: TrialDesign, j: int):
-    for perm in itertools.permutations(range(1, design.arms + 1),
-                                       min(j, design.stages - 1)):
+    for perm in itertools.permutations(range(1, design.arms + 1), j):
         yield perm, ()
 
 
@@ -212,22 +208,22 @@ def _reject_paths(design: TrialDesign, j: int):
             yield perm, [_crosses(design, 1, j)]
 
 
-def _stage_rects(design: TrialDesign, paths):
-    """Raw (sign, rect) pairs of one event family, one tuple per stage.
+def _stage_rects(design: TrialDesign, paths, stages: int):
+    """Raw (sign, rect) pairs of one family, one tuple per stage 1..stages.
 
     Over one stage's pairs, the signs of the rectangles a statistic path
     satisfies sum to the indicator of that stage's event, up to boundary
     ties.
     """
-    for j in range(1, design.stages + 1):
+    for j in range(1, stages + 1):
         yield tuple(term for order, extras in paths(design, j)
                     for term in _path_rects(design, order, j, extras))
 
 
 def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
-                fixed: frozenset[int]) -> list[EventProblemSet]:
-    """Collapsed per-stage problem sets of one event family; relabelings
-    never move the `fixed` arms."""
+                fixed: tuple[int, ...], stages: int) -> list[EventProblemSet]:
+    """Collapsed problem sets of one event family for stages 1..`stages`;
+    relabelings never move the `fixed` arms."""
     if design.arms > PERMUTATION_CAP:
         raise CapacityError(f"{design.arms} arms exceeds the enumeration "
                             f"cap of {PERMUTATION_CAP}")
@@ -235,7 +231,7 @@ def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
         raise ValueError("effects length must match the number of arms")
     gamma = _symmetry_maps(effects.deltas, fixed)
     return [EventProblemSet(j, _collapse(design, effects, rects, gamma))
-            for j, rects in enumerate(_stage_rects(design, paths), start=1)]
+            for j, rects in enumerate(_stage_rects(design, paths, stages), 1)]
 
 
 def pwer_problem(design: TrialDesign,
@@ -264,7 +260,7 @@ def win_problems(design: TrialDesign,
     """Per-stage events: trial ends at that stage with arm 1 recommended
     (it survived every drop so far, cleared the boundary, and beat every
     other crossing survivor)."""
-    return _event_sets(design, effects, _win_paths, frozenset((1,)))
+    return _event_sets(design, effects, _win_paths, (1,), design.stages)
 
 
 def power_lfc_problems(design: TrialDesign, theta_prime: float,
@@ -280,9 +276,9 @@ def power_lfc_problems(design: TrialDesign, theta_prime: float,
 
 def stop_stage_problems(design: TrialDesign,
                         effects: EffectConfig) -> list[EventProblemSet]:
-    """Per-stage events: the trial ends at that stage.  The stage events
-    partition the sample space, so the probabilities sum to one."""
-    return _event_sets(design, effects, _stop_paths, frozenset())
+    """Per-stage events for the J - 1 interim stages: the trial ends at that
+    stage.  P(trial ends at J) is one minus their probabilities."""
+    return _event_sets(design, effects, _stop_paths, (), design.stages - 1)
 
 
 def reject_problems(design: TrialDesign,
@@ -290,7 +286,7 @@ def reject_problems(design: TrialDesign,
     """Per-stage events: the trial ends at that stage and arm 1 clears the
     boundary there.  Arm 1 may be a crossing survivor or the arm dropped at
     the ending stage; both ways its null is rejected."""
-    return _event_sets(design, effects, _reject_paths, frozenset((1,)))
+    return _event_sets(design, effects, _reject_paths, (1,), design.stages)
 
 
 def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:

@@ -279,7 +279,8 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     estimated from their spread, which has 11 degrees of freedom, so it
     misses more often than a true three-sigma bound: on 400 seeds of the
     K=3 `pwer_problem` the true error exceeded it 5-6 times at target
-    1e-5 and 11 times at 1e-6 (ROADMAP item 2).
+    1e-5 and 11 times at 1e-6 (ROADMAP, "Error bounds that hold as often
+    as they claim").
 
     Args:
         problem: the rectangle problem; unit-diagonal correlation.

@@ -91,6 +91,15 @@ class TestParseConfig:
                 f"line 2: bad value for design.arms: '{arms}'")):
             parse_config(text)
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_too_few_patients_names_the_key(self, n):
+        text = MOTIVATING.replace(
+            "shape = obf",
+            f"shape = custom\nboundaries = 3.471, 2.454, 2.004\nn = {n}")
+        with pytest.raises(ParseError, match=(
+                f"line 5: bad value for design.n: '{n}'")):
+            parse_config(text)
+
     def test_non_finite_effect_names_the_key(self):
         text = MOTIVATING + "\n[effects]\nodd = nan, 0, 0\n"
         with pytest.raises(ParseError, match=(

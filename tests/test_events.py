@@ -3,17 +3,19 @@
 Structural assertions pin the counts, dimensions and symmetry collapses of
 the enumerated rectangles for the three-arm reference design; probability
 assertions check the headline operating characteristics of that design and
-the exact partition identity sum_j P(stop at j) = 1.
+the partition identity sum_j P(stop at j) = 1, against the final stage's
+stop event enumerated directly.
 """
 
 import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from dtldesign import events
+from dtldesign import characteristics, events
 from dtldesign.covariance import EffectConfig, TrialDesign, single
 from dtldesign.events import (
     CapacityError,
@@ -53,7 +55,7 @@ def prob(problem, seed=0, target=1e-6):
 # domain types
 
 
-@pytest.mark.parametrize("fixed", [frozenset(), frozenset((1,))])
+@pytest.mark.parametrize("fixed", [(), (1,)])
 @pytest.mark.parametrize("deltas", [
     (0.0,) * k for k in range(1, 7)] + [
     (0.5,) + (0.1,) * (k - 1) for k in range(2, 7)] + [
@@ -162,10 +164,11 @@ class TestWinEvents:
 
     def test_win_within_stop_per_stage(self):
         win = win_problems(DESIGN, LFC)
-        stop = stop_stage_problems(DESIGN, LFC)
-        for w, s in zip(win, stop):
+        stop = characteristics._stop_estimates(DESIGN, LFC,
+                                               target_abs_error=1e-5)
+        assert len(stop) == len(win) == 3
+        for w, ps in zip(win, stop):
             pw = set_probability(w, target_abs_error=1e-5)
-            ps = set_probability(s, target_abs_error=1e-5)
             assert pw.value <= ps.value + pw.error_bound + ps.error_bound
 
 
@@ -177,13 +180,13 @@ class TestStopEvents:
     def test_counts_without_symmetry(self):
         effects = EffectConfig((0.11, 0.23, 0.37))
         sets = stop_stage_problems(DESIGN, effects)
+        # interim stages only: the final stage is their complement
+        assert [s.stage for s in sets] == [1, 2]
         assert [w for w, _ in sets[0].problems] == [1, 1, 1]
         assert {p.dim for _, p in sets[0].problems} == {4}
         # after an interim, each signed pair cancels in the weight sum
         assert sorted(w for w, _ in sets[1].problems) == [-1] * 6 + [1] * 6
         assert {p.dim for _, p in sets[1].problems} == {4, 6}
-        assert sorted(w for w, _ in sets[2].problems) == [-1] * 12 + [1] * 12
-        assert {p.dim for _, p in sets[2].problems} == {3, 4, 5, 6}
 
     def test_global_null_collapses_stage1(self):
         sets = stop_stage_problems(DESIGN, NULL)
@@ -221,17 +224,15 @@ class TestStopEvents:
 
     def test_dtl_never_stops_early(self):
         sets = stop_stage_problems(DTL, LFC)
-        assert sets[0].problems == ()
-        assert sets[1].problems == ()
-        final = set_probability(sets[2], target_abs_error=1e-6)
-        assert final.value == pytest.approx(1.0, abs=2e-5)
+        assert [s.problems for s in sets] == [(), ()]
+        assert characteristics.stop_stage_probabilities(DTL, LFC) == \
+            (0.0, 0.0, 1.0)
 
     def test_single_arm_trial_always_stops_at_one(self):
         d1 = TrialDesign(1, 1, 50, (1.96,), 0.025, 1.0)
-        sets = stop_stage_problems(d1, EffectConfig.global_null(1))
-        assert len(sets) == 1
-        est = set_probability(sets[0], target_abs_error=1e-6)
-        assert est.value == 1.0 and est.error_bound == 0.0
+        null = EffectConfig.global_null(1)
+        assert stop_stage_problems(d1, null) == []
+        assert characteristics.stop_stage_probabilities(d1, null) == (1.0,)
 
 
 def _random_case(k, seed):
@@ -247,14 +248,6 @@ def _random_case(k, seed):
     return design, effects
 
 
-@pytest.mark.parametrize("k,seed", [(2, 11), (2, 12), (2, 13), (2, 14),
-                                    (2, 15), (2, 16), (3, 21), (3, 22),
-                                    (3, 23), (3, 24)])
-def test_stop_stages_partition_unity(k, seed):
-    design, effects = _random_case(k, seed)
-    sets = stop_stage_problems(design, effects)
-    est = total_probability(sets, target_abs_error=2e-6, seed=seed)
-    assert est.value == pytest.approx(1.0, abs=2e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +274,44 @@ def _check_weights_count_raw_rectangles(sets, stages):
         [len(terms) for terms in stages]
 
 
+def _final_stop_set(design, effects):
+    # the oracle: the final stage's stop event enumerated directly, as every
+    # (J - 1)-long drop order ending at J; its all-"+1" terms integrate the
+    # identity sum over drop orders of P(order) = 1
+    j = design.stages
+    rects = [term for order in itertools.permutations(
+                 range(1, design.arms + 1), j - 1)
+             for term in events._path_rects(design, order, j, ())]
+    gamma = events._symmetry_maps(effects.deltas, ())
+    return EventProblemSet(j, events._collapse(design, effects, rects, gamma))
+
+
+@pytest.mark.parametrize("k,seed", [(2, 11), (2, 12), (2, 13), (2, 14),
+                                    (2, 15), (2, 16), (3, 21), (3, 22),
+                                    (3, 23), (3, 24), (4, 0)])
+def test_final_stop_stage_is_the_complement(k, seed):
+    # a drop order missing from (or doubled in) the interim sets moves the
+    # complement but not the directly enumerated final stage; K=4 runs
+    # the least favourable configuration
+    if k == 4:
+        design, effects = _obf_design(k), _COLLAPSE_EFFECTS["lfc"](k)
+    else:
+        design, effects = _random_case(k, seed)
+    final = characteristics._stop_estimates(
+        design, effects, target_abs_error=2e-6, seed=seed)[-1]
+    direct = set_probability(_final_stop_set(design, effects),
+                             target_abs_error=2e-6, seed=seed)
+    assert abs(final.value - direct.value) <= math.hypot(
+        final.error_bound, direct.error_bound)
+
+
 @pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
 @pytest.mark.parametrize("k", [3, 4])
 def test_stop_weights_count_raw_rectangles(k, effects):
     design = _obf_design(k)
     _check_weights_count_raw_rectangles(
         stop_stage_problems(design, _COLLAPSE_EFFECTS[effects](k)),
-        list(events._stage_rects(design, events._stop_paths)))
+        list(events._stage_rects(design, events._stop_paths, k - 1)))
 
 
 @pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
@@ -296,7 +320,7 @@ def test_win_weights_count_raw_rectangles(k, effects):
     design = _obf_design(k)
     _check_weights_count_raw_rectangles(
         win_problems(design, _COLLAPSE_EFFECTS[effects](k)),
-        list(events._stage_rects(design, events._win_paths)))
+        list(events._stage_rects(design, events._win_paths, k)))
 
 
 def test_k5_lfc_problem_counts():
@@ -305,7 +329,7 @@ def test_k5_lfc_problem_counts():
     win = power_lfc_problems(design, THETA_P, THETA_0)
     stop = stop_stage_problems(design, _COLLAPSE_EFFECTS["lfc"](5))
     assert [len(s.problems) for s in win] == [1, 2, 4, 8, 16]
-    assert [len(s.problems) for s in stop] == [2, 6, 16, 40, 80]
+    assert [len(s.problems) for s in stop] == [2, 6, 16, 40]
 
 
 def _boundaries(k, kind):
@@ -325,8 +349,9 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
     # each path constrains a coordinate at most once, so a rectangle is its
     # sorted constraint list, pruned when an infinite boundary empties it
     design = _obf_design(k).with_boundaries(_boundaries(k, kind))
-    families = [events._stage_rects(design, paths)
-                for paths in (events._stop_paths, events._win_paths)]
+    families = [events._stage_rects(design, paths, stages)
+                for paths, stages in ((events._stop_paths, k - 1),
+                                      (events._win_paths, k))]
     n_rects = 0
     for stages in families:
         for terms in stages:
@@ -343,6 +368,20 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
     assert n_rects > 0
 
 
+def _raw_rect_count(k):
+    # per family and stage j, drop orders times the 2^(j-1) combinations of
+    # "did not stop" options; with infinite interims (dtl) every rectangle
+    # that crosses one is empty, which leaves the final stage's all-"+1"
+    # combinations.  Stop events end at an interim (K!/(K-j)! orders);
+    # win events there drop j rivals; reject events drop j rivals, or
+    # j - 1 and then arm 1; win and reject at J drop all K - 1 rivals.
+    interim = sum(2 ** (j - 1) * (math.perm(k, j) + 2 * math.perm(k - 1, j)
+                                  + math.perm(k - 1, j - 1))
+                  for j in range(1, k))
+    final = 2 * math.factorial(k - 1)
+    return interim + final * 2 ** (k - 1) + final
+
+
 def test_no_raw_rectangle_holds_a_swapped_pair():
     # Z_a - Z_b at one stage against Z_b - Z_a at another is the one pair
     # whose correlation the arm-level rule rounds (tests/oracles.py); no
@@ -352,9 +391,10 @@ def test_no_raw_rectangle_holds_a_swapped_pair():
     for k in range(2, 6):
         for kind in ("finite", "dtl"):
             design = _obf_design(k).with_boundaries(_boundaries(k, kind))
-            for paths in (events._stop_paths, events._win_paths,
-                          events._reject_paths):
-                for terms in events._stage_rects(design, paths):
+            for paths, stages in ((events._stop_paths, k - 1),
+                                  (events._win_paths, k),
+                                  (events._reject_paths, k)):
+                for terms in events._stage_rects(design, paths, stages):
                     for _, rect in terms:
                         pairs = {(c.arm_a, c.arm_b, c.stage)
                                  for c, _, _ in rect}
@@ -363,7 +403,7 @@ def test_no_raw_rectangle_holds_a_swapped_pair():
                             for a, b, j in pairs if b
                             for i in range(1, k + 1) if i != j)
                         n_rects += 1
-    assert n_rects == 5638
+    assert n_rects == sum(_raw_rect_count(k) for k in range(2, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dtldesign import simulate
-from dtldesign.characteristics import stage_total_patients
+from dtldesign.characteristics import _stop_estimates, stage_total_patients
 from dtldesign.cli import _load_designed
 from dtldesign.covariance import (
     EffectConfig,
@@ -25,8 +25,6 @@ from dtldesign.events import (
     _stop_paths,
     _win_paths,
     reject_problems,
-    set_probability,
-    stop_stage_problems,
     total_probability,
     win_problems,
 )
@@ -453,8 +451,8 @@ class TestAgreementWithAnalyticEngine:
         rej = total_probability(reject_problems(design, effects), **kw)
         self._check(sim, "reject", rej.value, rej.error_bound)
 
-        stops = [set_probability(s, **kw)
-                 for s in stop_stage_problems(design, effects)]
+        # the interim sets, then the final stage as their complement
+        stops = _stop_estimates(design, effects, **kw)
         ess = 0.0
         ess_bound = 0.0
         for j, est in enumerate(stops, start=1):
@@ -478,12 +476,14 @@ class TestEventMembership:
     """The enumerated signed rectangles must describe exactly the paths the
     simulator assigns to each event: over a stage's rectangles, the signs
     of those a path satisfies sum to its event indicator.  At four arms
-    "did not stop" spans up to three interims."""
+    "did not stop" spans up to three interims.  Stop events cover the
+    interim stages only, so a path's memberships sum to 0 exactly when it
+    stops at the final stage."""
 
     @staticmethod
     def _paths(design):
-        # the K4 design has 521 raw rectangles over the three families,
-        # DESIGN 72
+        # the K4 design has 329 raw rectangles over the three families,
+        # DESIGN 48
         return 100_000 if design.arms == 3 else 30_000
 
     @pytest.mark.parametrize("design, effects", [
@@ -498,14 +498,14 @@ class TestEventMembership:
         z = _draw(design, effects, np.random.default_rng(37), m)
         stop, _, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, terms in enumerate(_stage_rects(design, _stop_paths),
-                                  start=1):
+        for j, terms in enumerate(
+                _stage_rects(design, _stop_paths, design.stages - 1), start=1):
             members = np.zeros(m, dtype=np.int64)
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
             counts += members
             assert np.array_equal(members, stop == j)
-        assert np.all(counts == 1)
+        assert np.array_equal(counts == 0, stop == design.stages)
 
     @pytest.mark.parametrize("design, effects", [
         (DESIGN, LFC),
@@ -518,8 +518,8 @@ class TestEventMembership:
         z = _draw(design, effects, np.random.default_rng(41), m)
         stop, won, _ = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, terms in enumerate(_stage_rects(design, _win_paths),
-                                  start=1):
+        for j, terms in enumerate(
+                _stage_rects(design, _win_paths, design.stages), start=1):
             members = np.zeros(m, dtype=np.int64)
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
@@ -540,8 +540,8 @@ class TestEventMembership:
         z = _draw(design, effects, np.random.default_rng(43), m)
         stop, _, rejected = simulate._decide_paths(design, z)
         counts = np.zeros(m, dtype=np.int64)
-        for j, terms in enumerate(_stage_rects(design, _reject_paths),
-                                  start=1):
+        for j, terms in enumerate(
+                _stage_rects(design, _reject_paths, design.stages), start=1):
             members = np.zeros(m, dtype=np.int64)
             for sign, rect in terms:
                 members += sign * rect_satisfied(z, rect)
