@@ -369,10 +369,12 @@ def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
 
 
 def _raw_rect_count(k):
-    # per family and stage j, drop orders times the 2^(j-1) combinations of
-    # "did not stop" options; with infinite interims (dtl) every rectangle
-    # that crosses one is empty, which leaves the final stage's all-"+1"
-    # combinations.  Stop events end at an interim (K!/(K-j)! orders);
+    # raw rectangles of the three families at k arms, finite and dtl
+    # boundaries together: per family and stage j, drop orders times the
+    # 2^(j-1) combinations of "did not stop" options.  With infinite
+    # interims (dtl) every rectangle that crosses one is empty, which
+    # leaves the final stage's all-"+1" combinations.  Stop events end at
+    # an interim (K!/(K-j)! orders);
     # win events there drop j rivals; reject events drop j rivals, or
     # j - 1 and then arm 1; win and reject at J drop all K - 1 rivals.
     interim = sum(2 ** (j - 1) * (math.perm(k, j) + 2 * math.perm(k - 1, j)
