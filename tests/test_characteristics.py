@@ -426,10 +426,10 @@ class TestFullReport:
                     "lfc": (0.000943968301742303, 0.6234484202221009,
                             0.37560761147615684)})
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_k4_design_reports_at_a_finer_target(self, seed):
+    def test_k4_design_reports_at_a_finer_target(self):
         # the design `dtldesign design` gives with arms = 4; at the
-        # default target its stop-stage sets exceed the error allowance
+        # default target its stop-stage sets exceed the error allowance,
+        # and at 5e-7 every seed reports
         design = TrialDesign(4, 4, 156, (4.04876708984375, 2.8629106646734397,
                                          2.337556769207387, 2.024383544921875),
                              0.025, EFF.sigma)
@@ -439,6 +439,7 @@ class TestFullReport:
                                                 EFF.theta_zero),
             "all_relevant": EffectConfig.all_relevant(4, EFF.theta_prime),
         }
-        rec = full_report(design, EFF, configs, target_abs_error=5e-7,
-                          seed=seed)
-        assert {len(p) for p in rec.stop_probs.values()} == {4}
+        for seed in (0, 1, 2):
+            rec = full_report(design, EFF, configs, target_abs_error=5e-7,
+                              seed=seed)
+            assert {len(p) for p in rec.stop_probs.values()} == {4}

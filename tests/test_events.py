@@ -248,8 +248,6 @@ def _random_case(k, seed):
     return design, effects
 
 
-
-
 # ---------------------------------------------------------------------------
 # collapsed sets and raw rectangles come from one enumeration
 
@@ -289,7 +287,7 @@ def _final_stop_set(design, effects):
 @pytest.mark.parametrize("k,seed", [(2, 11), (2, 12), (2, 13), (2, 14),
                                     (2, 15), (2, 16), (3, 21), (3, 22),
                                     (3, 23), (3, 24), (4, 0)])
-def test_final_stop_stage_is_the_complement(k, seed):
+def test_stop_stages_partition_unity(k, seed):
     # a drop order missing from (or doubled in) the interim sets moves the
     # complement but not the directly enumerated final stage; K=4 runs
     # the least favourable configuration
