@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -158,11 +158,14 @@ def type_i_global_null(design: TrialDesign, *,
 def _stop_estimates(design: TrialDesign, effects: EffectConfig,
                     **integration) -> list[ProbabilityEstimate]:
     """P(trial ends at stage j), j = 1..J: the interim sets integrated, then
-    the final stage as one minus them, their bounds in quadrature."""
+    the final stage as one minus them, their bounds in quadrature.  The
+    final value is clamped to [0, 1], where integration noise could take a
+    near-certain or near-impossible stage past them; its bound is kept."""
     interim = [set_probability(pset, **integration)
                for pset in stop_stage_problems(design, effects)]
-    return [*interim, _weighted_sum(
-        [(1, ProbabilityEstimate(1.0, 0.0, 0)), *((-1, e) for e in interim)])]
+    final = _weighted_sum(
+        [(1, ProbabilityEstimate(1.0, 0.0, 0)), *((-1, e) for e in interim)])
+    return [*interim, replace(final, value=min(max(final.value, 0.0), 1.0))]
 
 
 def stop_stage_probabilities(design: TrialDesign, effects: EffectConfig,

@@ -12,20 +12,28 @@ approximation itself.
 
 Reproducibility: replicate r reads a fixed window of the counter-based
 Philox stream keyed by the seed (blocks [r*B, (r+1)*B) of four 64-bit words
-each), and normals come from uniforms through the inverse CDF.  Every
-replicate's draws are a pure function of (seed, replicate index), so the
-estimates are bit-identical no matter how replicates are batched, and the
-integer accumulators make the aggregation order immaterial as well.
+each; Salmon et al., SC'11), and normals come from uniforms through the
+inverse CDF.  Every replicate's draws are a pure function of (seed,
+replicate index), so a stripe of replicates can jump straight to its own
+window.  The estimates are therefore bit-identical however the replicates
+are batched and however many CPUs share them, and the integer accumulators
+make the aggregation order immaterial as well.
 
-Layout: a batch is held as (groups, stages, paths) arrays, paths last, so
-every step runs on contiguous per-group vectors.  Each path sees the same
-float operations and comparisons in any layout, so no result depends on it.
+Layout: the replicates are cut into chunks dealt round-robin to one stripe
+per CPU the process may use; stripe 0 runs on the calling thread and the
+others on threads that live for one call, where the inverse CDF and the
+Philox draws run without the interpreter lock.  A chunk is held as
+(groups, stages, paths) arrays, paths last, so every step runs on
+contiguous per-group vectors.  Each path sees the same float operations
+and comparisons in any layout, so no result depends on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +47,14 @@ __all__ = [
     "estimate_characteristics",
 ]
 
-# replicates per vectorized batch; results do not depend on this value
+# replicates in flight across all stripes, each stripe's chunk its share;
+# results do not depend on this value
 _CHUNK = 1 << 15
+
+# stripes per call: the CPUs this process may run on; results do not depend
+# on this value
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 # floor for the uniform before the inverse CDF: keeps a once-in-2^53 exact
 # zero from producing an infinite statistic
@@ -133,26 +147,50 @@ def _decide_paths(design: TrialDesign, z: np.ndarray):
     return stop, won, rejected
 
 
-def _increment_chunks(seed: int, reps: int, arms: int, stages: int):
-    """Standard normal increments (arms+1, stages, m) for successive batches
-    of at most _CHUNK replicates, written into buffers reused across
-    batches.
+def _increment_chunks(seed: int, reps: int, arms: int, stages: int,
+                      chunk: int, stripe: int, stripes: int):
+    """Standard normal increments (arms+1, stages, m) for the chunks of at
+    most `chunk` replicates starting at stripe * chunk, every `stripes`-th
+    chunk, written into buffers reused across chunks.
 
-    One Philox stream is read in order, B = ceil(words / 4) counter blocks
-    per replicate, so replicate r reads blocks [r*B, (r+1)*B) and the values
-    depend only on (seed, replicate index).
+    Replicate r reads blocks [r*B, (r+1)*B) of one Philox stream, B =
+    ceil(words / 4) counter blocks per replicate; the stream jumps over
+    the other stripes' chunks, so the values depend only on (seed,
+    replicate index).
     """
     words = (arms + 1) * stages
     width = 4 * -(-words // 4)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    u = np.empty((min(_CHUNK, reps), width))
+    bitgen = np.random.Philox(np.random.SeedSequence(seed))
+    gen = np.random.Generator(bitgen)
+    u = np.empty((min(chunk, reps), width))
     xi = np.empty((arms + 1, stages, len(u)))
-    for start in range(0, reps, len(u)):
-        m = min(len(u), reps - start)
+    pos = 0
+    for start in range(stripe * chunk, reps, stripes * chunk):
+        m = min(chunk, reps - start)
+        bitgen.advance((start - pos) * (width // 4))
+        pos = start + m
         gen.random(out=u[:m])
         np.maximum(u[:m, :words], _TINY, out=u[:m, :words])
         ndtri(u[:m, :words].T, out=xi.reshape(words, -1)[:, :m])
         yield xi[:, :, :m]
+
+
+def _stripe_counts(design: TrialDesign, effects: EffectConfig, reps: int,
+                   seed: int, chunk: int, stripe: int,
+                   stripes: int) -> np.ndarray:
+    """One stripe's integer counts: arm 1's wins, rejections and boundary
+    crossings, then the paths ending at each stage."""
+    u_arr = np.asarray(design.boundaries)
+    counts = np.zeros(3 + design.stages, dtype=np.int64)
+    for xi in _increment_chunks(seed, reps, design.arms, design.stages,
+                                chunk, stripe, stripes):
+        z = _z_from_increments(design, effects, xi)
+        stop, won, rejected = _decide_paths(design, z)
+        counts[0] += np.count_nonzero(won)
+        counts[1] += np.count_nonzero(rejected)
+        counts[2] += np.count_nonzero(np.any(z[0] > u_arr[:, None], axis=0))
+        counts[3:] += np.bincount(stop - 1, minlength=design.stages)
+    return counts
 
 
 def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
@@ -168,7 +206,8 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
         ess: patients recruited through the ending stage.
         stop_stage_j: the trial ends at stage j.
 
-    Deterministic given (seed, reps); independent of batching.
+    Deterministic given (seed, reps); independent of batching and of the
+    number of CPUs.
     """
     if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
         raise ValueError(f"reps must be an integer, got {reps!r}")
@@ -177,21 +216,23 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     stages = design.stages
-    u_arr = np.asarray(design.boundaries)
-    wins = rejects = crossings = 0
-    stop_counts = np.zeros(stages, dtype=np.int64)
-    for xi in _increment_chunks(seed, reps, design.arms, stages):
-        z = _z_from_increments(design, effects, xi)
-        stop, won, rejected = _decide_paths(design, z)
-        wins += int(np.count_nonzero(won))
-        rejects += int(np.count_nonzero(rejected))
-        crossings += int(np.count_nonzero(
-            np.any(z[0] > u_arr[:, None], axis=0)))
-        stop_counts += np.bincount(stop - 1, minlength=stages)
+    chunk = max(1, _CHUNK // _WORKERS)
+    # a stripe with no chunk would start a thread for nothing
+    stripes = min(_WORKERS, -(-reps // chunk))
+    args = (design, effects, reps, seed, chunk)
+    if stripes == 1:
+        totals = _stripe_counts(*args, 0, 1)
+    else:
+        with ThreadPoolExecutor(stripes - 1) as pool:
+            others = [pool.submit(_stripe_counts, *args, s, stripes)
+                      for s in range(1, stripes)]
+            totals = _stripe_counts(*args, 0, stripes)
+            for f in others:
+                totals = totals + f.result()
+    wins, rejects, crossings, *counts = totals.tolist()
     # every path ending at stage j recruits that stage's total
     patients = [int(stage_total_patients(design, j))
                 for j in range(1, stages + 1)]
-    counts = stop_counts.tolist()
     patient_sum = sum(c * t for c, t in zip(counts, patients))
     patient_sq = sum(c * t * t for c, t in zip(counts, patients))
 
@@ -209,5 +250,5 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
         ess_se = 0.0
     estimates["ess"] = (mean_patients, ess_se)
     for j in range(1, stages + 1):
-        estimates[f"stop_stage_{j}"] = binomial(int(stop_counts[j - 1]))
+        estimates[f"stop_stage_{j}"] = binomial(counts[j - 1])
     return SimulationResult(replicates=reps, estimates=estimates, seed=seed)

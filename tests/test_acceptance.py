@@ -24,6 +24,7 @@ from dtldesign.calibrate import (
 )
 from dtldesign.characteristics import (
     ERROR_ALLOWANCE,
+    _stop_estimates,
     comparator_multiarm,
     comparator_separate_trials,
     full_report,
@@ -33,11 +34,7 @@ from dtldesign.characteristics import (
 from dtldesign.cli import RunConfig, run
 from dtldesign.covariance import EffectConfig, TrialDesign
 from dtldesign.endpoint import BinaryEndpointSpec, binary_to_normal
-from dtldesign.events import (
-    set_probability,
-    stop_stage_problems,
-    win_problems,
-)
+from dtldesign.events import set_probability, win_problems
 from dtldesign.mvn import OrthantProblem, mvn_rectangle_prob
 from dtldesign.simulate import estimate_characteristics
 
@@ -262,10 +259,11 @@ def test_criterion_8b_win_within_stop(designed):
     checks = 0
     for effects in cases:
         wins = win_problems(designed, effects)
-        stops = stop_stage_problems(designed, effects)
-        for w, s in zip(wins, stops):
+        # the interim stop sets, then the final stage as their complement
+        stops = _stop_estimates(designed, effects, target_abs_error=1e-5)
+        assert len(stops) == len(wins)
+        for w, ps in zip(wins, stops):
             pw = set_probability(w, target_abs_error=1e-5)
-            ps = set_probability(s, target_abs_error=1e-5)
             assert pw.value <= ps.value + pw.error_bound + ps.error_bound
             checks += 1
     print(f"\n[PASS] criterion 8b: P(win at j) <= P(stop at j) for "

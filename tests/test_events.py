@@ -303,6 +303,18 @@ def test_stop_stages_partition_unity(k, seed):
         final.error_bound, direct.error_bound)
 
 
+def test_final_stop_stage_clamped_to_zero():
+    # the interim stops here sum to one within 1e-10, so one minus them
+    # reads about -5e-11 before the clamp
+    design, effects = _random_case(3, 21)
+    stops = characteristics._stop_estimates(
+        design, effects, target_abs_error=2e-6, seed=21)
+    assert 1.0 - stops[0].value - stops[1].value < 0.0
+    assert stops[-1].value == 0.0
+    assert stops[-1].error_bound == pytest.approx(
+        math.hypot(stops[0].error_bound, stops[1].error_bound), rel=1e-12)
+
+
 @pytest.mark.parametrize("effects", sorted(_COLLAPSE_EFFECTS))
 @pytest.mark.parametrize("k", [3, 4])
 def test_stop_weights_count_raw_rectangles(k, effects):

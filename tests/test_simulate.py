@@ -1,6 +1,7 @@
 """Monte Carlo machinery: path laws, trial mechanics, estimator agreement."""
 
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,44 @@ def test_estimates_reproduce_recorded_bits(name, reps, chunk, monkeypatch):
     design, effects = _recorded_case(name)
     res = estimate_characteristics(design, effects, reps, seed=0)
     assert res.estimates == _RECORDED_ESTIMATES[name, reps]
+
+
+@pytest.mark.parametrize("name, reps, chunk", [
+    *((name, reps, simulate._CHUNK) for name, reps in _RECORDED_ESTIMATES),
+    # stripes end unevenly, the last chunk short
+    ("k4_lfc", 12_345, 977),
+    # two chunks, so three workers run two stripes
+    ("k4_lfc", 12_345, 24_576),
+    # fewer replicates than one stripe's chunk
+    ("k4_lfc", 12_345, 40_000),
+])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_stripes_reproduce_recorded_bits(name, reps, chunk, workers,
+                                         monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    monkeypatch.setattr(simulate, "_WORKERS", workers)
+    design, effects = _recorded_case(name)
+    res = estimate_characteristics(design, effects, reps, seed=0)
+    assert res.estimates == _RECORDED_ESTIMATES[name, reps]
+
+
+@pytest.mark.parametrize("workers, started", [(1, 0), (3, 2)])
+def test_stripes_leave_no_thread(workers, started, monkeypatch):
+    # one worker runs on the calling thread; more start one thread per
+    # extra stripe and join them all before returning
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    monkeypatch.setattr(simulate, "_WORKERS", workers)
+    before = threading.active_count()
+    estimate_characteristics(DESIGN, LFC, 100_000, seed=5)
+    assert len(starts) == started
+    assert threading.active_count() == before
 
 
 def _random_design(design_seed):
