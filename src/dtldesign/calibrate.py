@@ -10,9 +10,11 @@ Two searches, run in this order (design_trial runs both):
 2. find_sample_size takes the calibrated design and finds the smallest
    integer per-stage sample size whose power under the least favourable
    configuration reaches the target.  probit(power) is nearly linear in
-   sqrt(n), so a secant search seeded with the one-look z test's n finds
-   the same n as a one-patient-at-a-time scan in a few integrals; it
-   falls back to bisection when the secant stalls.
+   sqrt(n), so a secant search finds the same n as a one-patient-at-a-time
+   scan in a few integrals; it falls back to bisection when the secant
+   stalls.  Its seed is the one-look z test's n moved one model step by a
+   coarse probe of the power there, which steers the search but decides
+   nothing.
 
 PWER is one arm's group-sequential crossing probability, computed by
 deterministic recursive quadrature (_no_crossing), so the boundaries
@@ -65,6 +67,9 @@ SEARCH_TARGET = 1e-5
 # a bracket within noise at the search target is integrated once more at
 # the target divided by this
 BRACKET_RETRY_FACTOR = 5
+# the probe that refines the model's seed integrates at the search target
+# times this: it only steers the search, so its noise decides nothing
+_PROBE_FACTOR = 10
 
 
 class BracketError(ValueError):
@@ -335,14 +340,19 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
                      target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
     """Smallest per-stage n with LFC power >= cfg.power_target.
 
-    A probit-secant search seeded with the one-look z test's n over the
-    stage count.  The same integration seed is used at every n (common
-    random numbers), so the visited power curve is smooth; it is asserted
-    nondecreasing up to twice the integration error bound.  The answer n
-    must clear the target, and n - 1 fall short of it, each by more than
-    its error bound; if not, both are integrated once more at
-    target_abs_error / BRACKET_RETRY_FACTOR, and if the bracket still
-    rests on integration noise the search raises ConvergenceError.
+    A probit-secant search.  Its seed is the one-look z test's n over the
+    stage count, moved one step along the model slope by a probe: the
+    power there integrated once at _PROBE_FACTOR x target_abs_error (a
+    probit that is not finite, power 0, 1 or outside [0, 1], leaves the
+    seed where it is).  The probe is not a visit: the bracket and the
+    checks below rest only on integrals at target_abs_error or finer.
+    The same integration seed is used at every n (common random numbers),
+    so the visited power curve is smooth; it is asserted nondecreasing up
+    to twice the integration error bound.  The answer n must clear the
+    target, and n - 1 fall short of it, each by more than its error
+    bound; if not, both are integrated once more at target_abs_error /
+    BRACKET_RETRY_FACTOR, and if the bracket still rests on integration
+    noise the search raises ConvergenceError.
     """
     visited: dict[int, tuple[float, float]] = {}
 
@@ -351,10 +361,15 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
                                 target=tol, seed=seed)
         return visited[n][0]
 
-    n = _smallest_passing_n(
-        power_at, cfg.power_target, _MAX_N,
-        *_one_look_model(cfg.alpha, cfg.power_target, theta_prime,
-                         design.sigma, design.stages))
+    guess, slope = _one_look_model(cfg.alpha, cfg.power_target, theta_prime,
+                                   design.sigma, design.stages)
+    probe_n = min(max(math.ceil(guess), 1), _MAX_N)
+    probe, _ = _lfc_power(design.with_n(probe_n), theta_prime, theta_zero,
+                          target=_PROBE_FACTOR * target_abs_error, seed=seed)
+    gap = float(ndtri(probe)) - float(ndtri(cfg.power_target))
+    if math.isfinite(gap):
+        guess = max(math.sqrt(probe_n) - gap / slope, 0.0) ** 2
+    n = _smallest_passing_n(power_at, cfg.power_target, _MAX_N, guess, slope)
 
     grid = sorted(visited)
     for a, b in zip(grid, grid[1:]):

@@ -377,14 +377,17 @@ class TestSearchVisits:
         calls, real = [], calibrate._lfc_power
 
         def counted(design, *args, **kwargs):
-            calls.append(design.n_per_stage)
+            calls.append((design.n_per_stage, kwargs["target"]))
             return real(design, *args, **kwargs)
         monkeypatch.setattr(calibrate, "_lfc_power", counted)
         parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
         d = design_trial(parsed.arms, parsed.shape, parsed.calibration,
                          parsed.normal)
         assert d.n_per_stage == 206
-        assert len(calls) <= 4, calls
+        # one coarse probe, then n - 1 and n at the search target
+        assert [target for _, target in calls] == [
+            calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET,
+            calibrate.SEARCH_TARGET, calibrate.SEARCH_TARGET], calls
 
 
 class TestPowerBracket:
@@ -409,7 +412,42 @@ class TestPowerBracket:
         calls = self._linear_power(monkeypatch, lambda target: 4e-4)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == 101
-        assert {target for _, target in calls} == {calibrate.SEARCH_TARGET}
+        # the first call alone is the coarse probe
+        assert [target for _, target in calls] == [
+            calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET,
+            *[calibrate.SEARCH_TARGET] * (len(calls) - 1)]
+
+    @pytest.mark.parametrize("misread", [-0.05, 0.05])
+    def test_misread_probe_still_finds_n(self, monkeypatch, misread):
+        # theta' = 0.8 puts the model's n at 104, where the fake power is
+        # 0.9035: the misread probe stays inside (0, 1), so it moves the
+        # seed of the search, which the full-target visits then correct
+        probe = calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET
+        calls = self._linear_power(
+            monkeypatch, lambda target: 4e-4,
+            shift=lambda target: misread if target == probe else 0.0)
+        d = find_sample_size(TEMPLATE3, 0.8, THETA_0, CFG)
+        assert d.n_per_stage == 101
+        assert calls[0] == (104, probe)
+        assert calls[1][0] != 104
+
+    @pytest.mark.parametrize("reading", [0.0, 1.0])
+    def test_probe_at_zero_or_one_keeps_the_model_guess(self, monkeypatch,
+                                                        reading):
+        # an infinite probit moves nothing: the search starts at the
+        # probe's n, the ceiling of the model's
+        probe = calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET
+        calls = self._linear_power(monkeypatch, lambda target: 4e-4)
+        linear = calibrate._lfc_power
+
+        def fake(design, *args, target, seed):
+            power, bound = linear(design, *args, target=target, seed=seed)
+            return (reading if target == probe else power), bound
+        monkeypatch.setattr(calibrate, "_lfc_power", fake)
+        d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+        assert d.n_per_stage == 101
+        assert calls[0] == (189, probe)
+        assert calls[1] == (189, calibrate.SEARCH_TARGET)
 
     def test_bracket_within_noise_raises(self, monkeypatch):
         self._linear_power(monkeypatch, lambda target: 6e-4)
@@ -426,7 +464,7 @@ class TestPowerBracket:
         assert d.n_per_stage == 101
         tight = calibrate.SEARCH_TARGET / calibrate.BRACKET_RETRY_FACTOR
         assert tight == pytest.approx(2e-6)
-        assert [c for c in calls if c[1] != calibrate.SEARCH_TARGET] == [
+        assert [c for c in calls if c[1] < calibrate.SEARCH_TARGET] == [
             (100, tight), (101, tight)]
 
     def test_flipped_retry_raises_with_the_tighter_numbers(self,
@@ -442,10 +480,23 @@ class TestPowerBracket:
                                  r"1\.20e-04, power\(101\)=0\.901500"):
             find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert len([c for c in calls
-                    if c[1] != calibrate.SEARCH_TARGET]) == 2
+                    if c[1] < calibrate.SEARCH_TARGET]) == 2
 
 
 class TestDesignTrial:
+    # the README's table of reference designs: the example config at its
+    # defaults, arms and shape varied
+    @pytest.mark.parametrize("kind,arms,n", [
+        (kind, arms, n)
+        for kind, ns in (("obrien_fleming", (303, 206, 156, 127)),
+                         ("pocock", (326, 234, 182, 149)))
+        for arms, n in zip(range(2, 6), ns)])
+    def test_reference_sample_sizes(self, kind, arms, n):
+        parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
+        d = design_trial(arms, BoundaryShape(kind), parsed.calibration,
+                         parsed.normal)
+        assert d.n_per_stage == n
+
     def test_one_arm_is_the_two_arm_trial(self):
         # one arm, one stage: the boundary is z_{1-alpha} and n the
         # closed-form two-arm sample size
