@@ -81,8 +81,9 @@ def _directions(dim: int) -> np.ndarray:
 def sobol_rounds(dim: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Yield the points of one scrambled Sobol set, as uint32 arrays of
     shape (n, dim): the first _FIRST points, then each time as many more
-    as were yielded before.  Round m > 0 reflects every earlier point,
-    p(2**m + i) = p(2**m - 1 - i) XOR v_m, which is the Gray-code order.
+    as were yielded before.  Round m reflects every earlier point,
+    p(2**m + i) = p(2**m - 1 - i) XOR v_m, from the shifted first point
+    on, which is the Gray-code order.
     """
     seq = rng.bit_generator._seed_seq
     child = np.random.Generator(type(rng.bit_generator)(seq.spawn(1)[0]))
@@ -95,17 +96,11 @@ def sobol_rounds(dim: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     v = (sums.astype(np.uint32) & 1) @ _POW2[::-1]
     v = v.T  # v[k] is direction k of every coordinate
 
-    n = _FIRST
-    points = np.empty((n, dim), dtype=np.uint32)
-    points[0] = shift
-    for m in range(n.bit_length() - 1):
-        half = 1 << m
-        np.bitwise_xor(points[half - 1::-1], v[m], out=points[half:2 * half])
-    yield points
-    for m in range(n.bit_length() - 1, BITS):
+    n, points = 1, shift[None, :]
+    for m in range(BITS):
         grown = np.empty((2 * n, dim), dtype=np.uint32)
         grown[:n] = points
         np.bitwise_xor(points[::-1], v[m], out=grown[n:])
-        points = grown
-        yield points[n:]
-        n *= 2
+        n, points = 2 * n, grown
+        if n >= _FIRST:
+            yield points if n == _FIRST else points[n // 2:]

@@ -1,4 +1,4 @@
-"""Boundary scale and sample size calibration.
+"""Boundary scale and sample size calibration, and the comparators' sizes.
 
 Two searches, run in this order (design_trial runs both):
 
@@ -22,6 +22,11 @@ depend on no seed.  The sample size search integrates with a fixed seed
 so its objective is a deterministic function of n; the monotonicity that
 makes bracketing valid is asserted on the visited grid rather than
 assumed.
+
+The single-look comparators are sized here as well: comparator_multiarm
+runs the same integer search on multiarm_lfc_power, one 1-D integral on
+_no_crossing's Gauss-Legendre rule, and comparator_separate_trials is the
+one-look z test's n in closed form.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +42,8 @@ from scipy.special import ndtr, ndtri
 
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
-from .events import power_lfc_problems, total_probability
+from .events import (PERMUTATION_CAP, CapacityError, power_lfc_problems,
+                     total_probability)
 from .mvn import ProbabilityEstimate
 
 __all__ = [
@@ -48,6 +55,10 @@ __all__ = [
     "calibrate_boundaries",
     "find_sample_size",
     "design_trial",
+    "multiarm_lfc_power",
+    "comparator_multiarm",
+    "comparator_separate_trials",
+    "separate_trials_power",
 ]
 
 _SHAPE_KINDS = ("obrien_fleming", "pocock", "custom")
@@ -180,7 +191,13 @@ def _no_crossing(boundaries, drift: float) -> float:
     increment density, and the final stage closes with ndtr.  A stage
     with u_j = +inf constrains nothing, so the walk carries on to the next
     finite stage over the summed gap.  The final boundary must be finite.
+    More than PERMUTATION_CAP stages, beyond the range the node count is
+    verified for, raise CapacityError.
     """
+    if len(boundaries) > PERMUTATION_CAP:
+        raise CapacityError(
+            f"{len(boundaries)} stages exceeds the cap of {PERMUTATION_CAP} "
+            "that the crossing quadrature is verified for")
     nodes, weights = _gauss_legendre(_QUADRATURE_NODES)
     finite = [(j, u) for j, u in enumerate(boundaries, start=1)
               if math.isfinite(u)]
@@ -406,3 +423,85 @@ def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,
     design = calibrate_boundaries(template, shape, cfg)
     return find_sample_size(design, endpoint.theta_prime, endpoint.theta_zero,
                             cfg, seed=seed, target_abs_error=target_abs_error)
+
+
+def _check_comparator(arms: int, alpha: float, power_target: float,
+                      theta_prime: float, sigma: float) -> None:
+    if not isinstance(arms, numbers.Integral) or arms < 1:
+        raise ValueError(f"arms must be an integer >= 1, got {arms!r}")
+    if not 0.0 < alpha < 1.0 or not 0.0 < power_target < 1.0:
+        raise ValueError("alpha and power_target must be in (0, 1)")
+    if not (0.0 < theta_prime < math.inf and 0.0 < sigma < math.inf):
+        raise ValueError("theta_prime and sigma must be positive and finite")
+
+
+def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
+                       theta_zero: float, sigma: float) -> float:
+    """LFC power of the single-look K-arm comparator at n per arm.
+
+    Arm 1 must beat the critical value and every other arm.  Given the
+    standardized mean t of arm 1, the control and the K - 1 rivals are
+    independent, so the K-dimensional probability is one integral
+    (Dunnett 1955):
+
+        int phi(t) Phi(a + t) Phi(b + t)^(K-1) dt,
+        a = theta' sqrt(n) / sigma - z_{1-alpha} sqrt(2),
+        b = (theta' - theta_0) sqrt(n) / sigma,
+
+    taken with _no_crossing's Gauss-Legendre rule on |t| <= _TAIL_SDS.
+    Deterministic: no integration target, no seed.
+    """
+    nodes, weights = _gauss_legendre(_QUADRATURE_NODES)
+    t = _TAIL_SDS * nodes
+    scale = math.sqrt(n) / sigma
+    a = theta_prime * scale - float(ndtri(1.0 - alpha)) * math.sqrt(2.0)
+    b = (theta_prime - theta_zero) * scale
+    density = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return float(_TAIL_SDS * weights
+                 @ (density * ndtr(a + t) * ndtr(b + t) ** (arms - 1)))
+
+
+def comparator_multiarm(arms: int, alpha: float, power_target: float,
+                        theta_prime: float, theta_zero: float, sigma: float
+                        ) -> tuple[int, int]:
+    """Single-look K-arm design: (n per arm, maximum total patients).
+
+    Pairwise error control needs only the marginal critical value; the
+    sample size comes from the same probit-secant search as the main
+    design, seeded with the two-arm z test's n, on the one-dimensional
+    recommendation probability of multiarm_lfc_power.  A single arm has
+    no rival, so theta_zero is then unconstrained.
+    """
+    _check_comparator(arms, alpha, power_target, theta_prime, sigma)
+    if arms > 1 and not theta_prime > theta_zero:
+        raise ValueError("need theta_prime > theta_zero")
+
+    n = _smallest_passing_n(
+        lambda n: multiarm_lfc_power(arms, n, alpha, theta_prime,
+                                     theta_zero, sigma),
+        power_target, _MAX_N,
+        *_one_look_model(alpha, power_target, theta_prime, sigma))
+    return n, (arms + 1) * n
+
+
+def comparator_separate_trials(arms: int, alpha: float, power_target: float,
+                               theta_prime: float, sigma: float
+                               ) -> tuple[int, int]:
+    """K independent two-arm trials: (n per group, maximum total patients).
+
+    Each trial brings its own control, so the total is 2*K*n with
+    n = ceil(2 sigma^2 (z_{1-alpha} + z_{power})^2 / theta_prime^2), and
+    at least 1.
+    """
+    _check_comparator(arms, alpha, power_target, theta_prime, sigma)
+    n = max(math.ceil(_one_look_model(alpha, power_target, theta_prime,
+                                      sigma)[0]), 1)
+    return n, 2 * arms * n
+
+
+def separate_trials_power(n: int, alpha: float, theta_prime: float,
+                          sigma: float) -> float:
+    """Power of one two-arm trial at n per group: the inverse of the
+    sample size formula in comparator_separate_trials."""
+    return float(ndtr(theta_prime * math.sqrt(n / 2.0) / sigma
+                      - ndtri(1.0 - alpha)))

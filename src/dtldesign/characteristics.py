@@ -1,15 +1,13 @@
-"""Operating characteristics of a calibrated design, plus comparators.
+"""Operating characteristics of a calibrated design.
 
 All quantities are analytic: the events module assembles each one as a
 small family of multivariate-normal rectangle probabilities and this
 module integrates them and does the patient bookkeeping.  PWER and the
 crossing probability of arm 1 are one arm's group-sequential crossing
 probability, computed by recursive quadrature (calibrate._no_crossing)
-instead, and the single-look multi-arm comparator's power is one 1-D
-integral on the same Gauss-Legendre rule.  Integration
-noise is kept two orders of magnitude below the reporting precision;
-a result whose error bound exceeds the allowance raises instead of
-silently degrading the report.
+instead.  Integration noise is kept two orders of magnitude below the
+reporting precision; a result whose error bound exceeds the allowance
+raises instead of silently degrading the report.
 
 Patient counts assume the equal-allocation schedule: n patients per
 remaining arm (control included) per stage, one arm dropped at each
@@ -26,15 +24,9 @@ used as a cross-check in the tests; the two are algebraically identical.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-from scipy.special import ndtr, ndtri
-
-from .calibrate import (_MAX_N, _QUADRATURE_NODES, _TAIL_SDS,
-                        ConvergenceError, _converged, _gauss_legendre,
-                        _no_crossing, _one_look_model, _smallest_passing_n)
+from .calibrate import ConvergenceError, _converged, _no_crossing
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
@@ -57,10 +49,6 @@ __all__ = [
     "stop_stage_probabilities",
     "stage_total_patients",
     "max_total_patients",
-    "multiarm_lfc_power",
-    "comparator_multiarm",
-    "comparator_separate_trials",
-    "separate_trials_power",
     "full_report",
     "analytic_estimates",
 ]
@@ -133,26 +121,23 @@ def _checked(est: ProbabilityEstimate, what: str) -> float:
     return est.value
 
 
-def _checked_total(sets, what: str, **integration) -> float:
-    return _checked(total_probability(sets, **integration), what)
-
-
 def power_lfc(design: TrialDesign, theta_prime: float, theta_zero: float,
               *, target_abs_error: float = DEFAULT_TARGET,
               seed: int = 0) -> float:
     """P(recommend arm 1) when arm 1 sits at theta_prime and the rest at
     theta_zero; theta_prime must exceed theta_zero."""
-    return _checked_total(power_lfc_problems(design, theta_prime, theta_zero),
-                          "power", target_abs_error=target_abs_error,
-                          seed=seed)
+    return _checked(total_probability(
+        power_lfc_problems(design, theta_prime, theta_zero),
+        target_abs_error=target_abs_error, seed=seed), "power")
 
 
 def type_i_global_null(design: TrialDesign, *,
                        target_abs_error: float = DEFAULT_TARGET,
                        seed: int = 0) -> float:
     """P(reject a given null) when no treatment works."""
-    return _checked_total(global_null_typeI_problems(design), "type I",
-                          target_abs_error=target_abs_error, seed=seed)
+    return _checked(total_probability(
+        global_null_typeI_problems(design),
+        target_abs_error=target_abs_error, seed=seed), "type I")
 
 
 def _stop_estimates(design: TrialDesign, effects: EffectConfig,
@@ -196,88 +181,6 @@ def _ess_from_stop_probs(design: TrialDesign,
                          probs: tuple[float, ...]) -> float:
     return math.fsum(p * stage_total_patients(design, j + 1)
                      for j, p in enumerate(probs))
-
-
-def _check_comparator(arms: int, alpha: float, power_target: float,
-                      theta_prime: float, sigma: float) -> None:
-    if not isinstance(arms, numbers.Integral) or arms < 1:
-        raise ValueError(f"arms must be an integer >= 1, got {arms!r}")
-    if not 0.0 < alpha < 1.0 or not 0.0 < power_target < 1.0:
-        raise ValueError("alpha and power_target must be in (0, 1)")
-    if not (0.0 < theta_prime < math.inf and 0.0 < sigma < math.inf):
-        raise ValueError("theta_prime and sigma must be positive and finite")
-
-
-def multiarm_lfc_power(arms: int, n: int, alpha: float, theta_prime: float,
-                       theta_zero: float, sigma: float) -> float:
-    """LFC power of the single-look K-arm comparator at n per arm.
-
-    Arm 1 must beat the critical value and every other arm.  Given the
-    standardized mean t of arm 1, the control and the K - 1 rivals are
-    independent, so the K-dimensional probability is one integral
-    (Dunnett 1955):
-
-        int phi(t) Phi(a + t) Phi(b + t)^(K-1) dt,
-        a = theta' sqrt(n) / sigma - z_{1-alpha} sqrt(2),
-        b = (theta' - theta_0) sqrt(n) / sigma,
-
-    taken with calibrate._no_crossing's Gauss-Legendre rule on
-    |t| <= _TAIL_SDS.  Deterministic: no integration target, no seed.
-    """
-    nodes, weights = _gauss_legendre(_QUADRATURE_NODES)
-    t = _TAIL_SDS * nodes
-    scale = math.sqrt(n) / sigma
-    a = theta_prime * scale - float(ndtri(1.0 - alpha)) * math.sqrt(2.0)
-    b = (theta_prime - theta_zero) * scale
-    density = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    return float(_TAIL_SDS * weights
-                 @ (density * ndtr(a + t) * ndtr(b + t) ** (arms - 1)))
-
-
-def comparator_multiarm(arms: int, alpha: float, power_target: float,
-                        theta_prime: float, theta_zero: float, sigma: float
-                        ) -> tuple[int, int]:
-    """Single-look K-arm design: (n per arm, maximum total patients).
-
-    Pairwise error control needs only the marginal critical value; the
-    sample size comes from the same probit-secant search as the main
-    design, seeded with the two-arm z test's n, on the one-dimensional
-    recommendation probability of multiarm_lfc_power.  A single arm has
-    no rival, so theta_zero is then unconstrained.
-    """
-    _check_comparator(arms, alpha, power_target, theta_prime, sigma)
-    if arms > 1 and not theta_prime > theta_zero:
-        raise ValueError("need theta_prime > theta_zero")
-
-    n = _smallest_passing_n(
-        lambda n: multiarm_lfc_power(arms, n, alpha, theta_prime,
-                                     theta_zero, sigma),
-        power_target, _MAX_N,
-        *_one_look_model(alpha, power_target, theta_prime, sigma))
-    return n, (arms + 1) * n
-
-
-def comparator_separate_trials(arms: int, alpha: float, power_target: float,
-                               theta_prime: float, sigma: float
-                               ) -> tuple[int, int]:
-    """K independent two-arm trials: (n per group, maximum total patients).
-
-    Each trial brings its own control, so the total is 2*K*n with
-    n = ceil(2 sigma^2 (z_{1-alpha} + z_{power})^2 / theta_prime^2), and
-    at least 1.
-    """
-    _check_comparator(arms, alpha, power_target, theta_prime, sigma)
-    n = max(math.ceil(_one_look_model(alpha, power_target, theta_prime,
-                                      sigma)[0]), 1)
-    return n, 2 * arms * n
-
-
-def separate_trials_power(n: int, alpha: float, theta_prime: float,
-                          sigma: float) -> float:
-    """Power of one two-arm trial at n per group: the inverse of the
-    sample size formula in comparator_separate_trials."""
-    return float(ndtr(theta_prime * math.sqrt(n / 2.0) / sigma
-                      - ndtri(1.0 - alpha)))
 
 
 def full_report(design: TrialDesign, endpoint: NormalEffectSpec,

@@ -25,16 +25,20 @@ import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from .calibrate import BoundaryShape, CalibrationConfig, design_trial
+from .calibrate import (
+    BoundaryShape,
+    CalibrationConfig,
+    comparator_multiarm,
+    comparator_separate_trials,
+    design_trial,
+    multiarm_lfc_power,
+    separate_trials_power,
+)
 from .characteristics import (
     DEFAULT_TARGET,
     analytic_estimates,
-    comparator_multiarm,
-    comparator_separate_trials,
     full_report,
     max_total_patients,
-    multiarm_lfc_power,
-    separate_trials_power,
 )
 from .covariance import EffectConfig, TrialDesign
 from .endpoint import BinaryEndpointSpec, NormalEffectSpec, binary_to_normal
@@ -333,8 +337,7 @@ def _load_designed(path: str):
 # text tables
 
 def _fmt(x, nd: int, width: int = 0) -> str:
-    s = "-" if x is None else f"{x:.{nd}f}"
-    return s.rjust(width) if width else s
+    return ("-" if x is None else f"{x:.{nd}f}").rjust(width)
 
 
 def _design_lines(design: TrialDesign) -> list[str]:
@@ -426,6 +429,10 @@ def _read_config(path: str) -> ParsedConfig:
         return parse_config(fh.read())
 
 
+def _calibration_record(cal: CalibrationConfig) -> dict:
+    return {"alpha": cal.alpha, "power": cal.power_target, "omega": cal.omega}
+
+
 def _cmd_design(cfg: RunConfig) -> tuple[dict, str]:
     parsed = _read_config(cfg.config_path)
     cal = parsed.calibration
@@ -436,8 +443,7 @@ def _cmd_design(cfg: RunConfig) -> tuple[dict, str]:
         "seed": cfg.seed,
         "design": _design_record(design),
         "endpoint": _endpoint_record(parsed.endpoint),
-        "calibration": {"alpha": cal.alpha, "power": cal.power_target,
-                        "omega": cal.omega},
+        "calibration": _calibration_record(cal),
         "effects": {name: list(e.deltas)
                     for name, e in parsed.effects.items()},
         "max_total_patients": max_total_patients(design),
@@ -505,7 +511,6 @@ def _cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
     parsed = _read_config(cfg.config_path)
     cal = parsed.calibration
     normal = parsed.normal
-    names = list(parsed.effects)
 
     proposed = design_trial(parsed.arms, parsed.shape, cal, normal,
                             **_integration(cfg))
@@ -519,40 +524,38 @@ def _cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
                        **_integration(cfg))
     rows.append(_characteristics_row("dtl", dtl, normal, parsed.effects, cfg))
 
+    def single_look(name: str, n_is: str, n: int, max_n: int,
+                    power: float) -> dict:
+        # every arm is tested once against its own marginal critical
+        # value: both error rates sit at alpha by construction, and every
+        # trial recruits the maximum
+        return {"name": name, "status": "computed", "n": n, "n_is": n_is,
+                "max_n": max_n, "power": power,
+                "type_i": cal.alpha, "pwer": cal.alpha,
+                "ess": {e: float(max_n) for e in parsed.effects}}
+
     n_multi, max_multi = comparator_multiarm(
         parsed.arms, cal.alpha, cal.power_target, normal.theta_prime,
         normal.theta_zero, normal.sigma)
-    rows.append({
-        "name": "multi_arm", "status": "computed",
-        "n": n_multi, "n_is": "per arm, single stage", "max_n": max_multi,
-        "power": multiarm_lfc_power(parsed.arms, n_multi, cal.alpha,
-                                    normal.theta_prime, normal.theta_zero,
-                                    normal.sigma),
-        # every arm is tested against its own marginal critical value, so
-        # both error rates sit at alpha by construction
-        "type_i": cal.alpha, "pwer": cal.alpha,
-        "ess": {name: float(max_multi) for name in names},
-    })
-
+    rows.append(single_look(
+        "multi_arm", "per arm, single stage", n_multi, max_multi,
+        multiarm_lfc_power(parsed.arms, n_multi, cal.alpha,
+                           normal.theta_prime, normal.theta_zero,
+                           normal.sigma)))
     n_sep, total_sep = comparator_separate_trials(
         parsed.arms, cal.alpha, cal.power_target, normal.theta_prime,
         normal.sigma)
-    rows.append({
-        "name": "separate_trials", "status": "computed",
-        "n": n_sep, "n_is": "per group per trial", "max_n": total_sep,
-        "power": separate_trials_power(n_sep, cal.alpha, normal.theta_prime,
-                                       normal.sigma),
-        "type_i": cal.alpha, "pwer": cal.alpha,
-        "ess": {name: float(total_sep) for name in names},
-    })
+    rows.append(single_look(
+        "separate_trials", "per group per trial", n_sep, total_sep,
+        separate_trials_power(n_sep, cal.alpha, normal.theta_prime,
+                              normal.sigma)))
 
     rows.extend({"name": name, "status": "out_of_scope"}
                 for name in _OUT_OF_SCOPE)
     report = {
         "command": "compare",
         "seed": cfg.seed,
-        "calibration": {"alpha": cal.alpha, "power": cal.power_target,
-                        "omega": cal.omega},
+        "calibration": _calibration_record(cal),
         "endpoint": _endpoint_record(parsed.endpoint),
         "rows": rows,
     }
@@ -571,8 +574,7 @@ def run(cfg: RunConfig) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     try:
         report, table = _COMMANDS[cfg.command](cfg)
-    except (ValueError, RuntimeError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(table)

@@ -90,8 +90,6 @@ def risk_decrease_to_log_odds(p_control: float, rd: float) -> float:
     treated = p_control - rd
     if not 0.0 < treated < 1.0:
         raise ValueError("treated rate p_control - rd must be in (0, 1)")
-    if rd == 0.0:
-        return 0.0
     return float(logit(p_control) - logit(treated))
 
 

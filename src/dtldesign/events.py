@@ -49,11 +49,14 @@ __all__ = [
 
 # K! drop orders (at the last interim) times 2 signed no-stop options per
 # interim grows brutally; the cap keeps accidental K=12 calls from hanging.
+# It also caps the stages of calibrate._no_crossing, verified up to eight.
 PERMUTATION_CAP = 8
 
 
 class CapacityError(ValueError):
-    """Raised when the drop-order enumeration would be intractably large."""
+    """Raised when a design is larger than the engine handles: more arms
+    than the drop-order enumeration can list in reasonable time, or more
+    stages than the crossing quadrature is verified for."""
 
 
 @dataclass(frozen=True)
@@ -75,19 +78,13 @@ class EventProblemSet:
                 raise TypeError("problems must be OrthantProblem instances")
 
 
-def _coord_key(c: StatCoord):
-    # within a stage, arm-vs-arm contrasts before arms' own statistics; the
-    # order fixes each problem's index in its set, and so its seed
-    return (c.stage, c.arm_b == 0, c.arm_a, c.arm_b)
-
-
 def _rect(constraints):
-    """Sorted (coord, lo, hi) description, or None for an empty rectangle.
+    """(coord, lo, hi) description, or None for an empty rectangle.
 
     Each coordinate appears at most once in `constraints`; an infinite
     boundary gives an (inf, inf) constraint, which empties the rectangle.
     """
-    rect = tuple(sorted(constraints, key=lambda c: _coord_key(c[0])))
+    rect = tuple(constraints)
     if any(not lo < hi for _, lo, hi in rect):
         return None
     return rect
@@ -135,8 +132,10 @@ def _symmetry_maps(deltas, fixed: tuple[int, ...]):
 
 
 def _relabeled_key(items, pi):
-    # _coord_key under pi, flattened with the bounds: flat tuples sort as
-    # the nested ones would and are cheaper to build and compare
+    # the constraints under pi, sorted by stage, then arm-vs-arm contrasts
+    # before arms' own statistics, then arms; the order fixes each
+    # problem's index in its set, and so its seed.  Flat tuples with the
+    # bounds are cheaper to build and compare than nested ones
     return tuple(sorted([(c.stage, c.arm_b == 0, pi[c.arm_a], pi[c.arm_b],
                           lo, hi) for c, lo, hi in items]))
 
@@ -204,8 +203,8 @@ def _reject_paths(design: TrialDesign, j: int):
         for perm in itertools.permutations(rivals, j - 1):
             yield perm + (1,), [_crosses(design, 1, j)]
     else:
-        for perm in itertools.permutations(rivals, j - 1):
-            yield perm, [_crosses(design, 1, j)]
+        # arm 1 is the lone survivor, so its rejection is its win
+        yield from _win_paths(design, j)
 
 
 def _stage_rects(design: TrialDesign, paths, stages: int):

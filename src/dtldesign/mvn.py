@@ -309,9 +309,8 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     corr = problem.corr
     # unconstrained coordinates contribute a factor of one
     keep = ~(np.isneginf(a) & np.isposinf(b))
-    if not keep.all():
-        a, b = a[keep], b[keep]
-        corr = corr[np.ix_(keep, keep)]
+    a, b = a[keep], b[keep]
+    corr = corr[np.ix_(keep, keep)]
     if a.shape[0] == 0:
         return ProbabilityEstimate(1.0, 0.0, 0, True)
     pivots = _fold(*_pivoted_cholesky(corr, a, b))

@@ -220,15 +220,13 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
     # a stripe with no chunk would start a thread for nothing
     stripes = min(_WORKERS, -(-reps // chunk))
     args = (design, effects, reps, seed, chunk)
-    if stripes == 1:
-        totals = _stripe_counts(*args, 0, 1)
-    else:
-        with ThreadPoolExecutor(stripes - 1) as pool:
-            others = [pool.submit(_stripe_counts, *args, s, stripes)
-                      for s in range(1, stripes)]
-            totals = _stripe_counts(*args, 0, stripes)
-            for f in others:
-                totals = totals + f.result()
+    # the pool starts threads only on submit, so one stripe starts none
+    with ThreadPoolExecutor(max(stripes - 1, 1)) as pool:
+        others = [pool.submit(_stripe_counts, *args, s, stripes)
+                  for s in range(1, stripes)]
+        totals = _stripe_counts(*args, 0, stripes)
+        for f in others:
+            totals = totals + f.result()
     wins, rejects, crossings, *counts = totals.tolist()
     # every path ending at stage j recruits that stage's total
     patients = [int(stage_total_patients(design, j))

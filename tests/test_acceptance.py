@@ -21,14 +21,14 @@ from dtldesign.calibrate import (
     BoundaryShape,
     CalibrationConfig,
     calibrate_boundaries,
+    comparator_multiarm,
+    comparator_separate_trials,
     find_sample_size,
 )
 from dtldesign.characteristics import (
     DEFAULT_TARGET,
     ERROR_ALLOWANCE,
     _stop_estimates,
-    comparator_multiarm,
-    comparator_separate_trials,
     full_report,
     max_total_patients,
 )

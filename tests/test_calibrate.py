@@ -16,14 +16,14 @@ from dtldesign.calibrate import (
     ConvergenceError,
     SearchLimitError,
     calibrate_boundaries,
+    comparator_separate_trials,
     design_trial,
     find_sample_size,
 )
-from dtldesign.characteristics import comparator_separate_trials
 from dtldesign.cli import parse_config
 from dtldesign.covariance import EffectConfig, TrialDesign, mean_of, single
 from dtldesign.endpoint import NormalEffectSpec
-from dtldesign.events import pwer_problem
+from dtldesign.events import PERMUTATION_CAP, CapacityError, pwer_problem
 from dtldesign.mvn import ProbabilityEstimate, mvn_rectangle_prob
 
 SIGMA = math.sqrt(9.47)
@@ -187,6 +187,19 @@ class TestCalibrateBoundaries:
                            match=r"window \[.*\]: alpha or omega is finer "
                                  "than PWER can resolve"):
             calibrate_boundaries(template, BoundaryShape(), cfg)
+
+    def test_more_stages_than_the_quadrature_is_verified_for(self,
+                                                            monkeypatch):
+        # TestNoCrossing verifies the node count at 1..PERMUTATION_CAP
+        # stages; a longer walk is refused before any quadrature runs
+        monkeypatch.setattr(calibrate, "_gauss_legendre", None)
+        stages = PERMUTATION_CAP + 1
+        template = TrialDesign(stages, stages, 10, obf(stages, 2.0), 0.025,
+                               SIGMA)
+        with pytest.raises(CapacityError,
+                           match=f"^{stages} stages exceeds the cap of "
+                                 f"{PERMUTATION_CAP} "):
+            calibrate_boundaries(template)
 
 
 class TestGoldenBoundaries:

@@ -9,25 +9,25 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from dtldesign import characteristics
+from dtldesign import calibrate
 from dtldesign.calibrate import (
     BoundaryShape,
     CalibrationConfig,
     SearchLimitError,
     calibrate_boundaries,
+    comparator_multiarm,
+    comparator_separate_trials,
+    multiarm_lfc_power,
+    separate_trials_power,
 )
 from dtldesign.characteristics import (
     DEFAULT_TARGET,
     OperatingCharacteristics,
     analytic_estimates,
-    comparator_multiarm,
-    comparator_separate_trials,
     full_report,
     max_total_patients,
-    multiarm_lfc_power,
     pwer,
     power_lfc,
-    separate_trials_power,
     stage_total_patients,
     stop_stage_probabilities,
     type_i_global_null,
@@ -250,12 +250,12 @@ class TestComparators:
 
     def test_multiarm_reference_takes_few_power_integrals(self,
                                                           monkeypatch):
-        visits, real = [], characteristics.multiarm_lfc_power
+        visits, real = [], calibrate.multiarm_lfc_power
 
         def counted(arms, n, *args, **kwargs):
             visits.append(n)
             return real(arms, n, *args, **kwargs)
-        monkeypatch.setattr(characteristics, "multiarm_lfc_power", counted)
+        monkeypatch.setattr(calibrate, "multiarm_lfc_power", counted)
         assert comparator_multiarm(3, 0.025, 0.9, EFF.theta_prime,
                                    EFF.theta_zero, EFF.sigma) == (569, 2276)
         assert len(visits) <= 4, visits

@@ -3,6 +3,8 @@
 import ast
 import json
 import math
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -271,20 +273,56 @@ class TestCompareCommand:
         assert rows[0]["max_n"] == 2276
 
 
+# the (arms, shape) cells the README's reference-design table calls
+# supported
+@pytest.mark.parametrize("arms, shape", [
+    (2, "obf"), (2, "pocock"), (3, "obf"), (3, "pocock")])
+def test_supported_cells_design_evaluate_and_compare(tmp_path, capsys, arms,
+                                                     shape):
+    config = tmp_path / "trial.cfg"
+    config.write_text(MOTIVATING.replace("arms = 3", f"arms = {arms}")
+                      .replace("shape = obf", f"shape = {shape}"))
+    record = tmp_path / "design.json"
+    commands = [RunConfig("design", str(config), out_path=str(record)),
+                RunConfig("evaluate", str(record))]
+    # TestCompareCommand and test_acceptance run compare at 3 arms, obf
+    if (arms, shape) != (3, "obf"):
+        commands.append(RunConfig("compare", str(config)))
+    for command in commands:
+        assert run(command) == 0, capsys.readouterr().err
+
+
+def _imports(module) -> dict[str, set[str]]:
+    """Top-level module (package prefix dropped) -> names a module's
+    source imports from it."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            head = (node.module or "").removeprefix("dtldesign.")
+            imported.setdefault(head.split(".")[0], set()).update(
+                alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.setdefault(alias.name.split(".")[0], set())
+    return imported
+
+
 class TestLayering:
     def test_cli_does_no_numerics(self):
         # cli parses, calls the library and renders; the integration
         # layers stay behind calibrate and characteristics
-        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-        for module in imported:
-            head = module.removeprefix("dtldesign.").split(".")[0]
-            assert head not in ("events", "mvn", "scipy"), module
+        for head in _imports(cli):
+            assert head not in ("events", "mvn", "scipy"), head
+
+    def test_characteristics_takes_only_the_crossing_from_calibrate(self):
+        # the comparators' searches and their quadrature live in
+        # calibrate; characteristics integrates event sets and counts
+        # patients
+        imported = _imports(characteristics)
+        assert imported["calibrate"] == {"ConvergenceError", "_converged",
+                                         "_no_crossing"}
+        assert not {"numpy", "scipy"} & set(imported), set(imported)
 
 
 class TestErrorHandling:
@@ -331,6 +369,19 @@ class TestErrorHandling:
         path = self._normal_config(tmp_path, "1e308")
         assert cli.main(["design", "--config", path]) == 0
         assert "n/stage 1 " in capsys.readouterr().out
+
+    def test_stages_beyond_the_cap_are_refused_at_once(self, tmp_path,
+                                                       capsys):
+        # the crossing quadrature would otherwise run 200 stages and
+        # report a negative PWER
+        path = tmp_path / "many.cfg"
+        path.write_text(MOTIVATING.replace("arms = 3", "arms = 200"))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["design", "--config", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "200 stages exceeds the cap of 8" in capsys.readouterr().err
 
     def test_zero_tol_is_refused_not_defaulted(self, tmp_path, pinned_record,
                                                capsys):
