@@ -3,13 +3,12 @@
 import ast
 import json
 import math
-import time
 import warnings
 from pathlib import Path
 
 import pytest
 
-from dtldesign import characteristics, cli
+from dtldesign import calibrate, characteristics, cli
 from dtldesign.calibrate import CalibrationConfig
 from dtldesign.cli import ParseError, RunConfig, parse_config, run
 from dtldesign.covariance import TrialDesign
@@ -304,7 +303,8 @@ def _imports(module) -> dict[str, set[str]]:
                 alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                imported.setdefault(alias.name.split(".")[0], set())
+                head = alias.name.removeprefix("dtldesign.")
+                imported.setdefault(head.split(".")[0], set())
     return imported
 
 
@@ -371,16 +371,15 @@ class TestErrorHandling:
         assert "n/stage 1 " in capsys.readouterr().out
 
     def test_stages_beyond_the_cap_are_refused_at_once(self, tmp_path,
-                                                       capsys):
+                                                       capsys, monkeypatch):
         # the crossing quadrature would otherwise run 200 stages and
-        # report a negative PWER
+        # report a negative PWER; the refusal comes before any of it
+        monkeypatch.setattr(calibrate, "_gauss_legendre", None)
         path = tmp_path / "many.cfg"
         path.write_text(MOTIVATING.replace("arms = 3", "arms = 200"))
-        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["design", "--config", str(path)]) == 1
-        assert time.perf_counter() - start < 1.0
         assert "200 stages exceeds the cap of 8" in capsys.readouterr().err
 
     def test_zero_tol_is_refused_not_defaulted(self, tmp_path, pinned_record,
