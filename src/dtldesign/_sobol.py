@@ -95,6 +95,9 @@ def sobol_rounds(dim: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     sums = np.matmul(_directions(dim), ltm.transpose(0, 2, 1))
     v = (sums.astype(np.uint32) & 1) @ _POW2[::-1]
     v = v.T  # v[k] is direction k of every coordinate
+    # the scramble's dim x BITS x BITS temporaries would otherwise live as
+    # long as a suspended generator
+    del ltm, sums
 
     n, points = 1, shift[None, :]
     for m in range(BITS):

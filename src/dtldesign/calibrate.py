@@ -11,10 +11,10 @@ Two searches, run in this order (design_trial runs both):
    integer per-stage sample size whose power under the least favourable
    configuration reaches the target.  probit(power) is nearly linear in
    sqrt(n), so a secant search finds the same n as a one-patient-at-a-time
-   scan in a few integrals; it falls back to bisection when the secant
-   stalls.  Its seed is the one-look z test's n moved one model step by a
-   coarse probe of the power there, which steers the search but decides
-   nothing.
+   scan in a few integrals, starting from the one-look z test's n; it
+   falls back to bisection when the secant stalls.  Each visit's power is
+   integrated at the coarsest target of a three-rung ladder and refined
+   in place only while it sits within its error bound of the target.
 
 PWER is one arm's group-sequential crossing probability, computed by
 deterministic recursive quadrature (_no_crossing), so the boundaries
@@ -35,6 +35,7 @@ import dataclasses
 import functools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ from scipy.special import ndtr, ndtri
 
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
-from .events import (PERMUTATION_CAP, CapacityError, power_lfc_problems,
-                     total_probability)
+from .events import (PERMUTATION_CAP, CapacityError, _FamilyIntegral,
+                     power_lfc_problems)
 from .mvn import ProbabilityEstimate
 
 __all__ = [
@@ -72,14 +73,13 @@ _QUADRATURE_NODES = 64
 # the recursion drops the walk's mass more than this many standard
 # deviations below its mean (about 8e-24)
 _TAIL_SDS = 10.0
-# per-problem integration target of the sample size search: well below the
-# power gap between consecutive n near the reference designs (~5e-4)
+# the sample size search integrates each visit at the search target times
+# _PROBE_FACTOR, refines it to SEARCH_TARGET, well below the power gap
+# between consecutive n near the reference designs (~5e-4), and then to
+# SEARCH_TARGET / BRACKET_RETRY_FACTOR, each step only while the power
+# sits within its error bound of the power target
 SEARCH_TARGET = 1e-5
-# a bracket within noise at the search target is integrated once more at
-# the target divided by this
 BRACKET_RETRY_FACTOR = 5
-# the probe that refines the model's seed integrates at the search target
-# times this: it only steers the search, so its noise decides nothing
 _PROBE_FACTOR = 10
 
 
@@ -343,10 +343,12 @@ def _smallest_passing_n(power_at, target: float, max_n: int, guess: float,
 
 
 def _lfc_power(design: TrialDesign, theta_prime: float, theta_zero: float,
-               *, target: float, seed: int) -> tuple[float, float]:
-    sets = power_lfc_problems(design, theta_prime, theta_zero)
-    est = total_probability(sets, target_abs_error=target, seed=seed)
-    return _converged(est, "power"), est.error_bound
+               *, seed: int) -> Callable[[float], ProbabilityEstimate]:
+    """LFC power at design's n as a function of the integration target;
+    each call at a finer target refines the integral of the last in
+    place."""
+    return _FamilyIntegral(power_lfc_problems(design, theta_prime,
+                                              theta_zero), seed).total
 
 
 def find_sample_size(design: TrialDesign, theta_prime: float,
@@ -357,37 +359,42 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
                      target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
     """Smallest per-stage n with LFC power >= cfg.power_target.
 
-    A probit-secant search.  Its seed is the one-look z test's n over the
-    stage count, moved one step along the model slope by a probe: the
-    power there integrated once at _PROBE_FACTOR x target_abs_error (a
-    probit that is not finite, power 0, 1 or outside [0, 1], leaves the
-    seed where it is).  The probe is not a visit: the bracket and the
-    checks below rest only on integrals at target_abs_error or finer.
-    The same integration seed is used at every n (common random numbers),
-    so the visited power curve is smooth; it is asserted nondecreasing up
-    to twice the integration error bound.  The answer n must clear the
-    target, and n - 1 fall short of it, each by more than its error
-    bound; if not, both are integrated once more at target_abs_error /
-    BRACKET_RETRY_FACTOR, and if the bracket still rests on integration
-    noise the search raises ConvergenceError.
+    A probit-secant search, seeded with the one-look z test's n over the
+    stage count.  Each visit settles its verdict at the coarsest rung of
+    the ladder _PROBE_FACTOR x target_abs_error, target_abs_error,
+    target_abs_error / BRACKET_RETRY_FACTOR that clears it: the power is
+    integrated at the first rung and refined in place, continuing the
+    same Sobol rounds, only while it sits within its own error bound of
+    the target.  A visit still that close at the last rung raises
+    ConvergenceError.  So the answer n passes, and n - 1 fails, each by
+    more than its error bound.  The same integration seed is used at
+    every n (common random numbers), so the visited power curve is
+    smooth; it is asserted nondecreasing up to twice the integration
+    error bound.
     """
+    target = cfg.power_target
+    ladder = (_PROBE_FACTOR * target_abs_error, target_abs_error,
+              target_abs_error / BRACKET_RETRY_FACTOR)
     visited: dict[int, tuple[float, float]] = {}
 
-    def power_at(n: int, tol: float = target_abs_error) -> float:
-        visited[n] = _lfc_power(design.with_n(n), theta_prime, theta_zero,
-                                target=tol, seed=seed)
-        return visited[n][0]
+    def power_at(n: int) -> float:
+        power_to = _lfc_power(design.with_n(n), theta_prime, theta_zero,
+                              seed=seed)
+        for tol in ladder:
+            est = power_to(tol)
+            power = _converged(est, "power")
+            if abs(power - target) > est.error_bound:
+                visited[n] = power, est.error_bound
+                return power
+        raise ConvergenceError(
+            f"power({n})={power:.6f} is within its error bound "
+            f"{est.error_bound:.2e} of the target {target} at the finest "
+            f"integration target {tol:.2e}; lower target_abs_error (--tol "
+            "on the CLI)")
 
-    guess, slope = _one_look_model(cfg.alpha, cfg.power_target, theta_prime,
+    guess, slope = _one_look_model(cfg.alpha, target, theta_prime,
                                    design.sigma, design.stages)
-    probe_n = min(max(math.ceil(guess), 1), _MAX_N)
-    probe, _ = _lfc_power(design.with_n(probe_n), theta_prime, theta_zero,
-                          target=_PROBE_FACTOR * target_abs_error, seed=seed)
-    gap = float(ndtri(probe)) - float(ndtri(cfg.power_target))
-    if math.isfinite(gap):
-        guess = max(math.sqrt(probe_n) - gap / slope, 0.0) ** 2
-    n = _smallest_passing_n(power_at, cfg.power_target, _MAX_N, guess, slope)
-
+    n = _smallest_passing_n(power_at, target, _MAX_N, guess, slope)
     grid = sorted(visited)
     for a, b in zip(grid, grid[1:]):
         (pa, ea), (pb, eb) = visited[a], visited[b]
@@ -395,21 +402,7 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
             raise ConvergenceError(
                 f"power not nondecreasing on the visited grid: "
                 f"power({a})={pa:.6f} vs power({b})={pb:.6f}")
-    if n == 1:
-        return design.with_n(n)
-    target = cfg.power_target
-    for retry in (False, True):
-        if retry:
-            for m in (n - 1, n):
-                power_at(m, target_abs_error / BRACKET_RETRY_FACTOR)
-        (p_hi, e_hi), (p_lo, e_lo) = visited[n], visited[n - 1]
-        if p_hi - target > e_hi and target - p_lo > e_lo:
-            return design.with_n(n)
-    raise ConvergenceError(
-        f"power bracket around {target} rests on integration noise: "
-        f"power({n - 1})={p_lo:.6f} at error bound {e_lo:.2e}, "
-        f"power({n})={p_hi:.6f} at error bound {e_hi:.2e}; lower "
-        "target_abs_error (--tol on the CLI)")
+    return design.with_n(n)
 
 
 def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,

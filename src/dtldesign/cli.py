@@ -26,8 +26,11 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .calibrate import (
+    BRACKET_RETRY_FACTOR,
+    SEARCH_TARGET,
     BoundaryShape,
     CalibrationConfig,
+    _PROBE_FACTOR,
     comparator_multiarm,
     comparator_separate_trials,
     design_trial,
@@ -599,13 +602,25 @@ def main(argv=None) -> int:
         description="Design and evaluate multi-stage drop-the-loser trials "
                     "with early stopping for superiority.")
     sub = parser.add_subparsers(dest="command", required=True)
+    problem = "per-problem integration target of "
     specs = {
-        "design": "calibrate boundaries and sample size, write the record",
-        "evaluate": "operating characteristics of a designed trial",
-        "simulate": "Monte Carlo cross-check of the analytic numbers",
-        "compare": "comparison table across competing designs",
+        "design": ("calibrate boundaries and sample size, write the record",
+                   f"{problem}the sample size search (default "
+                   f"{SEARCH_TARGET:g}): each visited n is integrated at "
+                   f"{_PROBE_FACTOR} x TOL, then refined to TOL and to TOL / "
+                   f"{BRACKET_RETRY_FACTOR} only while its power is within "
+                   "its error bound of the power target"),
+        "evaluate": ("operating characteristics of a designed trial",
+                     f"{problem}every event probability (default "
+                     f"{DEFAULT_TARGET:g})"),
+        "simulate": ("Monte Carlo cross-check of the analytic numbers",
+                     f"{problem}the analytic column (default "
+                     f"{DEFAULT_TARGET:g})"),
+        "compare": ("comparison table across competing designs",
+                    "TOL of both the sample size searches (as in design) "
+                    "and each row's characteristics (as in evaluate)"),
     }
-    for name, help_text in specs.items():
+    for name, (help_text, tol_help) in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", dest="config_path", metavar="CONFIG",
                        required=True,
@@ -617,8 +632,7 @@ def main(argv=None) -> int:
                        help="replicate seed; the analytic column always "
                             f"integrates with seed {_ANALYTIC_SEED}"
                        if name == "simulate" else "integration seed")
-        p.add_argument("--tol", type=float,
-                       help="integration target override")
+        p.add_argument("--tol", type=float, help=tol_help)
         if name == "simulate":
             p.add_argument("--reps", type=int, default=RunConfig.reps)
     return run(RunConfig(**vars(parser.parse_args(argv))))

@@ -31,7 +31,7 @@ from .covariance import (
     build_moment_problem,
     single,
 )
-from .mvn import OrthantProblem, ProbabilityEstimate, mvn_rectangle_prob
+from .mvn import OrthantProblem, ProbabilityEstimate, _Integral
 
 __all__ = [
     "PERMUTATION_CAP",
@@ -318,24 +318,41 @@ def _weighted_sum(terms) -> ProbabilityEstimate:
                                converged)
 
 
+class _FamilyIntegral:
+    """Every problem of a family of event sets, integrated with the seed
+    (seed, stage, index) and refinable in place.
+
+    `sets(target)` advances each problem's doubling rounds until its bound
+    is at most target and returns one estimate per set, in the family's
+    order; `total(target)` is their sum.  A call at a finer target
+    continues the rounds already spent (mvn._Integral), so its estimates
+    are bit for bit those of a fresh integration at that target.  Problems
+    are integrated in their stored (canonically sorted) order, so the
+    estimates are independent of any execution schedule.
+    """
+
+    def __init__(self, psets, seed: int):
+        self._sets = [[(w, _Integral(prob, (seed, pset.stage, idx)))
+                       for idx, (w, prob) in enumerate(pset.problems)]
+                      for pset in psets]
+
+    def sets(self, target_abs_error: float) -> list[ProbabilityEstimate]:
+        return [_weighted_sum((w, integral.at(target_abs_error))
+                              for w, integral in terms)
+                for terms in self._sets]
+
+    def total(self, target_abs_error: float) -> ProbabilityEstimate:
+        return _weighted_sum((1, est) for est in self.sets(target_abs_error))
+
+
 def set_probability(pset: EventProblemSet, *, target_abs_error: float,
                     seed: int = 0) -> ProbabilityEstimate:
-    """Weighted probability of one event set.
-
-    Problems are integrated in their stored (canonically sorted) order, each
-    with the integration seed (seed, stage, index), so the estimate is
-    independent of any execution schedule.
-    """
-    return _weighted_sum(
-        (w, mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
-                               seed=(seed, pset.stage, idx)))
-        for idx, (w, prob) in enumerate(pset.problems))
+    """Weighted probability of one event set, integrated once at
+    target_abs_error (see _FamilyIntegral)."""
+    return _FamilyIntegral([pset], seed).sets(target_abs_error)[0]
 
 
 def total_probability(psets, *, target_abs_error: float,
                       seed: int = 0) -> ProbabilityEstimate:
     """Sum of set_probability over one family of per-stage event sets."""
-    return _weighted_sum(
-        (1, set_probability(pset, target_abs_error=target_abs_error,
-                            seed=seed))
-        for pset in psets)
+    return _FamilyIntegral(psets, seed).total(target_abs_error)

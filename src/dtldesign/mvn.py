@@ -13,13 +13,16 @@ generator that matches scipy's `qmc.Sobol` bit for bit without importing
 truncation is involved: a pivot side infinite on every row is the
 constant 0 or 1, and pivot 0, the same at every point, is computed once.
 Each doubling round evaluates its shifts together, in slabs of at most
-_SLAB points that never split a shift.
+_SLAB points that never split a shift.  An integration advances one round
+at a time (_Integral), so a finer target continues the rounds already
+spent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -262,6 +265,91 @@ def _sov_integrand(pivots, x):
     return p
 
 
+def _round_estimates(problem: OrthantProblem, seed: int | tuple[int, ...]
+                     ) -> Iterator[ProbabilityEstimate]:
+    """The estimate after each doubling round of one problem's integration
+    (see mvn_rectangle_prob), ending before a round that would pass
+    _MAX_EVALUATIONS.  A problem computed exactly yields one estimate,
+    with bound 0.0."""
+    a = problem.lower - problem.mean
+    b = problem.upper - problem.mean
+    corr = problem.corr
+    # unconstrained coordinates contribute a factor of one
+    keep = ~(np.isneginf(a) & np.isposinf(b))
+    a, b = a[keep], b[keep]
+    corr = corr[np.ix_(keep, keep)]
+    if a.shape[0] == 0:
+        yield ProbabilityEstimate(1.0, 0.0, 0)
+        return
+    pivots = _fold(*_pivoted_cholesky(corr, a, b))
+    dim = len(pivots) - 1  # the cube dimension: rank - 1
+    if dim == 0:
+        _, lo, hi, _ = pivots[0]
+        yield ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1)
+        return
+
+    rng = np.random.default_rng(seed)
+    # the scramble draws from a child of rng, so rng's own stream begins
+    # with the shifts
+    rounds = sobol_rounds(dim, rng)
+    shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)).astype(
+        np.uint32)
+    sums = np.zeros(_RANDOMIZATIONS)
+    n_per = 0
+    evaluations = 0
+    for base in rounds:
+        batch = base.shape[0]
+        group = max(1, _SLAB // batch)
+        for r in range(0, _RANDOMIZATIONS, group):
+            x = (base ^ shifts[r:r + group, None]) * 2.0 ** -BITS
+            sums[r:r + group] += _sov_integrand(
+                pivots, x.reshape(-1, dim)).reshape(-1, batch).sum(axis=1)
+            del x  # freed before the next slab is built: a lower peak RSS
+        n_per += batch
+        evaluations += _RANDOMIZATIONS * batch
+        estimates = sums / n_per
+        value = float(estimates.mean())
+        error = 3.0 * float(estimates.std(ddof=1)) / math.sqrt(_RANDOMIZATIONS)
+        yield ProbabilityEstimate(min(max(value, 0.0), 1.0), error,
+                                  evaluations)
+        # the next round doubles the total, keeping counts powers of 2
+        if evaluations + _RANDOMIZATIONS * n_per > _MAX_EVALUATIONS:
+            return
+
+
+class _Integral:
+    """One problem's integration, advanced one doubling round at a time.
+
+    `at(target)` returns the first round's estimate whose bound is at most
+    target, with converged=False when the evaluation cap comes first.  A
+    later call at a finer target continues the same Sobol rounds, so each
+    answer is bit for bit that of mvn_rectangle_prob at its target, and no
+    round is spent twice; a call at a coarser target than an earlier one
+    returns the estimate already reached.
+    """
+
+    def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...]):
+        parts = seed if isinstance(seed, tuple) else (seed,)
+        if not all(isinstance(s, (int, np.integer)) and s >= 0
+                   for s in parts):
+            raise ValueError("seed must be a non-negative integer or a tuple "
+                             f"of them, got {seed!r}")
+        self._rounds = _round_estimates(problem, seed)
+        self._last = None
+
+    def at(self, target_abs_error: float) -> ProbabilityEstimate:
+        if not 0.0 < target_abs_error < math.inf:
+            raise ValueError("target_abs_error must be positive and finite, "
+                             f"got {target_abs_error}")
+        est = self._last
+        while est is None or est.error_bound > target_abs_error:
+            est = next(self._rounds, None)
+            if est is None:    # the evaluation cap came first
+                return replace(self._last, converged=False)
+            self._last = est
+        return est
+
+
 def mvn_rectangle_prob(problem: OrthantProblem,
                        target_abs_error: float,
                        seed: int | tuple[int, ...] = 0
@@ -297,56 +385,4 @@ def mvn_rectangle_prob(problem: OrthantProblem,
         ProbabilityEstimate with the estimate, its error bound,
         the evaluation count and a convergence flag.  Rank one is exact.
     """
-    if not 0.0 < target_abs_error < math.inf:
-        raise ValueError("target_abs_error must be positive and finite, "
-                         f"got {target_abs_error}")
-    parts = seed if isinstance(seed, tuple) else (seed,)
-    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in parts):
-        raise ValueError("seed must be a non-negative integer or a tuple of "
-                         f"them, got {seed!r}")
-    a = problem.lower - problem.mean
-    b = problem.upper - problem.mean
-    corr = problem.corr
-    # unconstrained coordinates contribute a factor of one
-    keep = ~(np.isneginf(a) & np.isposinf(b))
-    a, b = a[keep], b[keep]
-    corr = corr[np.ix_(keep, keep)]
-    if a.shape[0] == 0:
-        return ProbabilityEstimate(1.0, 0.0, 0, True)
-    pivots = _fold(*_pivoted_cholesky(corr, a, b))
-    dim = len(pivots) - 1  # the cube dimension: rank - 1
-    if dim == 0:
-        _, lo, hi, _ = pivots[0]
-        return ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1, True)
-
-    rng = np.random.default_rng(seed)
-    # the scramble draws from a child of rng, so rng's own stream begins
-    # with the shifts
-    rounds = sobol_rounds(dim, rng)
-    shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)).astype(
-        np.uint32)
-    sums = np.zeros(_RANDOMIZATIONS)
-    n_per = 0
-    evaluations = 0
-    for base in rounds:
-        batch = base.shape[0]
-        group = max(1, _SLAB // batch)
-        for r in range(0, _RANDOMIZATIONS, group):
-            x = (base ^ shifts[r:r + group, None]) * 2.0 ** -BITS
-            sums[r:r + group] += _sov_integrand(
-                pivots, x.reshape(-1, dim)).reshape(-1, batch).sum(axis=1)
-            del x  # freed before the next slab is built: a lower peak RSS
-        n_per += batch
-        evaluations += _RANDOMIZATIONS * batch
-        estimates = sums / n_per
-        value = float(estimates.mean())
-        error = 3.0 * float(estimates.std(ddof=1)) / math.sqrt(_RANDOMIZATIONS)
-        if error <= target_abs_error:
-            converged = True
-            break
-        # the next round doubles the total, keeping counts powers of 2
-        if evaluations + _RANDOMIZATIONS * n_per > _MAX_EVALUATIONS:
-            converged = False
-            break
-    value = min(max(value, 0.0), 1.0)
-    return ProbabilityEstimate(value, error, evaluations, converged)
+    return _Integral(problem, seed).at(target_abs_error)

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from dtldesign import calibrate, characteristics
+from dtldesign import calibrate, characteristics, mvn
 from dtldesign.calibrate import (
     BoundaryShape,
     BracketError,
@@ -385,115 +385,176 @@ class TestSmallestPassingN:
             assert len(visits) <= 3, visits
 
 
+# the rungs of the search's integration ladder at the default target
+COARSE = calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET
+MIDDLE = calibrate.SEARCH_TARGET
+FINE = calibrate.SEARCH_TARGET / calibrate.BRACKET_RETRY_FACTOR
+LADDER = [COARSE, MIDDLE, FINE]
+
+
+def _rungs(calls):
+    """(n, targets) per visit, in visit order, from (n, target) calls."""
+    visits = []
+    for n, target in calls:
+        if visits and visits[-1][0] == n:
+            visits[-1][1].append(target)
+        else:
+            visits.append((n, [target]))
+    return visits
+
+
 class TestSearchVisits:
     def test_reference_design_takes_few_power_integrals(self, monkeypatch):
-        calls, real = [], calibrate._lfc_power
+        calls, spent, rows = [], {}, []
+        real, integrand = calibrate._lfc_power, mvn._sov_integrand
+
+        def recording(pivots, x):
+            rows.append(x.shape[0])
+            return integrand(pivots, x)
 
         def counted(design, *args, **kwargs):
-            calls.append((design.n_per_stage, kwargs["target"]))
-            return real(design, *args, **kwargs)
+            power_to = real(design, *args, **kwargs)
+
+            def at(target):
+                calls.append((design.n_per_stage, target))
+                est = power_to(target)
+                spent[design.n_per_stage] = est.evaluations
+                return est
+            return at
+        monkeypatch.setattr(mvn, "_sov_integrand", recording)
         monkeypatch.setattr(calibrate, "_lfc_power", counted)
         parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
-        d = design_trial(parsed.arms, parsed.shape, parsed.calibration,
-                         parsed.normal)
-        assert d.n_per_stage == 206
-        # one coarse probe, then n - 1 and n at the search target
-        assert [target for _, target in calls] == [
-            calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET,
-            calibrate.SEARCH_TARGET, calibrate.SEARCH_TARGET], calls
+        # per arm count: the answer n, each visit's rungs and the
+        # integrand evaluations of the whole search.  205 reads 0.899856
+        # at bound 2.3e-4 on the coarse rung and 156 reads 0.899980 at
+        # 7.8e-4, so each is refined once; 155 reads 0.898111, clear
+        for arms, n, visits, evaluations in [
+                (3, 206, [(188, [COARSE]), (205, [COARSE, MIDDLE]),
+                          (206, [COARSE])], 107_520),
+                (4, 156, [(141, [COARSE]), (156, [COARSE, MIDDLE]),
+                          (155, [COARSE])], 218_112)]:
+            calls.clear()
+            spent.clear()
+            rows.clear()
+            d = design_trial(arms, parsed.shape, parsed.calibration,
+                             parsed.normal)
+            assert d.n_per_stage == n
+            assert _rungs(calls) == visits, calls
+            # a refinement continues its visit's rounds: the integrand
+            # sees exactly the evaluations of each visit's final estimate
+            assert sum(rows) == sum(spent.values()) == evaluations, spent
 
 
 class TestPowerBracket:
-    """The answer n and n - 1 must each sit farther from the power target
-    than their error bounds, at the search target or after one retry at
-    the search target over BRACKET_RETRY_FACTOR."""
+    """Every visit settles at the coarsest rung of the ladder COARSE,
+    MIDDLE, FINE at which its power clears 0.9 by more than its error
+    bound, refined in place from one rung to the next only while it does
+    not; a visit still within noise at FINE raises.  So the answer n and
+    n - 1 each sit farther from 0.9 than their bounds."""
 
     @staticmethod
-    def _linear_power(monkeypatch, bound, shift=lambda target: 0.0):
-        # power crosses 0.9 halfway between n=100 and n=101, 5e-4 from
-        # each; bound and shift are functions of the integration target
+    def _fake_power(monkeypatch, bound,
+                    curve=lambda n, target: 0.9 + 1e-3 * (n - 100.5)):
+        # by default power crosses 0.9 halfway between n=100 and n=101,
+        # 5e-4 from each; bound is a function of the integration target,
+        # curve of n and the target
         calls = []
 
-        def fake(design, theta_prime, theta_zero, *, target, seed):
-            calls.append((design.n_per_stage, target))
-            power = 0.9 + 1e-3 * (design.n_per_stage - 100.5)
-            return power + shift(target), bound(target)
+        def fake(design, theta_prime, theta_zero, *, seed):
+            def at(target):
+                calls.append((design.n_per_stage, target))
+                return ProbabilityEstimate(curve(design.n_per_stage, target),
+                                           bound(target), 0)
+            return at
         monkeypatch.setattr(calibrate, "_lfc_power", fake)
         return calls
 
     def test_clear_bracket_passes(self, monkeypatch):
-        calls = self._linear_power(monkeypatch, lambda target: 4e-4)
+        calls = self._fake_power(monkeypatch, lambda target: 4e-4)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == 101
-        # the first call alone is the coarse probe
-        assert [target for _, target in calls] == [
-            calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET,
-            *[calibrate.SEARCH_TARGET] * (len(calls) - 1)]
+        # every verdict clears 0.9 at the coarse rung and is never refined
+        assert all(rungs == [COARSE] for _, rungs in _rungs(calls)), calls
+        assert {100, 101} <= {n for n, _ in calls}
 
     @pytest.mark.parametrize("misread", [-0.05, 0.05])
     def test_misread_probe_still_finds_n(self, monkeypatch, misread):
         # theta' = 0.8 puts the model's n at 104, where the fake power is
-        # 0.9035: the misread probe stays inside (0, 1), so it moves the
-        # seed of the search, which the full-target visits then correct
-        probe = calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET
-        calls = self._linear_power(
-            monkeypatch, lambda target: 4e-4,
-            shift=lambda target: misread if target == probe else 0.0)
+        # 0.9035.  Its coarse reading is off by `misread`, inside that
+        # rung's 0.06 bound, so the visit is refined before it decides
+        # anything, and the search goes on as if it had read true
+        def curve(n, target):
+            return (0.9 + 1e-3 * (n - 100.5)
+                    + (misread if (n, target) == (104, COARSE) else 0.0))
+        bound = {COARSE: 0.06, MIDDLE: 4e-4, FINE: 4e-4}.get
+        calls = self._fake_power(monkeypatch, bound, curve)
         d = find_sample_size(TEMPLATE3, 0.8, THETA_0, CFG)
         assert d.n_per_stage == 101
-        assert calls[0] == (104, probe)
-        assert calls[1][0] != 104
+        assert _rungs(calls)[0] == (104, [COARSE, MIDDLE])
+        true_calls = self._fake_power(monkeypatch, bound)
+        find_sample_size(TEMPLATE3, 0.8, THETA_0, CFG)
+        assert calls == true_calls
 
     @pytest.mark.parametrize("reading", [0.0, 1.0])
     def test_probe_at_zero_or_one_keeps_the_model_guess(self, monkeypatch,
                                                         reading):
-        # an infinite probit moves nothing: the search starts at the
-        # probe's n, the ceiling of the model's
-        probe = calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET
-        calls = self._linear_power(monkeypatch, lambda target: 4e-4)
-        linear = calibrate._lfc_power
+        # the search starts at the model's n, 189, where a steep curve
+        # reads exactly 0 or 1: an infinite probit takes no model step, so
+        # the next visit doubles (power 0) or halves (power 1) the
+        # bracket, and the secants then find the threshold
+        threshold = 101 if reading else 401
 
-        def fake(design, *args, target, seed):
-            power, bound = linear(design, *args, target=target, seed=seed)
-            return (reading if target == probe else power), bound
-        monkeypatch.setattr(calibrate, "_lfc_power", fake)
+        def curve(n, target):
+            return min(max(0.9 + 1e-2 * (n - threshold + 0.5), 0.0), 1.0)
+        calls = self._fake_power(monkeypatch, lambda target: 4e-4, curve)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
-        assert d.n_per_stage == 101
-        assert calls[0] == (189, probe)
-        assert calls[1] == (189, calibrate.SEARCH_TARGET)
+        assert d.n_per_stage == threshold
+        assert _rungs(calls)[:2] == [(189, [COARSE]),
+                                     (94 if reading else 378, [COARSE])]
 
     def test_bracket_within_noise_raises(self, monkeypatch):
-        self._linear_power(monkeypatch, lambda target: 6e-4)
+        calls = self._fake_power(monkeypatch, lambda target: 6e-4)
         with pytest.raises(ConvergenceError,
-                           match=r"power\(100\)=0\.899500 .* 6\.00e-04.*"
-                                 r"power\(101\)=0\.900500 .*--tol"):
+                           match=r"power\(100\)=0\.899500 is within its "
+                                 r"error bound 6\.00e-04 of the target 0\.9 "
+                                 r"at the finest integration target "
+                                 r"2\.00e-06; .*--tol"):
             find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+        assert _rungs(calls)[-1] == (100, [COARSE, MIDDLE, FINE])
 
     def test_noisy_bracket_passes_after_one_tighter_retry(self, monkeypatch):
-        # bound 60 x target: 6e-4 at the search target, inside the 5e-4
-        # margins; 1.2e-4 at the retry target, well outside them
-        calls = self._linear_power(monkeypatch, lambda target: 60 * target)
+        # bound 60 x target: 6e-3 at the coarse rung, 6e-4 at the middle
+        # one, both inside the 5e-4 margins of n=100 and 101; 1.2e-4 at
+        # the fine rung, well outside them
+        calls = self._fake_power(monkeypatch, lambda target: 60 * target)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == 101
-        tight = calibrate.SEARCH_TARGET / calibrate.BRACKET_RETRY_FACTOR
-        assert tight == pytest.approx(2e-6)
-        assert [c for c in calls if c[1] < calibrate.SEARCH_TARGET] == [
-            (100, tight), (101, tight)]
+        assert FINE == pytest.approx(2e-6)
+        visits = _rungs(calls)
+        assert sorted(n for n, rungs in visits if FINE in rungs) == [100, 101]
+        # only unclear visits are refined, one rung at a time
+        for n, rungs in visits:
+            margin = abs(1e-3 * (n - 100.5))
+            clear = next(i for i, t in enumerate(LADDER) if margin > 60 * t)
+            assert rungs == LADDER[:clear + 1], visits
 
     def test_flipped_retry_raises_with_the_tighter_numbers(self,
                                                            monkeypatch):
-        # at the retry target power(100) clears 0.9: the pair no longer
-        # brackets the target, and the search is not rerun
-        calls = self._linear_power(
-            monkeypatch, lambda target: 60 * target,
-            shift=lambda target: (0.0 if target == calibrate.SEARCH_TARGET
-                                  else 1e-3))
+        # at the fine rung power(101) reads 1e-2 low: the refinement
+        # flips its verdict and drops it below power(100).  The search takes the refined verdict, and the monotonicity
+        # check, which covers every visit, refuses with the refined
+        # numbers of both
+        def curve(n, target):
+            return (0.9 + 1e-3 * (n - 100.5)
+                    - (1e-2 if (n, target) == (101, FINE) else 0.0))
+        calls = self._fake_power(monkeypatch, lambda target: 60 * target,
+                                 curve)
         with pytest.raises(ConvergenceError,
-                           match=r"power\(100\)=0\.900500 at error bound "
-                                 r"1\.20e-04, power\(101\)=0\.901500"):
+                           match=r"power\(100\)=0\.899500 vs "
+                                 r"power\(101\)=0\.890500"):
             find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
-        assert len([c for c in calls
-                    if c[1] < calibrate.SEARCH_TARGET]) == 2
+        visits = _rungs(calls)
+        assert (100, LADDER) in visits and (101, LADDER) in visits, visits
 
 
 class TestDesignTrial:

@@ -355,7 +355,7 @@ def _boundaries(k, kind):
 
 @pytest.mark.parametrize("kind", ["finite", "dtl", "mixed"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_raw_rectangles_are_sorted_nonempty_and_single_valued(k, kind):
+def test_raw_rectangles_are_nonempty_and_single_valued(k, kind):
     # each path constrains a coordinate at most once, so a rectangle is its
     # constraint list, pruned when an infinite boundary empties it
     design = _obf_design(k).with_boundaries(_boundaries(k, kind))

@@ -372,6 +372,37 @@ def test_estimates_reproduce_recorded_bits(name):
     assert bits == expected
 
 
+@pytest.mark.parametrize("name", sorted(_GOLDEN_BITS))
+def test_refining_in_place_reproduces_recorded_bits(monkeypatch, name):
+    # an estimate at 10 times the recorded target, then the same rounds
+    # carried on to it: the recorded bits, and no round spent twice
+    make, target, seed, expected = _GOLDEN_BITS[name]
+    rows = _record_integrand_rows(monkeypatch)
+    integral = mvn._Integral(make(), seed)
+    coarse = integral.at(10 * target)
+    assert coarse.converged and coarse.error_bound <= 10 * target
+    est = integral.at(target)
+    assert est.converged
+    assert (est.value.hex(), est.error_bound.hex(), est.evaluations) == expected
+    refined_rows = sum(rows)
+    rows.clear()
+    assert mvn_rectangle_prob(make(), target, seed=seed) == est
+    assert refined_rows == sum(rows)
+
+
+def test_refining_past_the_cap_reports_nonconvergence(monkeypatch):
+    # the cap stops the refinement where a direct call at the finer
+    # target stops, and flags it the same way
+    monkeypatch.setattr(mvn, "_MAX_EVALUATIONS", 20_000)
+    prob = OrthantProblem(np.zeros(5), np.eye(5) * 0.7 + 0.3,
+                          np.full(5, -1.0), np.full(5, 1.0))
+    integral = mvn._Integral(prob, 0)
+    assert integral.at(1e-2).converged
+    est = integral.at(1e-12)
+    assert not est.converged
+    assert est == mvn_rectangle_prob(prob, 1e-12, seed=0)
+
+
 def test_mixed_sides_problem_has_mixed_pivot():
     # the "mixed_sides" record covers a pivot whose sides are neither
     # constant nor free of infinite rows
