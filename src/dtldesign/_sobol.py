@@ -78,13 +78,11 @@ def _directions(dim: int) -> np.ndarray:
     return digits
 
 
-def sobol_rounds(dim: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield the points of one scrambled Sobol set, as uint32 arrays of
-    shape (n, dim): the first _FIRST points, then each time as many more
-    as were yielded before.  Round m reflects every earlier point,
-    p(2**m + i) = p(2**m - 1 - i) XOR v_m, from the shifted first point
-    on, which is the Gray-code order.
-    """
+def scramble(dim: int, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The random digital shift, shape (dim,), and the scrambled direction
+    numbers, shape (BITS, dim) with row k direction k of every
+    coordinate, of one Sobol set, drawn from a child of rng."""
     seq = rng.bit_generator._seed_seq
     child = np.random.Generator(type(rng.bit_generator)(seq.spawn(1)[0]))
     shift = child.integers(2, size=(dim, BITS), dtype=np.uint32) @ _POW2
@@ -94,16 +92,24 @@ def sobol_rounds(dim: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     # GF(2); the float products sum at most BITS ones, so they are exact
     sums = np.matmul(_directions(dim), ltm.transpose(0, 2, 1))
     v = (sums.astype(np.uint32) & 1) @ _POW2[::-1]
-    v = v.T  # v[k] is direction k of every coordinate
-    # the scramble's dim x BITS x BITS temporaries would otherwise live as
-    # long as a suspended generator
-    del ltm, sums
+    return shift, v.T
 
+
+def sobol_rounds(shift: np.ndarray, v: np.ndarray,
+                 done: int = 0) -> Iterator[np.ndarray]:
+    """Yield the points of the Sobol set scramble() drew, as uint32 arrays
+    of shape (n, dim): the first _FIRST points, then each time as many
+    more as were yielded before, starting after the first `done` points
+    (0, or a total this schedule reaches).  Round m reflects every
+    earlier point, p(2**m + i) = p(2**m - 1 - i) XOR v_m, from the shifted
+    first point on, which is the Gray-code order; the points before
+    `done` are rebuilt that way, not yielded.
+    """
     n, points = 1, shift[None, :]
     for m in range(BITS):
-        grown = np.empty((2 * n, dim), dtype=np.uint32)
+        grown = np.empty((2 * n, shift.shape[0]), dtype=np.uint32)
         grown[:n] = points
         np.bitwise_xor(points[::-1], v[m], out=grown[n:])
         n, points = 2 * n, grown
-        if n >= _FIRST:
+        if n >= _FIRST and n > done:
             yield points if n == _FIRST else points[n // 2:]

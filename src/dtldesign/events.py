@@ -31,7 +31,8 @@ from .covariance import (
     build_moment_problem,
     single,
 )
-from .mvn import OrthantProblem, ProbabilityEstimate, _Integral
+from .mvn import (OrthantProblem, ProbabilityEstimate, _Integral,
+                  mvn_rectangle_prob)
 
 __all__ = [
     "PERMUTATION_CAP",
@@ -318,41 +319,50 @@ def _weighted_sum(terms) -> ProbabilityEstimate:
                                converged)
 
 
-class _FamilyIntegral:
-    """Every problem of a family of event sets, integrated with the seed
-    (seed, stage, index) and refinable in place.
+def _seeded(pset: EventProblemSet, seed: int):
+    """(weight, problem, integration seed) of each problem of one set.
 
-    `sets(target)` advances each problem's doubling rounds until its bound
-    is at most target and returns one estimate per set, in the family's
-    order; `total(target)` is their sum.  A call at a finer target
-    continues the rounds already spent (mvn._Integral), so its estimates
-    are bit for bit those of a fresh integration at that target.  Problems
-    are integrated in their stored (canonically sorted) order, so the
-    estimates are independent of any execution schedule.
+    Problems are integrated in their stored (canonically sorted) order,
+    each with the integration seed (seed, stage, index), so estimates are
+    independent of any execution schedule.
     """
-
-    def __init__(self, psets, seed: int):
-        self._sets = [[(w, _Integral(prob, (seed, pset.stage, idx)))
-                       for idx, (w, prob) in enumerate(pset.problems)]
-                      for pset in psets]
-
-    def sets(self, target_abs_error: float) -> list[ProbabilityEstimate]:
-        return [_weighted_sum((w, integral.at(target_abs_error))
-                              for w, integral in terms)
-                for terms in self._sets]
-
-    def total(self, target_abs_error: float) -> ProbabilityEstimate:
-        return _weighted_sum((1, est) for est in self.sets(target_abs_error))
+    return ((w, prob, (seed, pset.stage, idx))
+            for idx, (w, prob) in enumerate(pset.problems))
 
 
 def set_probability(pset: EventProblemSet, *, target_abs_error: float,
                     seed: int = 0) -> ProbabilityEstimate:
-    """Weighted probability of one event set, integrated once at
-    target_abs_error (see _FamilyIntegral)."""
-    return _FamilyIntegral([pset], seed).sets(target_abs_error)[0]
+    """Weighted probability of one event set (seeds as in _seeded)."""
+    return _weighted_sum(
+        (w, mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
+                               seed=sub_seed))
+        for w, prob, sub_seed in _seeded(pset, seed))
 
 
 def total_probability(psets, *, target_abs_error: float,
                       seed: int = 0) -> ProbabilityEstimate:
     """Sum of set_probability over one family of per-stage event sets."""
-    return _FamilyIntegral(psets, seed).total(target_abs_error)
+    return _weighted_sum(
+        (1, set_probability(pset, target_abs_error=target_abs_error,
+                            seed=seed))
+        for pset in psets)
+
+
+class _FamilyIntegral:
+    """total_probability of one family, refinable in place.
+
+    `total(target)` is total_probability at target; a call at a finer
+    target continues each problem's rounds already spent (mvn._Integral),
+    so its estimate is bit for bit that of a fresh total_probability.
+    """
+
+    def __init__(self, psets, seed: int):
+        self._sets = [[(w, _Integral(prob, sub_seed))
+                       for w, prob, sub_seed in _seeded(pset, seed)]
+                      for pset in psets]
+
+    def total(self, target_abs_error: float) -> ProbabilityEstimate:
+        return _weighted_sum(
+            (1, _weighted_sum((w, integral.at(target_abs_error))
+                              for w, integral in terms))
+            for terms in self._sets)

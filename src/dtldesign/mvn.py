@@ -21,13 +21,12 @@ spent.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from ._sobol import BITS, sobol_rounds
+from ._sobol import BITS, scramble, sobol_rounds
 
 __all__ = [
     "NotPositiveSemiDefiniteError",
@@ -241,15 +240,18 @@ def _fold(L, a, b):
 
 
 @_ignore_overflow
-def _sov_integrand(pivots, x):
-    """Transformed integrand on the unit cube, vectorized over points x.
+def _sov_integrand(pivots, points):
+    """Transformed integrand on the unit cube, vectorized over the rows of
+    `points`, 30-bit integers: coordinate j of a row is points[:, j] /
+    2**30, computed as pivot j needs it, so no float copy of the points
+    is held.
 
     Only sides `_fold` left as numerators are computed per point; the
     float sides give the same bits as evaluating them at every point.
     Each row is computed on its own, so stacking the points of several
     shifts into one call leaves every value unchanged.
     """
-    y = np.empty((x.shape[0], len(pivots) - 1))
+    y = np.empty((points.shape[0], len(pivots) - 1))
     p = 1.0
     for j, (loads, lo, hi, c) in enumerate(pivots):
         s = y[:, :j] @ loads.T if j else None
@@ -259,73 +261,24 @@ def _sov_integrand(pivots, x):
             hi = ndtr(((hi - s) / c).min(axis=1))
         p = p * np.maximum(hi - lo, 0.0)
         if j < y.shape[1]:
-            z = lo + x[:, j] * (hi - lo)
+            z = lo + points[:, j] * 2.0 ** -BITS * (hi - lo)
             np.clip(z, _UNIT_LO, _UNIT_HI, out=z)
             y[:, j] = ndtri(z)
     return p
 
 
-def _round_estimates(problem: OrthantProblem, seed: int | tuple[int, ...]
-                     ) -> Iterator[ProbabilityEstimate]:
-    """The estimate after each doubling round of one problem's integration
-    (see mvn_rectangle_prob), ending before a round that would pass
-    _MAX_EVALUATIONS.  A problem computed exactly yields one estimate,
-    with bound 0.0."""
-    a = problem.lower - problem.mean
-    b = problem.upper - problem.mean
-    corr = problem.corr
-    # unconstrained coordinates contribute a factor of one
-    keep = ~(np.isneginf(a) & np.isposinf(b))
-    a, b = a[keep], b[keep]
-    corr = corr[np.ix_(keep, keep)]
-    if a.shape[0] == 0:
-        yield ProbabilityEstimate(1.0, 0.0, 0)
-        return
-    pivots = _fold(*_pivoted_cholesky(corr, a, b))
-    dim = len(pivots) - 1  # the cube dimension: rank - 1
-    if dim == 0:
-        _, lo, hi, _ = pivots[0]
-        yield ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1)
-        return
-
-    rng = np.random.default_rng(seed)
-    # the scramble draws from a child of rng, so rng's own stream begins
-    # with the shifts
-    rounds = sobol_rounds(dim, rng)
-    shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)).astype(
-        np.uint32)
-    sums = np.zeros(_RANDOMIZATIONS)
-    n_per = 0
-    evaluations = 0
-    for base in rounds:
-        batch = base.shape[0]
-        group = max(1, _SLAB // batch)
-        for r in range(0, _RANDOMIZATIONS, group):
-            x = (base ^ shifts[r:r + group, None]) * 2.0 ** -BITS
-            sums[r:r + group] += _sov_integrand(
-                pivots, x.reshape(-1, dim)).reshape(-1, batch).sum(axis=1)
-            del x  # freed before the next slab is built: a lower peak RSS
-        n_per += batch
-        evaluations += _RANDOMIZATIONS * batch
-        estimates = sums / n_per
-        value = float(estimates.mean())
-        error = 3.0 * float(estimates.std(ddof=1)) / math.sqrt(_RANDOMIZATIONS)
-        yield ProbabilityEstimate(min(max(value, 0.0), 1.0), error,
-                                  evaluations)
-        # the next round doubles the total, keeping counts powers of 2
-        if evaluations + _RANDOMIZATIONS * n_per > _MAX_EVALUATIONS:
-            return
-
-
 class _Integral:
     """One problem's integration, advanced one doubling round at a time.
 
-    `at(target)` returns the first round's estimate whose bound is at most
-    target, with converged=False when the evaluation cap comes first.  A
-    later call at a finer target continues the same Sobol rounds, so each
-    answer is bit for bit that of mvn_rectangle_prob at its target, and no
-    round is spent twice; a call at a coarser target than an earlier one
-    returns the estimate already reached.
+    `at(target)` runs rounds until an estimate's bound is at most target
+    and returns that estimate, with converged=False when the next round
+    would pass _MAX_EVALUATIONS.  A later call at a finer target
+    continues the same Sobol rounds, so each answer is bit for bit that
+    of mvn_rectangle_prob at its target, and no round is spent twice; a
+    call at a coarser target returns the estimate already reached.
+    Between calls it keeps the pivots, the scramble, the shifts and the
+    sums but no Sobol points: those are rebuilt when a call needs more
+    rounds.
     """
 
     def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...]):
@@ -334,20 +287,72 @@ class _Integral:
                    for s in parts):
             raise ValueError("seed must be a non-negative integer or a tuple "
                              f"of them, got {seed!r}")
-        self._rounds = _round_estimates(problem, seed)
+        self._problem, self._seed = problem, seed
         self._last = None
+
+    def _start(self):
+        """The first estimate if the problem is exact; else None, with
+        the state of the rounds set up."""
+        problem = self._problem
+        a = problem.lower - problem.mean
+        b = problem.upper - problem.mean
+        corr = problem.corr
+        # unconstrained coordinates contribute a factor of one
+        keep = ~(np.isneginf(a) & np.isposinf(b))
+        a, b = a[keep], b[keep]
+        corr = corr[np.ix_(keep, keep)]
+        if a.shape[0] == 0:
+            return ProbabilityEstimate(1.0, 0.0, 0)
+        self._pivots = _fold(*_pivoted_cholesky(corr, a, b))
+        dim = len(self._pivots) - 1  # the cube dimension: rank - 1
+        if dim == 0:
+            _, lo, hi, _ = self._pivots[0]
+            return ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1)
+        rng = np.random.default_rng(self._seed)
+        # the scramble draws from a child of rng, so rng's own stream
+        # begins with the shifts
+        self._scramble = scramble(dim, rng)
+        self._shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)
+                                    ).astype(np.uint32)
+        self._sums = np.zeros(_RANDOMIZATIONS)
+        self._n_per = 0
+        return None
 
     def at(self, target_abs_error: float) -> ProbabilityEstimate:
         if not 0.0 < target_abs_error < math.inf:
             raise ValueError("target_abs_error must be positive and finite, "
                              f"got {target_abs_error}")
+        if self._last is None:
+            self._last = self._start()
         est = self._last
-        while est is None or est.error_bound > target_abs_error:
-            est = next(self._rounds, None)
-            if est is None:    # the evaluation cap came first
-                return replace(self._last, converged=False)
-            self._last = est
-        return est
+        if est is not None and est.error_bound <= target_abs_error:
+            return est
+        pivots, shifts, sums = self._pivots, self._shifts, self._sums
+        dim = shifts.shape[1]
+        for base in sobol_rounds(*self._scramble, done=self._n_per):
+            batch = base.shape[0]
+            # the next round doubles the total, keeping counts powers of 2
+            if est is not None and (est.evaluations + _RANDOMIZATIONS * batch
+                                    > _MAX_EVALUATIONS):
+                break
+            group = max(1, _SLAB // batch)
+            for r in range(0, _RANDOMIZATIONS, group):
+                points = base ^ shifts[r:r + group, None]
+                sums[r:r + group] += _sov_integrand(
+                    pivots, points.reshape(-1, dim)
+                ).reshape(-1, batch).sum(axis=1)
+                del points  # freed before the next slab: a lower peak RSS
+            self._n_per += batch
+            estimates = sums / self._n_per
+            value = float(estimates.mean())
+            error = (3.0 * float(estimates.std(ddof=1))
+                     / math.sqrt(_RANDOMIZATIONS))
+            est = self._last = ProbabilityEstimate(
+                min(max(value, 0.0), 1.0), error,
+                _RANDOMIZATIONS * self._n_per)
+            if error <= target_abs_error:
+                return est
+        return replace(est, converged=False)
 
 
 def mvn_rectangle_prob(problem: OrthantProblem,

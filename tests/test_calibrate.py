@@ -541,9 +541,9 @@ class TestPowerBracket:
     def test_flipped_retry_raises_with_the_tighter_numbers(self,
                                                            monkeypatch):
         # at the fine rung power(101) reads 1e-2 low: the refinement
-        # flips its verdict and drops it below power(100).  The search takes the refined verdict, and the monotonicity
-        # check, which covers every visit, refuses with the refined
-        # numbers of both
+        # flips its verdict and drops it below power(100).  The search
+        # takes the refined verdict, and the monotonicity check, which
+        # covers every visit, refuses with the refined numbers of both
         def curve(n, target):
             return (0.9 + 1e-3 * (n - 100.5)
                     - (1e-2 if (n, target) == (101, FINE) else 0.0))

@@ -510,7 +510,7 @@ def test_sobol_points_match_scipy(dim, seed):
     ref_rng = np.random.default_rng(seed)
     engine = qmc.Sobol(dim, seed=ref_rng)
     rng = np.random.default_rng(seed)
-    rounds = _sobol.sobol_rounds(dim, rng)
+    rounds = _sobol.sobol_rounds(*_sobol.scramble(dim, rng))
     for batch in _SCHEDULE:
         points = next(rounds)
         assert points.dtype == np.uint32 and points.shape == (batch, dim)
@@ -520,6 +520,20 @@ def test_sobol_points_match_scipy(dim, seed):
     shape = (mvn._RANDOMIZATIONS, dim)
     np.testing.assert_array_equal(rng.integers(1 << _sobol.BITS, size=shape),
                                   ref_rng.integers(1 << 30, size=shape))
+
+
+@pytest.mark.parametrize("done", [128, 256, 1024])
+def test_sobol_rounds_resume_after_done_points(done):
+    # a resumed set rebuilds its first `done` points and yields the
+    # rounds a fresh one yields after them
+    scramble = _sobol.scramble(5, np.random.default_rng(3))
+    fresh = _sobol.sobol_rounds(*scramble)
+    total = 0
+    while total < done:
+        total += next(fresh).shape[0]
+    resumed = _sobol.sobol_rounds(*scramble, done=done)
+    for _ in range(4):
+        np.testing.assert_array_equal(next(resumed), next(fresh))
 
 
 @pytest.mark.parametrize("statement", ["import dtldesign",
