@@ -5,9 +5,11 @@ small family of multivariate-normal rectangle probabilities and this
 module integrates them and does the patient bookkeeping.  PWER and the
 crossing probability of arm 1 are one arm's group-sequential crossing
 probability, computed by recursive quadrature (calibrate._no_crossing)
-instead.  Integration noise is kept two orders of magnitude below the
-reporting precision; a result whose error bound exceeds the allowance
-raises instead of silently degrading the report.
+instead.  Each event set is integrated to one set-level error bound
+(target_abs_error, DEFAULT_TARGET by default), its evaluations spent on the
+problems that dominate that bound.  Integration noise is kept two orders of
+magnitude below the reporting precision; a result whose error bound exceeds
+the allowance raises instead of silently degrading the report.
 
 Patient counts assume the equal-allocation schedule: n patients per
 remaining arm (control included) per stage, one arm dropped at each
@@ -53,11 +55,14 @@ __all__ = [
     "analytic_estimates",
 ]
 
-# Per-problem integration target, and the weighted set-level error bound
-# beyond which a result is refused; a smaller target is the remedy.  The
-# allowance sits two orders below the coarsest reported digit, and is also
-# how far a reported probability may stray outside [0, 1].
-DEFAULT_TARGET = 2e-6
+# Error bound each event set is integrated to, and the bound beyond which
+# a result is refused; a smaller target is the remedy.  The allowance sits
+# two orders below the coarsest reported digit, and is also how far a
+# reported probability may stray outside [0, 1].  A family of J per-stage
+# sets sums to a bound of at most sqrt(J) * DEFAULT_TARGET, and the final
+# stop stage, one minus the J - 1 interim sets, to sqrt(J - 1) times it:
+# both under the allowance for J <= 6.
+DEFAULT_TARGET = 2e-5
 ERROR_ALLOWANCE = 5e-5
 
 _PARTITION_SLACK = 2e-5   # stop-stage probabilities must sum to one

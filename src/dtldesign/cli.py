@@ -602,23 +602,25 @@ def main(argv=None) -> int:
         description="Design and evaluate multi-stage drop-the-loser trials "
                     "with early stopping for superiority.")
     sub = parser.add_subparsers(dest="command", required=True)
-    problem = "per-problem integration target of "
+    event_set = "error bound each event set is integrated to, for "
     specs = {
         "design": ("calibrate boundaries and sample size, write the record",
-                   f"{problem}the sample size search (default "
+                   "per-problem integration target of the sample size "
+                   "search (default "
                    f"{SEARCH_TARGET:g}): each visited n is integrated at "
                    f"{_PROBE_FACTOR} x TOL, then refined to TOL and to TOL / "
                    f"{BRACKET_RETRY_FACTOR} only while its power is within "
                    "its error bound of the power target"),
         "evaluate": ("operating characteristics of a designed trial",
-                     f"{problem}every event probability (default "
+                     f"set-level {event_set}every characteristic (default "
                      f"{DEFAULT_TARGET:g})"),
         "simulate": ("Monte Carlo cross-check of the analytic numbers",
-                     f"{problem}the analytic column (default "
+                     f"set-level {event_set}the analytic column (default "
                      f"{DEFAULT_TARGET:g})"),
         "compare": ("comparison table across competing designs",
-                    "TOL of both the sample size searches (as in design) "
-                    "and each row's characteristics (as in evaluate)"),
+                    "TOL of both the sample size searches (per-problem, as "
+                    "in design) and each row's characteristics (set-level, "
+                    "as in evaluate)"),
     }
     for name, (help_text, tol_help) in specs.items():
         p = sub.add_parser(name, help=help_text)

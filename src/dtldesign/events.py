@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .covariance import (
     EffectConfig,
@@ -31,8 +31,7 @@ from .covariance import (
     build_moment_problem,
     single,
 )
-from .mvn import (OrthantProblem, ProbabilityEstimate, _Integral,
-                  mvn_rectangle_prob)
+from .mvn import OrthantProblem, ProbabilityEstimate, _check_target, _Integral
 
 __all__ = [
     "PERMUTATION_CAP",
@@ -332,16 +331,40 @@ def _seeded(pset: EventProblemSet, seed: int):
 
 def set_probability(pset: EventProblemSet, *, target_abs_error: float,
                     seed: int = 0) -> ProbabilityEstimate:
-    """Weighted probability of one event set (seeds as in _seeded)."""
-    return _weighted_sum(
-        (w, mvn_rectangle_prob(prob, target_abs_error=target_abs_error,
-                               seed=sub_seed))
-        for w, prob, sub_seed in _seeded(pset, seed))
+    """Weighted probability of one event set, integrated until the set
+    bound sqrt(sum (w * bound)^2) is at most target_abs_error.
+
+    Every problem (seeds as in _seeded) runs its first round.  Then the
+    problem with the largest (w * bound)^2 per evaluation spent so far
+    runs one more doubling round, so the evaluations go where the weighted
+    error is.  The estimate is converged=False when the set bound is above
+    the target and no problem can run another round: each is exact, has
+    bound 0 or is at _MAX_EVALUATIONS.
+    """
+    _check_target(target_abs_error)
+    terms = [(w, _Integral(prob, sub_seed))
+             for w, prob, sub_seed in _seeded(pset, seed)]
+    for _, integral in terms:
+        integral.step()
+    while True:
+        est = _weighted_sum((w, integral.estimate) for w, integral in terms)
+        if est.error_bound <= target_abs_error:
+            return est
+        open_terms = [(w, integral) for w, integral in terms
+                      if integral.refinable
+                      and integral.estimate.error_bound > 0.0]
+        if not open_terms:
+            return replace(est, converged=False)
+        _, integral = max(open_terms, key=lambda t: (
+            (t[0] * t[1].estimate.error_bound) ** 2
+            / t[1].estimate.evaluations))
+        integral.step()
 
 
 def total_probability(psets, *, target_abs_error: float,
                       seed: int = 0) -> ProbabilityEstimate:
-    """Sum of set_probability over one family of per-stage event sets."""
+    """Sum of set_probability over one family of per-stage event sets;
+    its bound is at most sqrt(len(psets)) * target_abs_error."""
     return _weighted_sum(
         (1, set_probability(pset, target_abs_error=target_abs_error,
                             seed=seed))

@@ -15,7 +15,8 @@ constant 0 or 1, and pivot 0, the same at every point, is computed once.
 Each doubling round evaluates its shifts together, in slabs of at most
 _SLAB points that never split a shift.  An integration advances one round
 at a time (_Integral), so a finer target continues the rounds already
-spent.
+spent, and events.set_probability shares one error budget across the
+problems of a set by advancing whichever problem dominates its bound.
 """
 
 from __future__ import annotations
@@ -270,15 +271,15 @@ def _sov_integrand(pivots, points):
 class _Integral:
     """One problem's integration, advanced one doubling round at a time.
 
-    `at(target)` runs rounds until an estimate's bound is at most target
-    and returns that estimate, with converged=False when the next round
-    would pass _MAX_EVALUATIONS.  A later call at a finer target
-    continues the same Sobol rounds, so each answer is bit for bit that
-    of mvn_rectangle_prob at its target, and no round is spent twice; a
-    call at a coarser target returns the estimate already reached.
-    Between calls it keeps the pivots, the scramble, the shifts and the
-    sums but no Sobol points: those are rebuilt when a call needs more
-    rounds.
+    `step()` runs the next round; the first call sets the problem up and
+    runs the first round, or none when the problem is exact.  `estimate`
+    is the latest estimate, None before the first step, and `refinable`
+    says whether another round fits under _MAX_EVALUATIONS.  `at(target)`
+    steps until the bound is at most target, so each answer is bit for
+    bit that of mvn_rectangle_prob at its target, and a later call at a
+    finer target continues the rounds already spent.  Between steps it
+    keeps the pivots, the scramble, the shifts and the sums but no Sobol
+    points: each round rebuilds the earlier points it reflects.
     """
 
     def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...]):
@@ -288,7 +289,8 @@ class _Integral:
             raise ValueError("seed must be a non-negative integer or a tuple "
                              f"of them, got {seed!r}")
         self._problem, self._seed = problem, seed
-        self._last = None
+        self._n_per = 0  # points per shift; stays 0 for an exact problem
+        self.estimate: ProbabilityEstimate | None = None
 
     def _start(self):
         """The first estimate if the problem is exact; else None, with
@@ -315,44 +317,59 @@ class _Integral:
         self._shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)
                                     ).astype(np.uint32)
         self._sums = np.zeros(_RANDOMIZATIONS)
-        self._n_per = 0
         return None
 
-    def at(self, target_abs_error: float) -> ProbabilityEstimate:
-        if not 0.0 < target_abs_error < math.inf:
-            raise ValueError("target_abs_error must be positive and finite, "
-                             f"got {target_abs_error}")
-        if self._last is None:
-            self._last = self._start()
-        est = self._last
-        if est is not None and est.error_bound <= target_abs_error:
-            return est
+    @property
+    def refinable(self) -> bool:
+        # the next round doubles the total, keeping counts powers of 2
+        return self.estimate is None or (
+            self._n_per > 0
+            and 2 * _RANDOMIZATIONS * self._n_per <= _MAX_EVALUATIONS)
+
+    def step(self) -> ProbabilityEstimate:
+        """Run the next round (see the class docstring) and return the
+        new estimate.  Call it only while `refinable`."""
+        if self.estimate is None:
+            self.estimate = self._start()
+            if self.estimate is not None:
+                return self.estimate
         pivots, shifts, sums = self._pivots, self._shifts, self._sums
         dim = shifts.shape[1]
-        for base in sobol_rounds(*self._scramble, done=self._n_per):
-            batch = base.shape[0]
-            # the next round doubles the total, keeping counts powers of 2
-            if est is not None and (est.evaluations + _RANDOMIZATIONS * batch
-                                    > _MAX_EVALUATIONS):
-                break
-            group = max(1, _SLAB // batch)
-            for r in range(0, _RANDOMIZATIONS, group):
-                points = base ^ shifts[r:r + group, None]
-                sums[r:r + group] += _sov_integrand(
-                    pivots, points.reshape(-1, dim)
-                ).reshape(-1, batch).sum(axis=1)
-                del points  # freed before the next slab: a lower peak RSS
-            self._n_per += batch
-            estimates = sums / self._n_per
-            value = float(estimates.mean())
-            error = (3.0 * float(estimates.std(ddof=1))
-                     / math.sqrt(_RANDOMIZATIONS))
-            est = self._last = ProbabilityEstimate(
-                min(max(value, 0.0), 1.0), error,
-                _RANDOMIZATIONS * self._n_per)
-            if error <= target_abs_error:
-                return est
-        return replace(est, converged=False)
+        base = next(sobol_rounds(*self._scramble, done=self._n_per))
+        batch = base.shape[0]
+        group = max(1, _SLAB // batch)
+        for r in range(0, _RANDOMIZATIONS, group):
+            points = base ^ shifts[r:r + group, None]
+            sums[r:r + group] += _sov_integrand(
+                pivots, points.reshape(-1, dim)
+            ).reshape(-1, batch).sum(axis=1)
+            del points  # freed before the next slab: a lower peak RSS
+        self._n_per += batch
+        estimates = sums / self._n_per
+        value = float(estimates.mean())
+        error = (3.0 * float(estimates.std(ddof=1))
+                 / math.sqrt(_RANDOMIZATIONS))
+        self.estimate = ProbabilityEstimate(
+            min(max(value, 0.0), 1.0), error, _RANDOMIZATIONS * self._n_per)
+        return self.estimate
+
+    def at(self, target_abs_error: float) -> ProbabilityEstimate:
+        """The first estimate whose bound is at most target_abs_error, with
+        converged=False when the next round would pass _MAX_EVALUATIONS; a
+        target coarser than the estimate reached returns that estimate."""
+        _check_target(target_abs_error)
+        est = self.estimate if self.estimate is not None else self.step()
+        while est.error_bound > target_abs_error:
+            if not self.refinable:
+                return replace(est, converged=False)
+            est = self.step()
+        return est
+
+
+def _check_target(target_abs_error: float) -> None:
+    if not 0.0 < target_abs_error < math.inf:
+        raise ValueError("target_abs_error must be positive and finite, "
+                         f"got {target_abs_error}")
 
 
 def mvn_rectangle_prob(problem: OrthantProblem,
@@ -381,10 +398,10 @@ def mvn_rectangle_prob(problem: OrthantProblem,
             drops below this value, spending at most
             _MAX_EVALUATIONS.  Must be positive and finite.
         seed: integration seed, a non-negative int or a tuple of them (as
-            `(seed, stage, index)` from `events.set_probability`).  Results
-            are deterministic given (problem, target_abs_error, seed), so
-            any parallel evaluation schedule would produce the same
-            estimate.
+            the `(seed, stage, index)` `events.set_probability` gives each
+            problem of a set).  Results are deterministic given (problem,
+            target_abs_error, seed), so any parallel evaluation schedule
+            would produce the same estimate.
 
     Returns:
         ProbabilityEstimate with the estimate, its error bound,

@@ -275,7 +275,8 @@ class TestCompareCommand:
 # the (arms, shape) cells the README's reference-design table calls
 # supported
 @pytest.mark.parametrize("arms, shape", [
-    (2, "obf"), (2, "pocock"), (3, "obf"), (3, "pocock")])
+    (2, "obf"), (2, "pocock"), (3, "obf"), (3, "pocock"), (4, "obf"),
+    (4, "pocock")])
 def test_supported_cells_design_evaluate_and_compare(tmp_path, capsys, arms,
                                                      shape):
     config = tmp_path / "trial.cfg"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from dtldesign import characteristics, events
+from dtldesign import characteristics, events, mvn
 from dtldesign.covariance import EffectConfig, TrialDesign, single
 from dtldesign.events import (
     CapacityError,
@@ -499,12 +499,90 @@ class TestAggregation:
     def test_problem_seeds_are_seed_stage_index(self):
         pset = stop_stage_problems(DESIGN, LFC)[1]
         assert len(pset.problems) > 1
-        ests = [(w, prob(p, seed=(3, pset.stage, idx), target=1e-5))
-                for idx, (w, p) in enumerate(pset.problems)]
+        seeded = list(events._seeded(pset, 3))
+        assert [(w, p) for w, p, _ in seeded] == list(pset.problems)
+        assert [s for *_, s in seeded] == [
+            (3, pset.stage, idx) for idx in range(len(pset.problems))]
+
+    @staticmethod
+    def _recorded_integrals(monkeypatch):
+        """The _Integral set_probability makes, each with its step count."""
+        made = []
+
+        class Recorded(mvn._Integral):
+            def __init__(self, problem, seed):
+                super().__init__(problem, seed)
+                self.steps = 0
+                made.append((problem, seed, self))
+
+            def step(self):
+                assert self.refinable, "stepped past the evaluation cap"
+                self.steps += 1
+                return super().step()
+
+        monkeypatch.setattr(events, "_Integral", Recorded)
+        return made
+
+    def test_each_problem_is_a_fresh_integral_at_its_rounds(self,
+                                                            monkeypatch):
+        made = self._recorded_integrals(monkeypatch)
+        pset = stop_stage_problems(DESIGN, LFC)[1]
         est = set_probability(pset, target_abs_error=1e-5, seed=3)
-        assert est.value == sum(w * e.value for w, e in ests)
-        assert est.error_bound == math.sqrt(
-            sum((w * e.error_bound) ** 2 for w, e in ests))
+        assert est.converged and est.error_bound <= 1e-5
+        terms = []
+        for (w, p, seed), (problem, made_seed, integral) in zip(
+                events._seeded(pset, 3), made, strict=True):
+            assert problem is p and made_seed == seed
+            fresh = mvn._Integral(p, seed)
+            for _ in range(integral.steps):
+                fresh.step()
+            assert fresh.estimate == integral.estimate
+            terms.append((w, fresh.estimate))
+        assert est == _weighted_sum(terms)
+        # the budget goes where the weighted error is, not uniformly
+        assert len({integral.steps for *_, integral in made}) > 1
+
+    def test_capped_problems_end_unconverged(self, monkeypatch):
+        # each problem fits its first round and one doubling, no more
+        monkeypatch.setattr(mvn, "_MAX_EVALUATIONS",
+                            2 * mvn._RANDOMIZATIONS * 128)
+        made = self._recorded_integrals(monkeypatch)
+        pset = stop_stage_problems(DESIGN, LFC)[1]
+        est = set_probability(pset, target_abs_error=1e-12)
+        assert not est.converged and est.error_bound > 1e-12
+        assert all(integral.steps <= 2 and not integral.refinable
+                   for *_, integral in made)
+        assert est.evaluations <= len(pset.problems) * mvn._MAX_EVALUATIONS
+
+    def test_exact_problems_are_never_stepped(self, monkeypatch):
+        made = self._recorded_integrals(monkeypatch)
+        inf = math.inf
+        rank_one = mvn.OrthantProblem(np.zeros(3), np.ones((3, 3)),
+                                      [-inf] * 3, [0.5, 1.0, 2.0])
+        unconstrained = mvn.OrthantProblem(np.zeros(2), np.eye(2),
+                                           [-inf] * 2, [inf] * 2)
+        pset = EventProblemSet(1, ((3, rank_one), (-1, unconstrained),
+                                   (2, pwer_problem(DESIGN))))
+        est = set_probability(pset, target_abs_error=1e-6)
+        assert est.converged and est.error_bound <= 1e-6
+        steps = [integral.steps for *_, integral in made]
+        assert steps[:2] == [1, 1] and steps[2] > 1
+        assert [integral.estimate.error_bound for *_, integral in made[:2]
+                ] == [0.0, 0.0]
+        assert est.value == pytest.approx(
+            3 * norm.cdf(0.5) - 1 + 2 * (1 - characteristics.pwer(DESIGN)),
+            abs=3e-6)
+
+    @pytest.mark.parametrize("target", [0.0, -1e-6, math.nan, math.inf])
+    def test_bad_target_is_refused_before_any_work(self, monkeypatch,
+                                                   target):
+        def refuse(*args):
+            raise AssertionError("integrated at a refused target")
+
+        monkeypatch.setattr(events, "_Integral", refuse)
+        with pytest.raises(ValueError, match="positive and finite"):
+            set_probability(stop_stage_problems(DESIGN, LFC)[1],
+                            target_abs_error=target)
 
     def test_bounds_add_in_quadrature(self):
         est = _weighted_sum([(1, ProbabilityEstimate(0.5, 3e-6, 10)),
