@@ -13,8 +13,9 @@ Two searches, run in this order (design_trial runs both):
    sqrt(n), so a secant search finds the same n as a one-patient-at-a-time
    scan in a few integrals, starting from the one-look z test's n; it
    falls back to bisection when the secant stalls.  Each visit's power is
-   integrated at the coarsest target of a three-rung ladder and refined
-   in place only while it sits within its error bound of the target.
+   refined, on the scheduler that integrates every weighted family
+   (events._refine), only while it sits within its error bound of the
+   target.
 
 PWER is one arm's group-sequential crossing probability, computed by
 deterministic recursive quadrature (_no_crossing), so the boundaries
@@ -35,7 +36,6 @@ import dataclasses
 import functools
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +43,9 @@ from scipy.special import ndtr, ndtri
 
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
-from .events import (PERMUTATION_CAP, CapacityError, _FamilyIntegral,
-                     power_lfc_problems)
-from .mvn import ProbabilityEstimate
+from .events import (DEFAULT_TARGET, PERMUTATION_CAP, CapacityError,
+                     _refine, _seeded, power_lfc_problems)
+from .mvn import ProbabilityEstimate, _check_target
 
 __all__ = [
     "BracketError",
@@ -73,14 +73,6 @@ _QUADRATURE_NODES = 64
 # the recursion drops the walk's mass more than this many standard
 # deviations below its mean (about 8e-24)
 _TAIL_SDS = 10.0
-# the sample size search integrates each visit at the search target times
-# _PROBE_FACTOR, refines it to SEARCH_TARGET, well below the power gap
-# between consecutive n near the reference designs (~5e-4), and then to
-# SEARCH_TARGET / BRACKET_RETRY_FACTOR, each step only while the power
-# sits within its error bound of the power target
-SEARCH_TARGET = 1e-5
-BRACKET_RETRY_FACTOR = 5
-_PROBE_FACTOR = 10
 
 
 class BracketError(ValueError):
@@ -342,55 +334,46 @@ def _smallest_passing_n(power_at, target: float, max_n: int, guess: float,
             n = (lo + hi) // 2 if hi <= max_n else min(2 * lo, max_n)
 
 
-def _lfc_power(design: TrialDesign, theta_prime: float, theta_zero: float,
-               *, seed: int) -> Callable[[float], ProbabilityEstimate]:
-    """LFC power at design's n as a function of the integration target;
-    each call at a finer target refines the integral of the last in
-    place."""
-    return _FamilyIntegral(power_lfc_problems(design, theta_prime,
-                                              theta_zero), seed).total
-
-
 def find_sample_size(design: TrialDesign, theta_prime: float,
                      theta_zero: float,
                      cfg: CalibrationConfig = CalibrationConfig(0.025, 0.9),
                      *,
                      seed: int = 0,
-                     target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
+                     target_abs_error: float = DEFAULT_TARGET) -> TrialDesign:
     """Smallest per-stage n with LFC power >= cfg.power_target.
 
     A probit-secant search, seeded with the one-look z test's n over the
-    stage count.  Each visit settles its verdict at the coarsest rung of
-    the ladder _PROBE_FACTOR x target_abs_error, target_abs_error,
-    target_abs_error / BRACKET_RETRY_FACTOR that clears it: the power is
-    integrated at the first rung and refined in place, continuing the
-    same Sobol rounds, only while it sits within its own error bound of
-    the target.  A visit still that close at the last rung raises
+    stage count.  Each visit integrates the whole LFC win family on
+    events._refine: every problem runs its first round, and the problem
+    that dominates the family bound runs one more only while the power
+    sits within that bound of the target and the bound is above
+    target_abs_error.  A visit still that close then raises
     ConvergenceError.  So the answer n passes, and n - 1 fails, each by
     more than its error bound.  The same integration seed is used at
     every n (common random numbers), so the visited power curve is
     smooth; it is asserted nondecreasing up to twice the integration
     error bound.
     """
+    _check_target(target_abs_error)
     target = cfg.power_target
-    ladder = (_PROBE_FACTOR * target_abs_error, target_abs_error,
-              target_abs_error / BRACKET_RETRY_FACTOR)
     visited: dict[int, tuple[float, float]] = {}
 
     def power_at(n: int) -> float:
-        power_to = _lfc_power(design.with_n(n), theta_prime, theta_zero,
-                              seed=seed)
-        for tol in ladder:
-            est = power_to(tol)
-            power = _converged(est, "power")
-            if abs(power - target) > est.error_bound:
-                visited[n] = power, est.error_bound
-                return power
-        raise ConvergenceError(
-            f"power({n})={power:.6f} is within its error bound "
-            f"{est.error_bound:.2e} of the target {target} at the finest "
-            f"integration target {tol:.2e}; lower target_abs_error (--tol "
-            "on the CLI)")
+        est = _refine(
+            [term for pset in power_lfc_problems(design.with_n(n),
+                                                 theta_prime, theta_zero)
+             for term in _seeded(pset, seed)],
+            lambda est: (abs(est.value - target) > est.error_bound
+                         or est.error_bound <= target_abs_error))
+        power = _converged(est, "power")
+        if abs(power - target) <= est.error_bound:
+            raise ConvergenceError(
+                f"power({n})={power:.6f} is within its error bound "
+                f"{est.error_bound:.2e} of the target {target} at the "
+                f"integration target {target_abs_error:.2e}; lower "
+                "target_abs_error (--tol on the CLI)")
+        visited[n] = power, est.error_bound
+        return power
 
     guess, slope = _one_look_model(cfg.alpha, target, theta_prime,
                                    design.sigma, design.stages)
@@ -407,7 +390,7 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
 
 def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,
                  endpoint: NormalEffectSpec, *, seed: int = 0,
-                 target_abs_error: float = SEARCH_TARGET) -> TrialDesign:
+                 target_abs_error: float = DEFAULT_TARGET) -> TrialDesign:
     """A K-arm, K-stage trial with calibrated boundaries and the smallest
     per-stage n that powers it: calibrate_boundaries, then
     find_sample_size at target_abs_error."""

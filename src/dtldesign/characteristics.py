@@ -32,6 +32,7 @@ from .calibrate import ConvergenceError, _converged, _no_crossing
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
+    DEFAULT_TARGET,
     _weighted_sum,
     global_null_typeI_problems,
     power_lfc_problems,
@@ -55,14 +56,13 @@ __all__ = [
     "analytic_estimates",
 ]
 
-# Error bound each event set is integrated to, and the bound beyond which
-# a result is refused; a smaller target is the remedy.  The allowance sits
-# two orders below the coarsest reported digit, and is also how far a
-# reported probability may stray outside [0, 1].  A family of J per-stage
-# sets sums to a bound of at most sqrt(J) * DEFAULT_TARGET, and the final
-# stop stage, one minus the J - 1 interim sets, to sqrt(J - 1) times it:
-# both under the allowance for J <= 6.
-DEFAULT_TARGET = 2e-5
+# The bound beyond which a result is refused; a smaller target is the
+# remedy.  The allowance sits two orders below the coarsest reported
+# digit, and is also how far a reported probability may stray outside
+# [0, 1].  A family of J per-stage sets, each integrated to
+# DEFAULT_TARGET, sums to a bound of at most sqrt(J) * DEFAULT_TARGET, and
+# the final stop stage, one minus the J - 1 interim sets, to sqrt(J - 1)
+# times it: both under the allowance for J <= 6.
 ERROR_ALLOWANCE = 5e-5
 
 _PARTITION_SLACK = 2e-5   # stop-stage probabilities must sum to one

@@ -26,11 +26,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 from .calibrate import (
-    BRACKET_RETRY_FACTOR,
-    SEARCH_TARGET,
     BoundaryShape,
     CalibrationConfig,
-    _PROBE_FACTOR,
     comparator_multiarm,
     comparator_separate_trials,
     design_trial,
@@ -421,7 +418,7 @@ def render_compare_table(report: dict) -> str:
 
 def _integration(cfg: RunConfig) -> dict:
     """Integration keywords: the seed, plus the target only when --tol is
-    given, so each default target lives in the library alone."""
+    given, so the default target lives in the library alone."""
     if cfg.tol is None:
         return {"seed": cfg.seed}
     return {"seed": cfg.seed, "target_abs_error": cfg.tol}
@@ -602,27 +599,17 @@ def main(argv=None) -> int:
         description="Design and evaluate multi-stage drop-the-loser trials "
                     "with early stopping for superiority.")
     sub = parser.add_subparsers(dest="command", required=True)
-    event_set = "error bound each event set is integrated to, for "
+    tol_help = ("error bound each event set of a characteristic is "
+                "integrated to, and below which the sample size search "
+                "stops refining a power still within its bound of the "
+                f"power target (default {DEFAULT_TARGET:g})")
     specs = {
-        "design": ("calibrate boundaries and sample size, write the record",
-                   "per-problem integration target of the sample size "
-                   "search (default "
-                   f"{SEARCH_TARGET:g}): each visited n is integrated at "
-                   f"{_PROBE_FACTOR} x TOL, then refined to TOL and to TOL / "
-                   f"{BRACKET_RETRY_FACTOR} only while its power is within "
-                   "its error bound of the power target"),
-        "evaluate": ("operating characteristics of a designed trial",
-                     f"set-level {event_set}every characteristic (default "
-                     f"{DEFAULT_TARGET:g})"),
-        "simulate": ("Monte Carlo cross-check of the analytic numbers",
-                     f"set-level {event_set}the analytic column (default "
-                     f"{DEFAULT_TARGET:g})"),
-        "compare": ("comparison table across competing designs",
-                    "TOL of both the sample size searches (per-problem, as "
-                    "in design) and each row's characteristics (set-level, "
-                    "as in evaluate)"),
+        "design": "calibrate boundaries and sample size, write the record",
+        "evaluate": "operating characteristics of a designed trial",
+        "simulate": "Monte Carlo cross-check of the analytic numbers",
+        "compare": "comparison table across competing designs",
     }
-    for name, (help_text, tol_help) in specs.items():
+    for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", dest="config_path", metavar="CONFIG",
                        required=True,

@@ -52,6 +52,12 @@ __all__ = [
 # It also caps the stages of calibrate._no_crossing, verified up to eight.
 PERMUTATION_CAP = 8
 
+# Default error bound of a weighted family: each event set a report
+# integrates (characteristics), and the LFC win family of a sample size
+# search visit whose power is still within its bound of the target
+# (calibrate.find_sample_size).
+DEFAULT_TARGET = 2e-5
+
 
 class CapacityError(ValueError):
     """Raised when a design is larger than the engine handles: more arms
@@ -329,26 +335,23 @@ def _seeded(pset: EventProblemSet, seed: int):
             for idx, (w, prob) in enumerate(pset.problems))
 
 
-def set_probability(pset: EventProblemSet, *, target_abs_error: float,
-                    seed: int = 0) -> ProbabilityEstimate:
-    """Weighted probability of one event set, integrated until the set
-    bound sqrt(sum (w * bound)^2) is at most target_abs_error.
+def _refine(terms, done) -> ProbabilityEstimate:
+    """Weighted sum of (weight, problem, integration seed) terms, refined
+    until done(estimate) holds.
 
-    Every problem (seeds as in _seeded) runs its first round.  Then the
-    problem with the largest (w * bound)^2 per evaluation spent so far
-    runs one more doubling round, so the evaluations go where the weighted
-    error is.  The estimate is converged=False when the set bound is above
-    the target and no problem can run another round: each is exact, has
-    bound 0 or is at _MAX_EVALUATIONS.
+    Every problem runs its first round.  Then, while done(estimate) is
+    False, the problem with the largest (w * bound)^2 per evaluation spent
+    so far runs one more doubling round, so the evaluations go where the
+    weighted error is.  The estimate is converged=False when done(estimate)
+    is still False and no problem can run another round: each is exact,
+    has bound 0 or is at _MAX_EVALUATIONS.
     """
-    _check_target(target_abs_error)
-    terms = [(w, _Integral(prob, sub_seed))
-             for w, prob, sub_seed in _seeded(pset, seed)]
+    terms = [(w, _Integral(prob, sub_seed)) for w, prob, sub_seed in terms]
     for _, integral in terms:
         integral.step()
     while True:
         est = _weighted_sum((w, integral.estimate) for w, integral in terms)
-        if est.error_bound <= target_abs_error:
+        if done(est):
             return est
         open_terms = [(w, integral) for w, integral in terms
                       if integral.refinable
@@ -361,6 +364,16 @@ def set_probability(pset: EventProblemSet, *, target_abs_error: float,
         integral.step()
 
 
+def set_probability(pset: EventProblemSet, *, target_abs_error: float,
+                    seed: int = 0) -> ProbabilityEstimate:
+    """Weighted probability of one event set, integrated (seeds as in
+    _seeded, schedule as in _refine) until the set bound
+    sqrt(sum (w * bound)^2) is at most target_abs_error."""
+    _check_target(target_abs_error)
+    return _refine(_seeded(pset, seed),
+                   lambda est: est.error_bound <= target_abs_error)
+
+
 def total_probability(psets, *, target_abs_error: float,
                       seed: int = 0) -> ProbabilityEstimate:
     """Sum of set_probability over one family of per-stage event sets;
@@ -369,23 +382,3 @@ def total_probability(psets, *, target_abs_error: float,
         (1, set_probability(pset, target_abs_error=target_abs_error,
                             seed=seed))
         for pset in psets)
-
-
-class _FamilyIntegral:
-    """total_probability of one family, refinable in place.
-
-    `total(target)` is total_probability at target; a call at a finer
-    target continues each problem's rounds already spent (mvn._Integral),
-    so its estimate is bit for bit that of a fresh total_probability.
-    """
-
-    def __init__(self, psets, seed: int):
-        self._sets = [[(w, _Integral(prob, sub_seed))
-                       for w, prob, sub_seed in _seeded(pset, seed)]
-                      for pset in psets]
-
-    def total(self, target_abs_error: float) -> ProbabilityEstimate:
-        return _weighted_sum(
-            (1, _weighted_sum((w, integral.at(target_abs_error))
-                              for w, integral in terms))
-            for terms in self._sets)

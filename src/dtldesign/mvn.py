@@ -14,9 +14,9 @@ truncation is involved: a pivot side infinite on every row is the
 constant 0 or 1, and pivot 0, the same at every point, is computed once.
 Each doubling round evaluates its shifts together, in slabs of at most
 _SLAB points that never split a shift.  An integration advances one round
-at a time (_Integral), so a finer target continues the rounds already
-spent, and events.set_probability shares one error budget across the
-problems of a set by advancing whichever problem dominates its bound.
+at a time (_Integral), so events._refine can share one error budget across
+the problems of a weighted family by advancing whichever problem dominates
+its bound.
 """
 
 from __future__ import annotations
@@ -274,12 +274,9 @@ class _Integral:
     `step()` runs the next round; the first call sets the problem up and
     runs the first round, or none when the problem is exact.  `estimate`
     is the latest estimate, None before the first step, and `refinable`
-    says whether another round fits under _MAX_EVALUATIONS.  `at(target)`
-    steps until the bound is at most target, so each answer is bit for
-    bit that of mvn_rectangle_prob at its target, and a later call at a
-    finer target continues the rounds already spent.  Between steps it
-    keeps the pivots, the scramble, the shifts and the sums but no Sobol
-    points: each round rebuilds the earlier points it reflects.
+    says whether another round fits under _MAX_EVALUATIONS.  Between
+    steps it keeps the pivots, the scramble, the shifts and the sums but
+    no Sobol points: each round rebuilds the earlier points it reflects.
     """
 
     def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...]):
@@ -353,18 +350,6 @@ class _Integral:
             min(max(value, 0.0), 1.0), error, _RANDOMIZATIONS * self._n_per)
         return self.estimate
 
-    def at(self, target_abs_error: float) -> ProbabilityEstimate:
-        """The first estimate whose bound is at most target_abs_error, with
-        converged=False when the next round would pass _MAX_EVALUATIONS; a
-        target coarser than the estimate reached returns that estimate."""
-        _check_target(target_abs_error)
-        est = self.estimate if self.estimate is not None else self.step()
-        while est.error_bound > target_abs_error:
-            if not self.refinable:
-                return replace(est, converged=False)
-            est = self.step()
-        return est
-
 
 def _check_target(target_abs_error: float) -> None:
     if not 0.0 < target_abs_error < math.inf:
@@ -398,13 +383,21 @@ def mvn_rectangle_prob(problem: OrthantProblem,
             drops below this value, spending at most
             _MAX_EVALUATIONS.  Must be positive and finite.
         seed: integration seed, a non-negative int or a tuple of them (as
-            the `(seed, stage, index)` `events.set_probability` gives each
+            the `(seed, stage, index)` `events._seeded` gives each
             problem of a set).  Results are deterministic given (problem,
             target_abs_error, seed), so any parallel evaluation schedule
             would produce the same estimate.
 
     Returns:
         ProbabilityEstimate with the estimate, its error bound,
-        the evaluation count and a convergence flag.  Rank one is exact.
+        the evaluation count and a convergence flag (False when the next
+        round would pass _MAX_EVALUATIONS).  Rank one is exact.
     """
-    return _Integral(problem, seed).at(target_abs_error)
+    _check_target(target_abs_error)
+    integral = _Integral(problem, seed)
+    est = integral.step()
+    while est.error_bound > target_abs_error:
+        if not integral.refinable:
+            return replace(est, converged=False)
+        est = integral.step()
+    return est

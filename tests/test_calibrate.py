@@ -385,176 +385,194 @@ class TestSmallestPassingN:
             assert len(visits) <= 3, visits
 
 
-# the rungs of the search's integration ladder at the default target
-COARSE = calibrate._PROBE_FACTOR * calibrate.SEARCH_TARGET
-MIDDLE = calibrate.SEARCH_TARGET
-FINE = calibrate.SEARCH_TARGET / calibrate.BRACKET_RETRY_FACTOR
-LADDER = [COARSE, MIDDLE, FINE]
+def _record_visits(monkeypatch, refine):
+    """Route each search visit through refine(n, terms, done) and record
+    (n, rounds after the first, final estimate) per visit, in order."""
+    visits, ns = [], []
+    real = calibrate.power_lfc_problems
 
+    def problems(design, *args):
+        ns.append(design.n_per_stage)
+        return real(design, *args)
 
-def _rungs(calls):
-    """(n, targets) per visit, in visit order, from (n, target) calls."""
-    visits = []
-    for n, target in calls:
-        if visits and visits[-1][0] == n:
-            visits[-1][1].append(target)
-        else:
-            visits.append((n, [target]))
+    def refining(terms, done):
+        checks = []
+
+        def counted(est):
+            checks.append(est)
+            return done(est)
+        est = refine(ns[-1], terms, counted)
+        visits.append((ns[-1], len(checks) - 1, est))
+        return est
+    monkeypatch.setattr(calibrate, "power_lfc_problems", problems)
+    monkeypatch.setattr(calibrate, "_refine", refining)
     return visits
 
 
 class TestSearchVisits:
     def test_reference_design_takes_few_power_integrals(self, monkeypatch):
-        calls, spent, rows = [], {}, []
-        real, integrand = calibrate._lfc_power, mvn._sov_integrand
+        rows, integrand = [], mvn._sov_integrand
 
         def recording(pivots, x):
             rows.append(x.shape[0])
             return integrand(pivots, x)
-
-        def counted(design, *args, **kwargs):
-            power_to = real(design, *args, **kwargs)
-
-            def at(target):
-                calls.append((design.n_per_stage, target))
-                est = power_to(target)
-                spent[design.n_per_stage] = est.evaluations
-                return est
-            return at
         monkeypatch.setattr(mvn, "_sov_integrand", recording)
-        monkeypatch.setattr(calibrate, "_lfc_power", counted)
+        real = calibrate._refine
+        visits = _record_visits(monkeypatch,
+                                lambda n, terms, done: real(terms, done))
         parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
-        # per arm count: the answer n, each visit's rungs and the
-        # integrand evaluations of the whole search.  205 reads 0.899856
-        # at bound 2.3e-4 on the coarse rung and 156 reads 0.899980 at
-        # 7.8e-4, so each is refined once; 155 reads 0.898111, clear
-        for arms, n, visits, evaluations in [
-                (3, 206, [(188, [COARSE]), (205, [COARSE, MIDDLE]),
-                          (206, [COARSE])], 107_520),
-                (4, 156, [(141, [COARSE]), (156, [COARSE, MIDDLE]),
-                          (155, [COARSE])], 218_112)]:
-            calls.clear()
-            spent.clear()
+        # per arm count: the answer n, and each visit's rounds after the
+        # first and evaluations.  205 first reads 0.899852 at bound 4.5e-4
+        # and settles after 10 more rounds at 0.899943, bound 4.3e-5; 156
+        # reads 0.899601 at 1.6e-3 and settles after 5 at 0.900526, bound
+        # 4.6e-4.  The other visits clear 0.9 on their first round
+        for arms, n, want in [
+                (3, 206, [(188, 0, 10_752), (205, 10, 55_296),
+                          (206, 0, 10_752)]),
+                (4, 156, [(141, 0, 23_040), (156, 5, 33_792),
+                          (155, 0, 23_040)])]:
+            visits.clear()
             rows.clear()
             d = design_trial(arms, parsed.shape, parsed.calibration,
                              parsed.normal)
             assert d.n_per_stage == n
-            assert _rungs(calls) == visits, calls
-            # a refinement continues its visit's rounds: the integrand
-            # sees exactly the evaluations of each visit's final estimate
-            assert sum(rows) == sum(spent.values()) == evaluations, spent
+            got = [(m, rounds, est.evaluations) for m, rounds, est in visits]
+            assert got == want
+            # each round runs once: the integrand sees exactly the
+            # evaluations of each visit's final estimate
+            assert sum(rows) == sum(e for *_, e in want)
 
 
 class TestPowerBracket:
-    """Every visit settles at the coarsest rung of the ladder COARSE,
-    MIDDLE, FINE at which its power clears 0.9 by more than its error
-    bound, refined in place from one rung to the next only while it does
-    not; a visit still within noise at FINE raises.  So the answer n and
-    n - 1 each sit farther from 0.9 than their bounds."""
+    """Every visit settles at the first round of its power integral at
+    which the power clears 0.9 by more than its error bound; a visit still
+    within noise once the bound reaches target_abs_error raises.  So the
+    answer n and n - 1 each sit farther from 0.9 than their bounds."""
 
     @staticmethod
     def _fake_power(monkeypatch, bound,
-                    curve=lambda n, target: 0.9 + 1e-3 * (n - 100.5)):
+                    curve=lambda n, r: 0.9 + 1e-3 * (n - 100.5)):
         # by default power crosses 0.9 halfway between n=100 and n=101,
-        # 5e-4 from each; bound is a function of the integration target,
-        # curve of n and the target
-        calls = []
+        # 5e-4 from each.  Round r of a visit at n reads curve(n, r) with
+        # error bound bound(r), so each visit models one family integral
+        def refine(n, terms, done):
+            for r in range(40):
+                est = ProbabilityEstimate(curve(n, r), bound(r), 0)
+                if done(est):
+                    return est
+            raise AssertionError(f"visit at n={n} never settled")
+        monkeypatch.setattr(calibrate, "power_lfc_problems",
+                            lambda design, *args: [])
+        return _record_visits(monkeypatch, refine)
 
-        def fake(design, theta_prime, theta_zero, *, seed):
-            def at(target):
-                calls.append((design.n_per_stage, target))
-                return ProbabilityEstimate(curve(design.n_per_stage, target),
-                                           bound(target), 0)
-            return at
-        monkeypatch.setattr(calibrate, "_lfc_power", fake)
-        return calls
+    @staticmethod
+    def _rounds(visits):
+        return [(n, rounds) for n, rounds, _ in visits]
 
     def test_clear_bracket_passes(self, monkeypatch):
-        calls = self._fake_power(monkeypatch, lambda target: 4e-4)
+        visits = self._fake_power(monkeypatch, lambda r: 4e-4)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == 101
-        # every verdict clears 0.9 at the coarse rung and is never refined
-        assert all(rungs == [COARSE] for _, rungs in _rungs(calls)), calls
-        assert {100, 101} <= {n for n, _ in calls}
+        # every verdict clears 0.9 on its first round and is never refined
+        assert all(rounds == 0 for _, rounds in self._rounds(visits))
+        assert {100, 101} <= {n for n, _ in self._rounds(visits)}
 
     @pytest.mark.parametrize("misread", [-0.05, 0.05])
-    def test_misread_probe_still_finds_n(self, monkeypatch, misread):
+    def test_misread_first_round_still_finds_n(self, monkeypatch, misread):
         # theta' = 0.8 puts the model's n at 104, where the fake power is
-        # 0.9035.  Its coarse reading is off by `misread`, inside that
-        # rung's 0.06 bound, so the visit is refined before it decides
+        # 0.9035.  Its first round is off by `misread`, inside that
+        # round's 0.06 bound, so the visit is refined before it decides
         # anything, and the search goes on as if it had read true
-        def curve(n, target):
+        def curve(n, r):
             return (0.9 + 1e-3 * (n - 100.5)
-                    + (misread if (n, target) == (104, COARSE) else 0.0))
-        bound = {COARSE: 0.06, MIDDLE: 4e-4, FINE: 4e-4}.get
-        calls = self._fake_power(monkeypatch, bound, curve)
+                    + (misread if (n, r) == (104, 0) else 0.0))
+
+        def bound(r):
+            return 0.06 if r == 0 else 4e-4
+        visits = self._fake_power(monkeypatch, bound, curve)
         d = find_sample_size(TEMPLATE3, 0.8, THETA_0, CFG)
         assert d.n_per_stage == 101
-        assert _rungs(calls)[0] == (104, [COARSE, MIDDLE])
-        true_calls = self._fake_power(monkeypatch, bound)
+        assert self._rounds(visits)[0] == (104, 1)
+        true_visits = self._fake_power(monkeypatch, bound)
         find_sample_size(TEMPLATE3, 0.8, THETA_0, CFG)
-        assert calls == true_calls
+        assert visits == true_visits
 
     @pytest.mark.parametrize("reading", [0.0, 1.0])
-    def test_probe_at_zero_or_one_keeps_the_model_guess(self, monkeypatch,
-                                                        reading):
+    def test_power_of_zero_or_one_doubles_or_halves_the_bracket(
+            self, monkeypatch, reading):
         # the search starts at the model's n, 189, where a steep curve
         # reads exactly 0 or 1: an infinite probit takes no model step, so
         # the next visit doubles (power 0) or halves (power 1) the
         # bracket, and the secants then find the threshold
         threshold = 101 if reading else 401
 
-        def curve(n, target):
+        def curve(n, r):
             return min(max(0.9 + 1e-2 * (n - threshold + 0.5), 0.0), 1.0)
-        calls = self._fake_power(monkeypatch, lambda target: 4e-4, curve)
+        visits = self._fake_power(monkeypatch, lambda r: 4e-4, curve)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == threshold
-        assert _rungs(calls)[:2] == [(189, [COARSE]),
-                                     (94 if reading else 378, [COARSE])]
+        assert self._rounds(visits)[:2] == [(189, 0),
+                                            (94 if reading else 378, 0)]
 
-    def test_bracket_within_noise_raises(self, monkeypatch):
-        calls = self._fake_power(monkeypatch, lambda target: 6e-4)
-        with pytest.raises(ConvergenceError,
-                           match=r"power\(100\)=0\.899500 is within its "
-                                 r"error bound 6\.00e-04 of the target 0\.9 "
-                                 r"at the finest integration target "
-                                 r"2\.00e-06; .*--tol"):
-            find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
-        assert _rungs(calls)[-1] == (100, [COARSE, MIDDLE, FINE])
+    @staticmethod
+    def _halving(r):
+        # 6e-3, 3e-3, 1.5e-3, 7.5e-4, 3.75e-4, ...: clear of the 5e-4
+        # margins of n=100 and 101 from round 4
+        return 6e-3 / 2 ** r
 
-    def test_noisy_bracket_passes_after_one_tighter_retry(self, monkeypatch):
-        # bound 60 x target: 6e-3 at the coarse rung, 6e-4 at the middle
-        # one, both inside the 5e-4 margins of n=100 and 101; 1.2e-4 at
-        # the fine rung, well outside them
-        calls = self._fake_power(monkeypatch, lambda target: 60 * target)
+    def test_noisy_visits_are_refined_until_clear(self, monkeypatch):
+        visits = self._fake_power(monkeypatch, self._halving)
         d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
         assert d.n_per_stage == 101
-        assert FINE == pytest.approx(2e-6)
-        visits = _rungs(calls)
-        assert sorted(n for n, rungs in visits if FINE in rungs) == [100, 101]
-        # only unclear visits are refined, one rung at a time
-        for n, rungs in visits:
+        # each visit stops at the first round whose bound its margin
+        # exceeds, so only unclear visits are refined
+        for n, rounds in self._rounds(visits):
             margin = abs(1e-3 * (n - 100.5))
-            clear = next(i for i, t in enumerate(LADDER) if margin > 60 * t)
-            assert rungs == LADDER[:clear + 1], visits
+            assert rounds == next(r for r in range(40)
+                                  if margin > self._halving(r)), visits
+        assert dict(self._rounds(visits))[100] == 4
 
-    def test_flipped_retry_raises_with_the_tighter_numbers(self,
-                                                           monkeypatch):
-        # at the fine rung power(101) reads 1e-2 low: the refinement
-        # flips its verdict and drops it below power(100).  The search
+    def test_bracket_within_noise_raises(self, monkeypatch):
+        # power crosses 0.9 with margins of 6e-6 and 1.8e-5 at n=100 and
+        # 99, under the default target of 2e-5.  The bound halves from
+        # 6.4e-4 each round, so refinement stops at 2e-5 after 5 more
+        # rounds, and a visit still within its bound of 0.9 is refused
+        def curve(n, r):
+            return 0.9 + 1.2e-5 * (n - 100.5)
+        visits = self._fake_power(monkeypatch, lambda r: 6.4e-4 / 2 ** r,
+                                  curve)
+        with pytest.raises(ConvergenceError,
+                           match=r"power\(99\)=0\.899982 is within its "
+                                 r"error bound 2\.00e-05 of the target 0\.9 "
+                                 r"at the integration target 2\.00e-05; "
+                                 r".*--tol"):
+            find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
+        assert self._rounds(visits)[-1] == (99, 5)
+        # a finer target lets the same visits refine until they clear:
+        # n=99 after 6 more rounds (bound 1e-5), n=100 after 7 (5e-6)
+        visits.clear()
+        d = find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG,
+                             target_abs_error=2e-6)
+        assert d.n_per_stage == 101
+        rounds = dict(self._rounds(visits))
+        assert (rounds[99], rounds[100]) == (6, 7), visits
+
+    def test_flipped_refinement_raises_with_the_refined_numbers(
+            self, monkeypatch):
+        # from round 3 on, power(101) reads 1e-2 low: its refined reading
+        # clears 0.9 from below and drops under power(100).  The search
         # takes the refined verdict, and the monotonicity check, which
         # covers every visit, refuses with the refined numbers of both
-        def curve(n, target):
+        def curve(n, r):
             return (0.9 + 1e-3 * (n - 100.5)
-                    - (1e-2 if (n, target) == (101, FINE) else 0.0))
-        calls = self._fake_power(monkeypatch, lambda target: 60 * target,
-                                 curve)
+                    - (1e-2 if n == 101 and r >= 3 else 0.0))
+        visits = self._fake_power(monkeypatch, self._halving, curve)
         with pytest.raises(ConvergenceError,
                            match=r"power\(100\)=0\.899500 vs "
                                  r"power\(101\)=0\.890500"):
             find_sample_size(TEMPLATE3, THETA_P, THETA_0, CFG)
-        visits = _rungs(calls)
-        assert (100, LADDER) in visits and (101, LADDER) in visits, visits
+        rounds = dict(self._rounds(visits))
+        assert rounds[100] == 4 and rounds[101] == 3, visits
 
 
 class TestDesignTrial:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -374,33 +375,39 @@ def test_estimates_reproduce_recorded_bits(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_BITS))
 def test_refining_in_place_reproduces_recorded_bits(monkeypatch, name):
-    # an estimate at 10 times the recorded target, then the same rounds
-    # carried on to it: the recorded bits, and no round spent twice
+    # one round at a time, as events._refine steps each problem of a
+    # family, down to the recorded target: the recorded bits, and no
+    # round spent twice
     make, target, seed, expected = _GOLDEN_BITS[name]
     rows = _record_integrand_rows(monkeypatch)
     integral = mvn._Integral(make(), seed)
-    coarse = integral.at(10 * target)
-    assert coarse.converged and coarse.error_bound <= 10 * target
-    est = integral.at(target)
-    assert est.converged
+    est = integral.step()
+    while est.error_bound > target:
+        assert integral.refinable
+        est = integral.step()
+    assert est.converged and integral.estimate is est
     assert (est.value.hex(), est.error_bound.hex(), est.evaluations) == expected
-    refined_rows = sum(rows)
+    stepped_rows = sum(rows)
     rows.clear()
     assert mvn_rectangle_prob(make(), target, seed=seed) == est
-    assert refined_rows == sum(rows)
+    assert stepped_rows == sum(rows)
 
 
 def test_refining_past_the_cap_reports_nonconvergence(monkeypatch):
-    # the cap stops the refinement where a direct call at the finer
-    # target stops, and flags it the same way
+    # the cap ends the rounds where a direct call at a target out of
+    # reach stops, and that call flags it
     monkeypatch.setattr(mvn, "_MAX_EVALUATIONS", 20_000)
     prob = OrthantProblem(np.zeros(5), np.eye(5) * 0.7 + 0.3,
                           np.full(5, -1.0), np.full(5, 1.0))
+    assert mvn_rectangle_prob(prob, 1e-2, seed=0).converged
     integral = mvn._Integral(prob, 0)
-    assert integral.at(1e-2).converged
-    est = integral.at(1e-12)
-    assert not est.converged
-    assert est == mvn_rectangle_prob(prob, 1e-12, seed=0)
+    est = integral.step()
+    while integral.refinable:
+        est = integral.step()
+    assert est.evaluations <= 20_000 < 2 * est.evaluations
+    direct = mvn_rectangle_prob(prob, 1e-12, seed=0)
+    assert not direct.converged
+    assert direct == replace(est, converged=False)
 
 
 def test_mixed_sides_problem_has_mixed_pivot():
