@@ -442,6 +442,25 @@ class TestSearchVisits:
             # evaluations of each visit's final estimate
             assert sum(rows) == sum(e for *_, e in want)
 
+    def test_visits_reproduce_recorded_bits(self, monkeypatch):
+        # each visit's power and bound, as float.hex(), in visit order
+        real = calibrate._refine
+        visits = _record_visits(monkeypatch,
+                                lambda n, terms, done: real(terms, done))
+        parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
+        for arms, want in [
+                (3, [("0x1.bf07b7c18bc13p-1", "0x1.cb4493fe582c4p-12"),
+                     ("0x1.ccc5606321e6dp-1", "0x1.6926e2ace7253p-15"),
+                     ("0x1.cd70c64c85c41p-1", "0x1.d69948fb6ced7p-12")]),
+                (4, [("0x1.bc6364d111662p-1", "0x1.9aa4ea59a6787p-10"),
+                     ("0x1.cd11c3022bd91p-1", "0x1.e2b857a3c44b1p-12"),
+                     ("0x1.cba394e369173p-1", "0x1.9a1db4d68c5cdp-10")])]:
+            visits.clear()
+            design_trial(arms, parsed.shape, parsed.calibration,
+                         parsed.normal)
+            assert [(est.value.hex(), est.error_bound.hex())
+                    for *_, est in visits] == want
+
 
 class TestPowerBracket:
     """Every visit settles at the first round of its power integral at

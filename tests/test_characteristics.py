@@ -23,6 +23,7 @@ from dtldesign.calibrate import (
 from dtldesign.characteristics import (
     DEFAULT_TARGET,
     OperatingCharacteristics,
+    _stop_estimates,
     analytic_estimates,
     full_report,
     max_total_patients,
@@ -37,6 +38,7 @@ from dtldesign.covariance import EffectConfig, TrialDesign
 from dtldesign.endpoint import BinaryEndpointSpec, binary_to_normal
 from dtldesign.events import (
     global_null_typeI_problems,
+    power_lfc_problems,
     set_probability,
     stop_stage_problems,
     win_problems,
@@ -437,6 +439,44 @@ class TestFullReport:
                                     0.9815038849205924),
                     "lfc": (0.000943968301742303, 0.6234458171023544,
                             0.3756102145959034)})
+
+    def test_k3_record_set_bits(self):
+        # value, bound (float.hex) and evaluations of every set estimate
+        # behind full_report on the K=3 record: the stop stages of each
+        # configuration (the last one minus the others), then the power
+        # and type I sets
+        design, _, normal, effects = _load_designed(str(K3_RECORD))
+        got = {name: _stop_estimates(design, e, target_abs_error=DEFAULT_TARGET,
+                                     seed=0)
+               for name, e in effects.items()}
+        for name, sets in (
+                ("power", power_lfc_problems(design, normal.theta_prime,
+                                             normal.theta_zero)),
+                ("type1", global_null_typeI_problems(design))):
+            got[name] = [set_probability(pset, target_abs_error=DEFAULT_TARGET)
+                         for pset in sets]
+        assert {name: [(e.value.hex(), e.error_bound.hex(), e.evaluations)
+                       for e in ests] for name, ests in got.items()} == {
+            "all_relevant": [
+                ("0x1.3663b15ea7bb8p-5", "0x1.52c7fd89f5961p-17", 6144),
+                ("0x1.99b8148e1c9cbp-1", "0x1.f42eb9ed66bb1p-17", 122880),
+                ("0x1.4b86c16fe39e4p-3", "0x1.2e0ec1647a369p-16", 129024)],
+            "global_null": [
+                ("0x1.8801a97e9a62ep-16", "0x1.7a7119913386bp-24", 1536),
+                ("0x1.2ea853ed3fd21p-6", "0x1.c087a2a3db790p-18", 3072),
+                ("0x1.f687ad5d43044p-1", "0x1.c0919cf9cf05fp-18", 4608)],
+            "lfc": [
+                ("0x1.eee947e024191p-11", "0x1.00fdd720ea311p-21", 3072),
+                ("0x1.3f344a4690b23p-1", "0x1.6dd1771e0b45ap-17", 56832),
+                ("0x1.809ff6ceee89ap-2", "0x1.6e2bb10e1f897p-17", 59904)],
+            "power": [
+                ("0x1.829d3f006338fp-11", "0x1.bba979e35d6c3p-22", 1536),
+                ("0x1.3cb5a43b9f2c2p-1", "0x1.35f3763ba9ac9p-16", 26112),
+                ("0x1.20cc4b06b1386p-2", "0x1.ac8e061afab38p-17", 76800)],
+            "type1": [
+                ("0x1.0ba521d3c14d9p-16", "0x1.f8a7bfc676dc7p-25", 3072),
+                ("0x1.b60a0b7bf3560p-8", "0x1.5d728bd54d903p-19", 6144),
+                ("0x1.96a2b54e40348p-7", "0x1.0a74d24ee63fep-17", 6144)]}
 
     def test_k4_design_reports_at_the_default_target(self):
         # the design `dtldesign design` gives with arms = 4; each set is
