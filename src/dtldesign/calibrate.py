@@ -291,12 +291,15 @@ def _smallest_passing_n(power_at, target: float, max_n: int, guess: float,
     close to linear in sqrt(n): visit ceil(guess), step once along the
     model slope of g in sqrt(n), then along secants through the bracketing
     visits (the two nearest visits while one side is open), strictly
-    inside the bracket, so no n is visited twice.  A secant step that does
-    not halve the bracket (double the largest failing n while none passes)
-    is followed by a bisection (doubling) step, as is a step with no
-    finite secant (power 0, 1 or outside [0, 1]): the worst case stays
-    logarithmic in max_n.  Ends with n - 1 failing and n passing, both
-    visited.
+    inside the bracket, so no n is visited twice.  A secant step that
+    makes no progress is followed by a bisection (doubling) step, as is a
+    step with no finite secant (power 0, 1 or outside [0, 1]).  Once an n
+    passes, progress is halving the bracket; while none passes, it is
+    doubling the largest failing n or at least halving |g| there.  |g| of
+    a failing n lies between the resolution of doubles near the target's
+    probit and about 40, so it halves at most about 60 times: the worst
+    case stays logarithmic in max_n.  Ends with n - 1 failing and n
+    passing, both visited.
     """
     z_target = float(ndtri(target))
     g: dict[int, float] = {}   # visited n -> probit(power) - probit(target)
@@ -314,7 +317,8 @@ def _smallest_passing_n(power_at, target: float, max_n: int, guess: float,
         if hi - lo == 1:
             return hi
         stalled = len(g) > 2 and math.isfinite(root) and (
-            lo < 2 * was_lo if hi > max_n
+            lo < 2 * was_lo and not 2 * abs(g[lo]) < abs(g[was_lo])
+            if hi > max_n
             else was_hi <= max_n and 2 * (hi - lo) > was_hi - was_lo)
         if stalled:
             root = math.nan

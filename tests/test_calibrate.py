@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
@@ -370,6 +371,21 @@ class TestSmallestPassingN:
                 n, visits = _search(curve, max_n, guess)
                 assert n == t, (guess, visits)
                 assert len(visits) <= bound, (guess, visits)
+
+    def test_secant_step_landing_just_below_is_not_stalled(self):
+        # probit(power) - probit(0.9), piecewise linear in sqrt(n) through
+        # the readings of the K=5 O'Brien-Fleming search at seed 3.  The
+        # model step lands on 125 and the secant on 126, which fails by a
+        # twelfth of 125's margin but does not double 125: that is
+        # progress, so the next secant lands on 127, with no doubling to
+        # 252 first
+        knots = [(1, -5.0), (113, -0.167825), (125, -0.011155),
+                 (126, -0.000969), (127, 0.023946), (100_000, 5.0)]
+        x, g = zip(*((math.sqrt(m), v) for m, v in knots))
+        n, visits = _search(
+            lambda m: norm.cdf(np.interp(math.sqrt(m), x, g) + norm.ppf(0.9)),
+            100_000, 113, slope=0.32)
+        assert (n, visits) == (127, [113, 125, 126, 127])
 
     def test_linear_probit_is_found_by_the_model_step(self):
         # probit(power) = slope sqrt(n) - 1.96 is what the model assumes:
