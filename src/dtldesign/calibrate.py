@@ -44,7 +44,7 @@ from scipy.special import ndtr, ndtri
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
 from .events import (DEFAULT_TARGET, PERMUTATION_CAP, CapacityError,
-                     _refine, _seeded, power_lfc_problems)
+                     _lfc_family, _refine, _seeded)
 from .mvn import ProbabilityEstimate, _check_target
 
 __all__ = [
@@ -357,18 +357,26 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
     every n (common random numbers), so the visited power curve is
     smooth; it is asserted nondecreasing up to twice the integration
     error bound.
+
+    Only the means depend on n.  So the family is enumerated, collapsed
+    and checked once per call, and a visit computes its means
+    (events._family); each problem's scramble and shifts are drawn at its
+    first visit and reused at the later ones (mvn._Integral).  Neither
+    outlives the call.
     """
     _check_target(target_abs_error)
     target = cfg.power_target
+    guess, slope = _one_look_model(cfg.alpha, target, theta_prime,
+                                   design.sigma, design.stages)
     visited: dict[int, tuple[float, float]] = {}
+    sets_at = _lfc_family(design, theta_prime, theta_zero)
+    draws: dict = {}
 
     def power_at(n: int) -> float:
         est = _refine(
-            [term for pset in power_lfc_problems(design.with_n(n),
-                                                 theta_prime, theta_zero)
-             for term in _seeded(pset, seed)],
+            [term for pset in sets_at(n) for term in _seeded(pset, seed)],
             lambda est: (abs(est.value - target) > est.error_bound
-                         or est.error_bound <= target_abs_error))
+                         or est.error_bound <= target_abs_error), draws)
         power = _converged(est, "power")
         if abs(power - target) <= est.error_bound:
             raise ConvergenceError(
@@ -379,8 +387,6 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
         visited[n] = power, est.error_bound
         return power
 
-    guess, slope = _one_look_model(cfg.alpha, target, theta_prime,
-                                   design.sigma, design.stages)
     n = _smallest_passing_n(power_at, target, _MAX_N, guess, slope)
     grid = sorted(visited)
     for a, b in zip(grid, grid[1:]):

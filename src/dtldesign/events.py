@@ -29,6 +29,7 @@ from .covariance import (
     StatCoord,
     TrialDesign,
     build_moment_problem,
+    mean_of,
     single,
 )
 from .mvn import OrthantProblem, ProbabilityEstimate, _check_target, _Integral
@@ -147,16 +148,18 @@ def _relabeled_key(items, pi):
 
 
 def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
+    """(coords, problem at the design's n) of one collapsed key."""
     coords = [StatCoord(arm_a, arm_b, stage)
               for stage, _, arm_a, arm_b, _, _ in key]
     lowers = [lo for *_, lo, _ in key]
     uppers = [hi for *_, hi in key]
-    return build_moment_problem(design, effects, coords, lowers, uppers)
+    return coords, build_moment_problem(design, effects, coords, lowers,
+                                        uppers)
 
 
 def _collapse(design: TrialDesign, effects: EffectConfig, paths, gamma):
-    """Merge relabeling-equivalent (sign, rect) pairs into (weight, problem)
-    pairs.
+    """Merge relabeling-equivalent (sign, rect) pairs into (weight, coords,
+    problem) triples.
 
     Each rectangle's key is the lexicographic minimum of its description
     over the symmetry group, so two rectangles share a key exactly when one
@@ -169,8 +172,8 @@ def _collapse(design: TrialDesign, effects: EffectConfig, paths, gamma):
     for sign, items in paths:
         key = min(_relabeled_key(items, pi) for pi in gamma)
         table[key] = table.get(key, 0) + sign
-    return tuple((table[key], _problem_from_key(design, effects, key))
-                 for key in sorted(table))
+    return [(table[key], *_problem_from_key(design, effects, key))
+            for key in sorted(table)]
 
 
 def _crosses(design: TrialDesign, arm: int, stage: int):
@@ -225,18 +228,32 @@ def _stage_rects(design: TrialDesign, paths, stages: int):
                     for term in _path_rects(design, order, j, extras))
 
 
-def _event_sets(design: TrialDesign, effects: EffectConfig, paths,
-                fixed: tuple[int, ...], stages: int) -> list[EventProblemSet]:
-    """Collapsed problem sets of one event family for stages 1..`stages`;
-    relabelings never move the `fixed` arms."""
+def _family(design: TrialDesign, effects: EffectConfig, paths,
+            fixed: tuple[int, ...], stages: int):
+    """Collapsed problem sets of one event family for stages 1..`stages`,
+    as a function of the per-stage sample size n; relabelings never move
+    the `fixed` arms.
+
+    Only the means depend on n.  So the paths are enumerated and
+    collapsed, and each problem's correlation and bounds assembled and
+    checked, once, here; the returned sets_at(n) computes each
+    coordinate's mean at n and puts it on its problem (with_mean).
+    """
     if design.arms > PERMUTATION_CAP:
         raise CapacityError(f"{design.arms} arms exceeds the enumeration "
                             f"cap of {PERMUTATION_CAP}")
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     gamma = _symmetry_maps(effects.deltas, fixed)
-    return [EventProblemSet(j, _collapse(design, effects, rects, gamma))
-            for j, rects in enumerate(_stage_rects(design, paths, stages), 1)]
+    family = [(j, _collapse(design, effects, rects, gamma)) for j, rects
+              in enumerate(_stage_rects(design, paths, stages), 1)]
+
+    def sets_at(n: int) -> list[EventProblemSet]:
+        at_n = design.with_n(n)
+        return [EventProblemSet(j, tuple(
+            (w, problem.with_mean([mean_of(at_n, effects, c) for c in coords]))
+            for w, coords, problem in terms)) for j, terms in family]
+    return sets_at
 
 
 def pwer_problem(design: TrialDesign,
@@ -265,25 +282,32 @@ def win_problems(design: TrialDesign,
     """Per-stage events: trial ends at that stage with arm 1 recommended
     (it survived every drop so far, cleared the boundary, and beat every
     other crossing survivor)."""
-    return _event_sets(design, effects, _win_paths, (1,), design.stages)
+    return _family(design, effects, _win_paths, (1,),
+                   design.stages)(design.n_per_stage)
 
 
 def power_lfc_problems(design: TrialDesign, theta_prime: float,
                        theta_zero: float) -> list[EventProblemSet]:
     """Win events for arm 1 under the least favorable configuration
     (arm 1 at theta_prime, all rivals at theta_zero)."""
+    return _lfc_family(design, theta_prime, theta_zero)(design.n_per_stage)
+
+
+def _lfc_family(design: TrialDesign, theta_prime: float, theta_zero: float):
+    """power_lfc_problems as a function of n (see _family)."""
     if not theta_prime > theta_zero:
         raise ValueError("theta_prime must exceed theta_zero")
     effects = EffectConfig.least_favorable(design.arms, theta_prime,
                                            theta_zero)
-    return win_problems(design, effects)
+    return _family(design, effects, _win_paths, (1,), design.stages)
 
 
 def stop_stage_problems(design: TrialDesign,
                         effects: EffectConfig) -> list[EventProblemSet]:
     """Per-stage events for the J - 1 interim stages: the trial ends at that
     stage.  P(trial ends at J) is one minus their probabilities."""
-    return _event_sets(design, effects, _stop_paths, (), design.stages - 1)
+    return _family(design, effects, _stop_paths, (),
+                   design.stages - 1)(design.n_per_stage)
 
 
 def reject_problems(design: TrialDesign,
@@ -291,7 +315,8 @@ def reject_problems(design: TrialDesign,
     """Per-stage events: the trial ends at that stage and arm 1 clears the
     boundary there.  Arm 1 may be a crossing survivor or the arm dropped at
     the ending stage; both ways its null is rejected."""
-    return _event_sets(design, effects, _reject_paths, (1,), design.stages)
+    return _family(design, effects, _reject_paths, (1,),
+                   design.stages)(design.n_per_stage)
 
 
 def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:
@@ -335,9 +360,10 @@ def _seeded(pset: EventProblemSet, seed: int):
             for idx, (w, prob) in enumerate(pset.problems))
 
 
-def _refine(terms, done) -> ProbabilityEstimate:
+def _refine(terms, done, draws: dict | None = None) -> ProbabilityEstimate:
     """Weighted sum of (weight, problem, integration seed) terms, refined
-    until done(estimate) holds.
+    until done(estimate) holds.  Integrals given the same `draws` dict
+    share their Sobol draws (see mvn._Integral).
 
     Every problem runs its first round.  Then, while done(estimate) is
     False, the problem with the largest (w * bound)^2 per evaluation spent
@@ -346,7 +372,8 @@ def _refine(terms, done) -> ProbabilityEstimate:
     is still False and no problem can run another round: each is exact,
     has bound 0 or is at _MAX_EVALUATIONS.
     """
-    terms = [(w, _Integral(prob, sub_seed)) for w, prob, sub_seed in terms]
+    terms = [(w, _Integral(prob, sub_seed, draws))
+             for w, prob, sub_seed in terms]
     for _, integral in terms:
         integral.step()
     while True:

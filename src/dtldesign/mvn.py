@@ -7,7 +7,9 @@ smooth integral over the (rank-1)-dimensional unit cube: as in Genz &
 Bretz (2009), a linearly dependent coordinate becomes one more bound on the
 last pivot it loads on.  That integral is evaluated with one scrambled
 Sobol point set per problem under independent random digital shifts, whose
-spread gives a standard-error estimate.  The points come from `_sobol`, a
+spread gives a standard-error estimate.  The scramble and the shifts are a
+pure function of (cube dimension, seed), so integrals of one search that
+share a seed draw them once (_Integral).  The points come from `_sobol`, a
 generator that matches scipy's `qmc.Sobol` bit for bit without importing
 `scipy.stats`.  Infinite bounds map to the cube endpoints exactly, so no
 truncation is involved: a pivot side infinite on every row is the
@@ -21,6 +23,7 @@ its bound.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -144,6 +147,17 @@ class OrthantProblem:
     def dim(self) -> int:
         return self.mean.shape[0]
 
+    def with_mean(self, mean) -> OrthantProblem:
+        """This rectangle and correlation about another mean.  Only the
+        mean is checked: the rest was checked when this problem was built."""
+        mean = np.array(mean, dtype=float)
+        if mean.shape != (self.dim,) or not np.all(np.isfinite(mean)):
+            raise ValueError(f"mean must be finite, of shape {(self.dim,)}")
+        mean.setflags(write=False)
+        problem = copy.copy(self)
+        object.__setattr__(problem, "mean", mean)
+        return problem
+
 
 def _npdf(t: float) -> float:
     # standard normal density; t * t on a Python float overflows silently
@@ -157,34 +171,39 @@ def _pivoted_cholesky(corr, lower, upper):
 
     At each step the pending coordinate with the smallest conditional
     truncated mass is processed next, concentrating the integrand's variation
-    in the leading cube dimensions.  Coordinates whose conditional variance
-    underflows are linearly dependent on the pivots already taken; they are
-    never chosen while an independent one remains, so the factorization stops
-    at the first of them.  Returns the d x rank factor (row i holds
-    coordinate i's loadings on the pivots) and the reordered bounds; the
-    dependent rows come last and are folded into pivot bounds by `_fold`.
+    in the leading cube dimensions; one vector pass gives every candidate's
+    mass, and a tie goes to the first.  Coordinates whose conditional
+    variance underflows are linearly dependent on the pivots already taken;
+    they are never chosen while an independent one remains, so the
+    factorization stops at the first of them.  Returns the d x rank factor
+    (row i holds coordinate i's loadings on the pivots) and the reordered
+    bounds; the dependent rows come last and are folded into pivot bounds
+    by `_fold`.
     """
     d = len(lower)
     L = np.array(corr, dtype=float)
-    a = np.array(lower, dtype=float)
-    b = np.array(upper, dtype=float)
+    diag = np.diagonal(L)
+    # per coordinate (column): its bounds, then its squared loadings and
+    # its loadings times y, summed over the pivots taken so far
+    tracked = np.zeros((4, d))
+    tracked[0], tracked[1] = upper, lower
+    b, a, squares, means = tracked
     y = np.zeros(d)  # conditional truncated means of processed coordinates
     for k in range(d):
-        best, best_mass = k, np.inf
-        for i in range(k, d):
-            var = L[i, i] - L[i, :k] @ L[i, :k]
-            if var <= _SINGULAR_TOL:
-                continue  # dependent candidates are processed last
-            sd = math.sqrt(var)
-            s = L[i, :k] @ y[:k]
-            mass = ndtr((b[i] - s) / sd) - ndtr((a[i] - s) / sd)
-            if mass < best_mass:
-                best, best_mass = i, mass
+        best = k
+        if k < d - 1:
+            # every candidate's conditional variance, mean and mass
+            var = diag[k:] - squares[k:]
+            cdf = ndtr((tracked[:2, k:] - means[k:])
+                       / np.sqrt(np.maximum(var, _SINGULAR_TOL)))
+            mass = cdf[0] - cdf[1]
+            mass[var <= _SINGULAR_TOL] = np.inf  # dependent ones go last
+            best += int(mass.argmin())  # the first of tied candidates
         if best != k:
-            L[[k, best], :] = L[[best, k], :]
-            L[:, [k, best]] = L[:, [best, k]]
-            a[[k, best]] = a[[best, k]]
-            b[[k, best]] = b[[best, k]]
+            L[k], L[best] = L[best], L[k].copy()
+            L[:, k], L[:, best] = L[:, best], L[:, k].copy()
+            tracked[:, k], tracked[:, best] = (tracked[:, best],
+                                               tracked[:, k].copy())
         var = L[k, k] - L[k, :k] @ L[k, :k]
         if var <= _SINGULAR_TOL:
             return np.tril(L)[:, :k], a, b
@@ -204,6 +223,9 @@ def _pivoted_cholesky(corr, lower, upper):
             y[k] = bt
         else:
             y[k] = 0.0
+        column = L[k + 1:, k]
+        squares[k + 1:] += column * column
+        means[k + 1:] += column * y[k]
     return np.tril(L), a, b
 
 
@@ -230,14 +252,23 @@ def _fold(L, a, b):
     rank = L.shape[1]
     loads = np.abs(L[:, ::-1]) > math.sqrt(_SINGULAR_TOL)
     last = rank - 1 - np.argmax(loads, axis=1)
+    # rows grouped by pivot, in row order within each group; row j < rank
+    # is pivot j's own, so every group is non-empty
+    order = np.argsort(last, kind="stable")
+    L, last = L[order], last[order]
     c = L[np.arange(len(L)), last]
-    lo, hi = np.where(c < 0.0, b, a), np.where(c < 0.0, a, b)
-
-    def side(num, j, reduce):
-        t = reduce(num[last == j] / c[last == j])
-        return float(ndtr(t)) if j == 0 or math.isinf(t) else num[last == j]
-    return [(L[last == j, :j], side(lo, j, np.max), side(hi, j, np.min),
-             c[last == j]) for j in range(rank)]
+    lo = np.where(c < 0.0, b[order], a[order])
+    hi = np.where(c < 0.0, a[order], b[order])
+    starts = np.searchsorted(last, np.arange(rank))
+    ends = [*starts[1:], len(L)]
+    t_lo = np.maximum.reduceat(lo / c, starts)
+    t_hi = np.minimum.reduceat(hi / c, starts)
+    p_lo, p_hi = ndtr(t_lo), ndtr(t_hi)
+    return [(L[i:e, :j],
+             float(p_lo[j]) if j == 0 or math.isinf(t_lo[j]) else lo[i:e],
+             float(p_hi[j]) if j == 0 or math.isinf(t_hi[j]) else hi[i:e],
+             c[i:e])
+            for j, (i, e) in enumerate(zip(starts, ends))]
 
 
 @_ignore_overflow
@@ -268,6 +299,17 @@ def _sov_integrand(pivots, points):
     return p
 
 
+def _draw(dim: int, seed) -> tuple[tuple[np.ndarray, np.ndarray],
+                                    np.ndarray]:
+    """The scramble and the _RANDOMIZATIONS digital shifts of one point
+    set, a pure function of (dim, seed)."""
+    rng = np.random.default_rng(seed)
+    # the scramble draws from a child of rng, so rng's own stream begins
+    # with the shifts
+    return scramble(dim, rng), rng.integers(
+        1 << BITS, size=(_RANDOMIZATIONS, dim)).astype(np.uint32)
+
+
 class _Integral:
     """One problem's integration, advanced one doubling round at a time.
 
@@ -277,15 +319,23 @@ class _Integral:
     says whether another round fits under _MAX_EVALUATIONS.  Between
     steps it keeps the pivots, the scramble, the shifts and the sums but
     no Sobol points: each round rebuilds the earlier points it reflects.
+
+    The scramble and the shifts depend only on (dim, seed), and dim, the
+    rank less one, not on the mean.  So integrals that share a `draws`
+    dict, as one search's visits of the same family do, draw them once
+    per (dim, seed) and take them from the dict after; the pivots are
+    rebuilt from each problem's own bounds.
     """
 
-    def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...]):
+    def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...],
+                 draws: dict | None = None):
         parts = seed if isinstance(seed, tuple) else (seed,)
         if not all(isinstance(s, (int, np.integer)) and s >= 0
                    for s in parts):
             raise ValueError("seed must be a non-negative integer or a tuple "
                              f"of them, got {seed!r}")
         self._problem, self._seed = problem, seed
+        self._draws = {} if draws is None else draws
         self._n_per = 0  # points per shift; stays 0 for an exact problem
         self.estimate: ProbabilityEstimate | None = None
 
@@ -307,12 +357,10 @@ class _Integral:
         if dim == 0:
             _, lo, hi, _ = self._pivots[0]
             return ProbabilityEstimate(max(hi - lo, 0.0), 0.0, 1)
-        rng = np.random.default_rng(self._seed)
-        # the scramble draws from a child of rng, so rng's own stream
-        # begins with the shifts
-        self._scramble = scramble(dim, rng)
-        self._shifts = rng.integers(1 << BITS, size=(_RANDOMIZATIONS, dim)
-                                    ).astype(np.uint32)
+        key = dim, self._seed
+        if key not in self._draws:
+            self._draws[key] = _draw(*key)
+        self._scramble, self._shifts = self._draws[key]
         self._sums = np.zeros(_RANDOMIZATIONS)
         return None
 

@@ -125,3 +125,61 @@ def arm_rule_corr(a, b):
         for sb, kb in terms(b):
             total += sa * sb * (r if ka == kb else 0.5 * r)
     return total
+
+
+@np.errstate(over="ignore")
+def pivoted_cholesky_scalar(corr, lower, upper, singular_tol=1e-12):
+    """Genz-ordered pivoted Cholesky with a scalar candidate scan: the
+    reference for the package's vector scan.
+
+    At step k each pending candidate i gets its conditional variance,
+    mean and truncated mass one at a time, and the first with the smallest
+    mass becomes pivot k; candidates at or below singular_tol are skipped.
+    Returns the lower-triangular factor, cut at the first dependent pivot,
+    and the reordered bounds.
+    """
+    def npdf(t):
+        t = float(t)
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+    d = len(lower)
+    L = np.array(corr, dtype=float)
+    a = np.array(lower, dtype=float)
+    b = np.array(upper, dtype=float)
+    y = np.zeros(d)
+    for k in range(d):
+        best, best_mass = k, np.inf
+        for i in range(k, d):
+            var = L[i, i] - L[i, :k] @ L[i, :k]
+            if var <= singular_tol:
+                continue
+            sd = math.sqrt(var)
+            s = L[i, :k] @ y[:k]
+            mass = ndtr((b[i] - s) / sd) - ndtr((a[i] - s) / sd)
+            if mass < best_mass:
+                best, best_mass = i, mass
+        if best != k:
+            L[[k, best], :] = L[[best, k], :]
+            L[:, [k, best]] = L[:, [best, k]]
+            a[[k, best]] = a[[best, k]]
+            b[[k, best]] = b[[best, k]]
+        var = L[k, k] - L[k, :k] @ L[k, :k]
+        if var <= singular_tol:
+            return np.tril(L)[:, :k], a, b
+        ck = math.sqrt(var)
+        L[k, k] = ck
+        if k + 1 < d:
+            L[k + 1:, k] = (L[k + 1:, k] - L[k + 1:, :k] @ L[k, :k]) / ck
+        s = float(L[k, :k] @ y[:k])
+        at = (a[k] - s) / ck
+        bt = (b[k] - s) / ck
+        mass = ndtr(bt) - ndtr(at)
+        if mass > 1e-280:
+            y[k] = (npdf(at) - npdf(bt)) / mass
+        elif at > 0.0:
+            y[k] = at
+        elif bt < 0.0:
+            y[k] = bt
+        else:
+            y[k] = 0.0
+    return np.tril(L), a, b

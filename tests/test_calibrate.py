@@ -402,25 +402,30 @@ class TestSmallestPassingN:
 
 
 def _record_visits(monkeypatch, refine):
-    """Route each search visit through refine(n, terms, done) and record
-    (n, rounds after the first, final estimate) per visit, in order."""
+    """Route each search visit through refine(n, terms, done, draws) and
+    record (n, rounds after the first, final estimate) per visit, in
+    order.  Each visit's n is the one it asks the LFC family's sets at."""
     visits, ns = [], []
-    real = calibrate.power_lfc_problems
+    real = calibrate._lfc_family
 
-    def problems(design, *args):
-        ns.append(design.n_per_stage)
-        return real(design, *args)
+    def family(*args):
+        sets_at = real(*args)
 
-    def refining(terms, done):
+        def recording(n):
+            ns.append(n)
+            return sets_at(n)
+        return recording
+
+    def refining(terms, done, draws):
         checks = []
 
         def counted(est):
             checks.append(est)
             return done(est)
-        est = refine(ns[-1], terms, counted)
+        est = refine(ns[-1], terms, counted, draws)
         visits.append((ns[-1], len(checks) - 1, est))
         return est
-    monkeypatch.setattr(calibrate, "power_lfc_problems", problems)
+    monkeypatch.setattr(calibrate, "_lfc_family", family)
     monkeypatch.setattr(calibrate, "_refine", refining)
     return visits
 
@@ -434,8 +439,8 @@ class TestSearchVisits:
             return integrand(pivots, x)
         monkeypatch.setattr(mvn, "_sov_integrand", recording)
         real = calibrate._refine
-        visits = _record_visits(monkeypatch,
-                                lambda n, terms, done: real(terms, done))
+        visits = _record_visits(
+            monkeypatch, lambda n, terms, done, draws: real(terms, done, draws))
         parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
         # per arm count: the answer n, and each visit's rounds after the
         # first and evaluations.  205 first reads 0.899852 at bound 4.5e-4
@@ -458,11 +463,38 @@ class TestSearchVisits:
             # evaluations of each visit's final estimate
             assert sum(rows) == sum(e for *_, e in want)
 
+    def test_draws_are_reused_within_one_search_only(self, monkeypatch):
+        # each problem's scramble and shifts are drawn at the first visit
+        # that integrates it and reused at the later visits; the next
+        # search draws every one of them again
+        drawn, started = [], []
+        real_draw, real_start = mvn._draw, mvn._Integral._start
+
+        def draw(*key):
+            drawn.append(key)
+            return real_draw(*key)
+
+        def start(integral):
+            est = real_start(integral)
+            started.append(est is None)
+            return est
+        monkeypatch.setattr(mvn, "_draw", draw)
+        monkeypatch.setattr(mvn._Integral, "_start", start)
+        parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
+        searches = []
+        for _ in range(2):
+            drawn.clear()
+            started.clear()
+            design_trial(3, parsed.shape, parsed.calibration, parsed.normal)
+            assert len(set(drawn)) == len(drawn) < sum(started)
+            searches.append(list(drawn))
+        assert searches[0] == searches[1]
+
     def test_visits_reproduce_recorded_bits(self, monkeypatch):
         # each visit's power and bound, as float.hex(), in visit order
         real = calibrate._refine
-        visits = _record_visits(monkeypatch,
-                                lambda n, terms, done: real(terms, done))
+        visits = _record_visits(
+            monkeypatch, lambda n, terms, done, draws: real(terms, done, draws))
         parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
         for arms, want in [
                 (3, [("0x1.bf07b7c18bc13p-1", "0x1.cb4493fe582c4p-12"),
@@ -490,14 +522,14 @@ class TestPowerBracket:
         # by default power crosses 0.9 halfway between n=100 and n=101,
         # 5e-4 from each.  Round r of a visit at n reads curve(n, r) with
         # error bound bound(r), so each visit models one family integral
-        def refine(n, terms, done):
+        def refine(n, terms, done, draws):
             for r in range(40):
                 est = ProbabilityEstimate(curve(n, r), bound(r), 0)
                 if done(est):
                     return est
             raise AssertionError(f"visit at n={n} never settled")
-        monkeypatch.setattr(calibrate, "power_lfc_problems",
-                            lambda design, *args: [])
+        monkeypatch.setattr(calibrate, "_lfc_family",
+                            lambda *args: lambda n: [])
         return _record_visits(monkeypatch, refine)
 
     @staticmethod

@@ -446,8 +446,8 @@ class TestFullReport:
         # configuration (the last one minus the others), then the power
         # and type I sets
         design, _, normal, effects = _load_designed(str(K3_RECORD))
-        got = {name: _stop_estimates(design, e, target_abs_error=DEFAULT_TARGET,
-                                     seed=0)
+        got = {name: _stop_estimates(design, e,
+                                     target_abs_error=DEFAULT_TARGET, seed=0)
                for name, e in effects.items()}
         for name, sets in (
                 ("power", power_lfc_problems(design, normal.theta_prime,

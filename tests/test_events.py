@@ -281,7 +281,9 @@ def _final_stop_set(design, effects):
                  range(1, design.arms + 1), j - 1)
              for term in events._path_rects(design, order, j, ())]
     gamma = events._symmetry_maps(effects.deltas, ())
-    return EventProblemSet(j, events._collapse(design, effects, rects, gamma))
+    return EventProblemSet(j, [(w, problem) for w, _, problem
+                               in events._collapse(design, effects, rects,
+                                                   gamma)])
 
 
 @pytest.mark.parametrize("k,seed", [(2, 11), (2, 12), (2, 13), (2, 14),
@@ -510,8 +512,8 @@ class TestAggregation:
         made = []
 
         class Recorded(mvn._Integral):
-            def __init__(self, problem, seed):
-                super().__init__(problem, seed)
+            def __init__(self, problem, seed, draws=None):
+                super().__init__(problem, seed, draws)
                 self.steps = 0
                 made.append((problem, seed, self))
 

@@ -23,7 +23,9 @@ from dtldesign import (
     mvn_rectangle_prob,
 )
 from dtldesign import _sobol
-from dtldesign.cli import _load_designed
+from dtldesign.calibrate import design_trial
+from dtldesign.characteristics import full_report
+from dtldesign.cli import _load_designed, parse_config
 from dtldesign.covariance import StatCoord, build_moment_problem, single
 from dtldesign.events import pwer_problem
 
@@ -32,6 +34,7 @@ import oracles
 INF = float("inf")
 K3_RECORD = (Path(__file__).resolve().parent.parent / "benchmark" / "inputs"
              / "design_k3.json")
+CONFIG_K3 = Path(__file__).resolve().parent.parent / "configs" / "poptarts.cfg"
 
 
 def test_dim1_lower_tail_exact():
@@ -429,6 +432,61 @@ def test_open_sides_and_pivot_zero_are_constants():
     for j, (_, lo, hi, _) in enumerate(pivots):
         assert lo == 0.0 and isinstance(lo, float)
         assert isinstance(hi, float) == (j == 0)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_tied_candidates_pivot_on_the_first():
+    # coordinates 0 and 1 tie exactly at the first step, and 2 has more
+    # mass; they differ in their correlation with 2, so the factor's
+    # first column shows which of them was taken: coordinate 0
+    corr = [[1.0, 0.5, 0.3], [0.5, 1.0, -0.2], [0.3, -0.2, 1.0]]
+    args = corr, [-1.0, -1.0, -2.0], [1.0, 1.0, 2.0]
+    got = mvn._pivoted_cholesky(*args)
+    _assert_same_bits(got, oracles.pivoted_cholesky_scalar(*args))
+    assert sorted(got[0][:, 0]) == [0.3, 0.5, 1.0]
+
+
+def test_vector_scan_matches_the_scalar_scan(monkeypatch):
+    # every factorization of the K=3 and K=4 designs' searches (the LFC
+    # win families at each visited n) and of the K=3 record's report:
+    # the same factor and bounds, bit for bit, as the scalar scan, so the
+    # same pivot order.  Exchangeable rivals give exact ties in both
+    real, calls = mvn._pivoted_cholesky, []
+
+    def checked(corr, lower, upper):
+        got = real(corr, lower, upper)
+        _assert_same_bits(got, oracles.pivoted_cholesky_scalar(
+            corr, lower, upper))
+        calls.append(got[0].shape)
+        return got
+    monkeypatch.setattr(mvn, "_pivoted_cholesky", checked)
+    parsed = parse_config(CONFIG_K3.read_text(encoding="utf-8"))
+    for arms in (3, 4):
+        design_trial(arms, parsed.shape, parsed.calibration, parsed.normal)
+    design, _, normal, effects = _load_designed(str(K3_RECORD))
+    full_report(design, normal, effects)
+    # 66 factorizations in the searches, 33 of them with an exact tie at
+    # some step, and 31 in the report, 14 with a tie and some
+    # rank-deficient
+    assert len(calls) == 97
+    assert any(rows > cols for rows, cols in calls)
+
+
+def test_with_mean_moves_only_the_mean():
+    prob = _GOLDEN_BITS["mixed_sides"][0]()
+    moved = prob.with_mean([0.0, 1.0, -2.0])
+    assert moved.mean.tolist() == [0.0, 1.0, -2.0]
+    assert not moved.mean.flags.writeable
+    assert (moved.corr, moved.lower, moved.upper) == (
+        prob.corr, prob.lower, prob.upper)
+    assert prob.mean.tolist() == [0.1, -0.2, 0.3]
+    for bad in ([0.0, 1.0], [0.0, INF, 0.0], [0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            prob.with_mean(bad)
 
 
 def _record_integrand_rows(monkeypatch):
