@@ -292,14 +292,12 @@ def _smallest_passing_n(power_at, target: float, max_n: int, guess: float,
     model slope of g in sqrt(n), then along secants through the bracketing
     visits (the two nearest visits while one side is open), strictly
     inside the bracket, so no n is visited twice.  A secant step that
-    makes no progress is followed by a bisection (doubling) step, as is a
-    step with no finite secant (power 0, 1 or outside [0, 1]).  Once an n
-    passes, progress is halving the bracket; while none passes, it is
-    doubling the largest failing n or at least halving |g| there.  |g| of
-    a failing n lies between the resolution of doubles near the target's
-    probit and about 40, so it halves at most about 60 times: the worst
-    case stays logarithmic in max_n.  Ends with n - 1 failing and n
-    passing, both visited.
+    neither halves the bracket nor, while none passes, doubles the largest
+    failing n or halves |g| there is followed by a bisection (doubling)
+    step, as is a step with no finite secant (power 0, 1 or outside
+    [0, 1]).  |g| can halve only about 60 times before it reaches the
+    resolution of doubles, so the worst case stays logarithmic in max_n.
+    Ends with n - 1 failing and n passing, both visited.
     """
     z_target = float(ndtri(target))
     g: dict[int, float] = {}   # visited n -> probit(power) - probit(target)
@@ -358,11 +356,10 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
     smooth; it is asserted nondecreasing up to twice the integration
     error bound.
 
-    Only the means depend on n.  So the family is enumerated, collapsed
-    and checked once per call, and a visit computes its means
-    (events._family); each problem's scramble and shifts are drawn at its
-    first visit and reused at the later ones (mvn._Integral).  Neither
-    outlives the call.
+    The family is enumerated and checked once per call, and a visit
+    computes only its means (events._family); each problem's Sobol draws
+    are made at its first visit and reused after (mvn._Integral).
+    Neither outlives the call.
     """
     _check_target(target_abs_error)
     target = cfg.power_target

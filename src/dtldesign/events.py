@@ -148,7 +148,6 @@ def _relabeled_key(items, pi):
 
 
 def _problem_from_key(design: TrialDesign, effects: EffectConfig, key):
-    """(coords, problem at the design's n) of one collapsed key."""
     coords = [StatCoord(arm_a, arm_b, stage)
               for stage, _, arm_a, arm_b, _, _ in key]
     lowers = [lo for *_, lo, _ in key]
@@ -230,15 +229,10 @@ def _stage_rects(design: TrialDesign, paths, stages: int):
 
 def _family(design: TrialDesign, effects: EffectConfig, paths,
             fixed: tuple[int, ...], stages: int):
-    """Collapsed problem sets of one event family for stages 1..`stages`,
-    as a function of the per-stage sample size n; relabelings never move
-    the `fixed` arms.
-
-    Only the means depend on n.  So the paths are enumerated and
-    collapsed, and each problem's correlation and bounds assembled and
-    checked, once, here; the returned sets_at(n) computes each
-    coordinate's mean at n and puts it on its problem (with_mean).
-    """
+    """sets_at(n): the collapsed problem sets of one event family for
+    stages 1..`stages` at n per arm per stage; relabelings never move the
+    `fixed` arms.  Only the means depend on n, so all else is built and
+    checked once, here, and sets_at computes the means."""
     if design.arms > PERMUTATION_CAP:
         raise CapacityError(f"{design.arms} arms exceeds the enumeration "
                             f"cap of {PERMUTATION_CAP}")

@@ -190,15 +190,13 @@ def _pivoted_cholesky(corr, lower, upper):
     b, a, squares, means = tracked
     y = np.zeros(d)  # conditional truncated means of processed coordinates
     for k in range(d):
-        best = k
-        if k < d - 1:
-            # every candidate's conditional variance, mean and mass
-            var = diag[k:] - squares[k:]
-            cdf = ndtr((tracked[:2, k:] - means[k:])
-                       / np.sqrt(np.maximum(var, _SINGULAR_TOL)))
-            mass = cdf[0] - cdf[1]
-            mass[var <= _SINGULAR_TOL] = np.inf  # dependent ones go last
-            best += int(mass.argmin())  # the first of tied candidates
+        # every candidate's conditional variance, mean and mass
+        var = diag[k:] - squares[k:]
+        cdf = ndtr((tracked[:2, k:] - means[k:])
+                   / np.sqrt(np.maximum(var, _SINGULAR_TOL)))
+        mass = cdf[0] - cdf[1]
+        mass[var <= _SINGULAR_TOL] = np.inf  # dependent ones go last
+        best = k + int(mass.argmin())  # the first of tied candidates
         if best != k:
             L[k], L[best] = L[best], L[k].copy()
             L[:, k], L[:, best] = L[:, best], L[:, k].copy()
@@ -252,23 +250,21 @@ def _fold(L, a, b):
     rank = L.shape[1]
     loads = np.abs(L[:, ::-1]) > math.sqrt(_SINGULAR_TOL)
     last = rank - 1 - np.argmax(loads, axis=1)
-    # rows grouped by pivot, in row order within each group; row j < rank
-    # is pivot j's own, so every group is non-empty
+    # rows grouped by pivot in row order; row j < rank is pivot j's own,
+    # so no group is empty
     order = np.argsort(last, kind="stable")
-    L, last = L[order], last[order]
+    L, last, a, b = L[order], last[order], a[order], b[order]
     c = L[np.arange(len(L)), last]
-    lo = np.where(c < 0.0, b[order], a[order])
-    hi = np.where(c < 0.0, a[order], b[order])
+    lo, hi = np.where(c < 0.0, b, a), np.where(c < 0.0, a, b)
     starts = np.searchsorted(last, np.arange(rank))
-    ends = [*starts[1:], len(L)]
     t_lo = np.maximum.reduceat(lo / c, starts)
     t_hi = np.minimum.reduceat(hi / c, starts)
-    p_lo, p_hi = ndtr(t_lo), ndtr(t_hi)
-    return [(L[i:e, :j],
-             float(p_lo[j]) if j == 0 or math.isinf(t_lo[j]) else lo[i:e],
-             float(p_hi[j]) if j == 0 or math.isinf(t_hi[j]) else hi[i:e],
-             c[i:e])
-            for j, (i, e) in enumerate(zip(starts, ends))]
+    pivots = []
+    for j, (i, e) in enumerate(zip(starts, [*starts[1:], len(L)])):
+        sides = [float(ndtr(t[j])) if j == 0 or math.isinf(t[j]) else num[i:e]
+                 for num, t in ((lo, t_lo), (hi, t_hi))]
+        pivots.append((L[i:e, :j], *sides, c[i:e]))
+    return pivots
 
 
 @_ignore_overflow
@@ -299,8 +295,7 @@ def _sov_integrand(pivots, points):
     return p
 
 
-def _draw(dim: int, seed) -> tuple[tuple[np.ndarray, np.ndarray],
-                                    np.ndarray]:
+def _draw(dim: int, seed):
     """The scramble and the _RANDOMIZATIONS digital shifts of one point
     set, a pure function of (dim, seed)."""
     rng = np.random.default_rng(seed)
@@ -319,12 +314,9 @@ class _Integral:
     says whether another round fits under _MAX_EVALUATIONS.  Between
     steps it keeps the pivots, the scramble, the shifts and the sums but
     no Sobol points: each round rebuilds the earlier points it reflects.
-
-    The scramble and the shifts depend only on (dim, seed), and dim, the
-    rank less one, not on the mean.  So integrals that share a `draws`
-    dict, as one search's visits of the same family do, draw them once
-    per (dim, seed) and take them from the dict after; the pivots are
-    rebuilt from each problem's own bounds.
+    Integrals given one `draws` dict, as a search's visits are, draw the
+    scramble and the shifts once per (dim, seed), which alone decide
+    them; the pivots come from each problem's own bounds.
     """
 
     def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...],
