@@ -14,7 +14,7 @@ Two searches, run in this order (design_trial runs both):
    scan in a few integrals, starting from the one-look z test's n; it
    falls back to bisection when the secant stalls.  Each visit's power is
    refined, on the scheduler that integrates every weighted family
-   (events._refine), only while it sits within its error bound of the
+   (mvn._refine), only while it sits within its error bound of the
    target.
 
 PWER is one arm's group-sequential crossing probability, computed by
@@ -43,9 +43,8 @@ from scipy.special import ndtr, ndtri
 
 from .covariance import TrialDesign
 from .endpoint import NormalEffectSpec
-from .events import (DEFAULT_TARGET, PERMUTATION_CAP, CapacityError,
-                     _lfc_family, _refine, _seeded)
-from .mvn import ProbabilityEstimate, _check_target
+from .events import PERMUTATION_CAP, CapacityError, _lfc_family, _seeded
+from .mvn import DEFAULT_TARGET, ProbabilityEstimate, _check_target, _refine
 
 __all__ = [
     "BracketError",
@@ -230,7 +229,8 @@ def calibrate_boundaries(design_template: TrialDesign,
     window_hi = cfg.alpha
 
     def at(c: float) -> tuple[TrialDesign, float]:
-        d = design_template.with_boundaries(tuple(c * m for m in mults))
+        d = dataclasses.replace(design_template,
+                                boundaries=tuple(c * m for m in mults))
         return d, 1.0 - _no_crossing(d.boundaries, 0.0)
 
     def done(design: TrialDesign) -> TrialDesign:
@@ -346,7 +346,7 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
 
     A probit-secant search, seeded with the one-look z test's n over the
     stage count.  Each visit integrates the whole LFC win family on
-    events._refine: every problem runs its first round, and the problem
+    mvn._refine: every problem runs its first round, and the problem
     that dominates the family bound runs one more only while the power
     sits within that bound of the target and the bound is above
     target_abs_error.  A visit still that close then raises
@@ -392,7 +392,7 @@ def find_sample_size(design: TrialDesign, theta_prime: float,
             raise ConvergenceError(
                 f"power not nondecreasing on the visited grid: "
                 f"power({a})={pa:.6f} vs power({b})={pb:.6f}")
-    return design.with_n(n)
+    return dataclasses.replace(design, n_per_stage=n)
 
 
 def design_trial(arms: int, shape: BoundaryShape, cfg: CalibrationConfig,

@@ -32,8 +32,6 @@ from .calibrate import ConvergenceError, _converged, _no_crossing
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
-    DEFAULT_TARGET,
-    _weighted_sum,
     global_null_typeI_problems,
     power_lfc_problems,
     reject_problems,
@@ -42,7 +40,7 @@ from .events import (
     total_probability,
     win_problems,
 )
-from .mvn import ProbabilityEstimate
+from .mvn import DEFAULT_TARGET, ProbabilityEstimate, _weighted_sum
 
 __all__ = [
     "OperatingCharacteristics",

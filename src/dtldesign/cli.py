@@ -106,7 +106,7 @@ class RunConfig:
     out_path: str | None = None
     seed: int = 0
     reps: int = 100_000
-    tol: float | None = None
+    tol: float = DEFAULT_TARGET
 
 
 def _scan(text: str) -> dict[tuple[str, str], tuple[str, int]]:
@@ -417,10 +417,7 @@ def render_compare_table(report: dict) -> str:
 # commands
 
 def _integration(cfg: RunConfig) -> dict:
-    """Integration keywords: the seed, plus the target only when --tol is
-    given, so the default target lives in the library alone."""
-    if cfg.tol is None:
-        return {"seed": cfg.seed}
+    """Integration keywords: the seed and the --tol target."""
     return {"seed": cfg.seed, "target_abs_error": cfg.tol}
 
 
@@ -479,8 +476,7 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[dict, str]:
         "command": "simulate",
         "replicates": cfg.reps,
         "seed": cfg.seed,
-        "integration_tol": integration.get("target_abs_error",
-                                           DEFAULT_TARGET),
+        "integration_tol": cfg.tol,
         "design": _design_record(design),
         "endpoint": _endpoint_record(endpoint),
         "configs": configs,
@@ -621,7 +617,8 @@ def main(argv=None) -> int:
                        help="replicate seed; the analytic column always "
                             f"integrates with seed {_ANALYTIC_SEED}"
                        if name == "simulate" else "integration seed")
-        p.add_argument("--tol", type=float, help=tol_help)
+        p.add_argument("--tol", type=float, default=DEFAULT_TARGET,
+                       help=tol_help)
         if name == "simulate":
             p.add_argument("--reps", type=int, default=RunConfig.reps)
     return run(RunConfig(**vars(parser.parse_args(argv))))

@@ -84,14 +84,6 @@ class TrialDesign:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
 
-    def with_n(self, n_per_stage: int) -> "TrialDesign":
-        return TrialDesign(self.arms, self.stages, int(n_per_stage),
-                           self.boundaries, self.alpha, self.sigma)
-
-    def with_boundaries(self, boundaries) -> "TrialDesign":
-        return TrialDesign(self.arms, self.stages, self.n_per_stage,
-                           tuple(boundaries), self.alpha, self.sigma)
-
 
 @dataclass(frozen=True)
 class EffectConfig:

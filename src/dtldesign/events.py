@@ -32,7 +32,8 @@ from .covariance import (
     mean_of,
     single,
 )
-from .mvn import OrthantProblem, ProbabilityEstimate, _check_target, _Integral
+from .mvn import (DEFAULT_TARGET, OrthantProblem, ProbabilityEstimate,
+                  _check_target, _refine, _weighted_sum)
 
 __all__ = [
     "PERMUTATION_CAP",
@@ -52,12 +53,6 @@ __all__ = [
 # interim grows brutally; the cap keeps accidental K=12 calls from hanging.
 # It also caps the stages of calibrate._no_crossing, verified up to eight.
 PERMUTATION_CAP = 8
-
-# Default error bound of a weighted family: each event set a report
-# integrates (characteristics), and the LFC win family of a sample size
-# search visit whose power is still within its bound of the target
-# (calibrate.find_sample_size).
-DEFAULT_TARGET = 2e-5
 
 
 class CapacityError(ValueError):
@@ -243,7 +238,7 @@ def _family(design: TrialDesign, effects: EffectConfig, paths,
               in enumerate(_stage_rects(design, paths, stages), 1)]
 
     def sets_at(n: int) -> list[EventProblemSet]:
-        at_n = design.with_n(n)
+        at_n = replace(design, n_per_stage=n)
         return [EventProblemSet(j, tuple(
             (w, problem.with_mean([mean_of(at_n, effects, c) for c in coords]))
             for w, coords, problem in terms)) for j, terms in family]
@@ -320,29 +315,6 @@ def global_null_typeI_problems(design: TrialDesign) -> list[EventProblemSet]:
     return reject_problems(design, effects)
 
 
-def _weighted_sum(terms) -> ProbabilityEstimate:
-    """Sum of (weight, estimate) pairs; converged if every term converged.
-
-    Bounds combine in quadrature, sqrt(sum (w * bound)^2): every problem
-    integrates with its own (seed, stage, idx) sub-seed, so the terms'
-    errors are independent, and bounds that are each 3 times an estimated
-    standard error add as 3 times the joint one.  Each estimate has 11
-    degrees of freedom, so neither is a true three-sigma bound (see
-    mvn.ProbabilityEstimate).
-    """
-    value = 0.0
-    square = 0.0
-    evaluations = 0
-    converged = True
-    for w, est in terms:
-        value += w * est.value
-        square += (w * est.error_bound) ** 2
-        evaluations += est.evaluations
-        converged = converged and est.converged
-    return ProbabilityEstimate(value, math.sqrt(square), evaluations,
-                               converged)
-
-
 def _seeded(pset: EventProblemSet, seed: int):
     """(weight, problem, integration seed) of each problem of one set.
 
@@ -354,41 +326,10 @@ def _seeded(pset: EventProblemSet, seed: int):
             for idx, (w, prob) in enumerate(pset.problems))
 
 
-def _refine(terms, done, draws: dict | None = None) -> ProbabilityEstimate:
-    """Weighted sum of (weight, problem, integration seed) terms, refined
-    until done(estimate) holds.  Integrals given the same `draws` dict
-    share their Sobol draws (see mvn._Integral).
-
-    Every problem runs its first round.  Then, while done(estimate) is
-    False, the problem with the largest (w * bound)^2 per evaluation spent
-    so far runs one more doubling round, so the evaluations go where the
-    weighted error is.  The estimate is converged=False when done(estimate)
-    is still False and no problem can run another round: each is exact,
-    has bound 0 or is at _MAX_EVALUATIONS.
-    """
-    terms = [(w, _Integral(prob, sub_seed, draws))
-             for w, prob, sub_seed in terms]
-    for _, integral in terms:
-        integral.step()
-    while True:
-        est = _weighted_sum((w, integral.estimate) for w, integral in terms)
-        if done(est):
-            return est
-        open_terms = [(w, integral) for w, integral in terms
-                      if integral.refinable
-                      and integral.estimate.error_bound > 0.0]
-        if not open_terms:
-            return replace(est, converged=False)
-        _, integral = max(open_terms, key=lambda t: (
-            (t[0] * t[1].estimate.error_bound) ** 2
-            / t[1].estimate.evaluations))
-        integral.step()
-
-
 def set_probability(pset: EventProblemSet, *, target_abs_error: float,
                     seed: int = 0) -> ProbabilityEstimate:
     """Weighted probability of one event set, integrated (seeds as in
-    _seeded, schedule as in _refine) until the set bound
+    _seeded, schedule as in mvn._refine) until the set bound
     sqrt(sum (w * bound)^2) is at most target_abs_error."""
     _check_target(target_abs_error)
     return _refine(_seeded(pset, seed),

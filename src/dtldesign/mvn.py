@@ -16,9 +16,9 @@ truncation is involved: a pivot side infinite on every row is the
 constant 0 or 1, and pivot 0, the same at every point, is computed once.
 Each doubling round evaluates its shifts together, in slabs of at most
 _SLAB points that never split a shift.  An integration advances one round
-at a time (_Integral), so events._refine can share one error budget across
-the problems of a weighted family by advancing whichever problem dominates
-its bound.
+at a time (_Integral), and one scheduler (_refine) shares an error budget
+across the problems of a weighted family by advancing whichever problem
+dominates its bound; a lone rectangle is a family of one term.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ __all__ = [
     "ProbabilityEstimate",
     "mvn_rectangle_prob",
 ]
+
+# Default error bound of a weighted family: each event set a report
+# integrates (characteristics), and the LFC win family of a sample size
+# search visit whose power is still within its bound of the target
+# (calibrate.find_sample_size).
+DEFAULT_TARGET = 2e-5
 
 # Matrices with min eigenvalue >= -PSD_RTOL * max eigenvalue are accepted;
 # exact rank deficiency is then folded into the pivot bounds.
@@ -308,12 +314,12 @@ def _draw(dim: int, seed):
 class _Integral:
     """One problem's integration, advanced one doubling round at a time.
 
-    `step()` runs the next round; the first call sets the problem up and
-    runs the first round, or none when the problem is exact.  `estimate`
-    is the latest estimate, None before the first step, and `refinable`
-    says whether another round fits under _MAX_EVALUATIONS.  Between
-    steps it keeps the pivots, the scramble, the shifts and the sums but
-    no Sobol points: each round rebuilds the earlier points it reflects.
+    Construction sets the problem up: an exact problem gets its estimate,
+    any other runs its first round.  `step()` runs the next round,
+    `estimate` is the latest estimate, and `refinable` says whether
+    another round fits under _MAX_EVALUATIONS.  Between rounds it keeps
+    the pivots, the scramble, the shifts and the sums but no Sobol
+    points: each round rebuilds the earlier points it reflects.
     Integrals given one `draws` dict, as a search's visits are, draw the
     scramble and the shifts once per (dim, seed), which alone decide
     them; the pivots come from each problem's own bounds.
@@ -329,7 +335,9 @@ class _Integral:
         self._problem, self._seed = problem, seed
         self._draws = {} if draws is None else draws
         self._n_per = 0  # points per shift; stays 0 for an exact problem
-        self.estimate: ProbabilityEstimate | None = None
+        self.estimate = self._start()
+        if self.estimate is None:
+            self.step()
 
     def _start(self):
         """The first estimate if the problem is exact; else None, with
@@ -359,17 +367,12 @@ class _Integral:
     @property
     def refinable(self) -> bool:
         # the next round doubles the total, keeping counts powers of 2
-        return self.estimate is None or (
-            self._n_per > 0
-            and 2 * _RANDOMIZATIONS * self._n_per <= _MAX_EVALUATIONS)
+        return (self._n_per > 0
+                and 2 * _RANDOMIZATIONS * self._n_per <= _MAX_EVALUATIONS)
 
     def step(self) -> ProbabilityEstimate:
-        """Run the next round (see the class docstring) and return the
-        new estimate.  Call it only while `refinable`."""
-        if self.estimate is None:
-            self.estimate = self._start()
-            if self.estimate is not None:
-                return self.estimate
+        """Run the next doubling round and return the new estimate.  Call
+        it only while `refinable`."""
         pivots, shifts, sums = self._pivots, self._shifts, self._sums
         dim = shifts.shape[1]
         base = next(sobol_rounds(*self._scramble, done=self._n_per))
@@ -397,6 +400,59 @@ def _check_target(target_abs_error: float) -> None:
                          f"got {target_abs_error}")
 
 
+def _weighted_sum(terms) -> ProbabilityEstimate:
+    """Sum of (weight, estimate) pairs; converged if every term converged.
+
+    Bounds combine in quadrature, sqrt(sum (w * bound)^2): every problem
+    integrates with its own seed (an events._seeded sub-seed within a
+    set), so the terms' errors are independent, and bounds that are each
+    3 times an estimated standard error add as 3 times the joint one.
+    Each estimate has 11 degrees of freedom, so neither is a true
+    three-sigma bound (see ProbabilityEstimate).
+    """
+    value = 0.0
+    square = 0.0
+    evaluations = 0
+    converged = True
+    for w, est in terms:
+        value += w * est.value
+        square += (w * est.error_bound) ** 2
+        evaluations += est.evaluations
+        converged = converged and est.converged
+    return ProbabilityEstimate(value, math.sqrt(square), evaluations,
+                               converged)
+
+
+def _refine(terms, done, draws: dict | None = None) -> ProbabilityEstimate:
+    """Weighted sum of (weight, problem, integration seed) terms, refined
+    until done(estimate) holds.  Integrals given the same `draws` dict
+    share their Sobol draws (see _Integral).
+
+    Every problem runs its first round as its _Integral is made.  Then,
+    while done(estimate) is False, the problem with the largest
+    (w * bound)^2 per evaluation spent so far runs one more doubling
+    round, so the evaluations go where the weighted error is.  The
+    estimate is converged=False when done(estimate) is still False and no
+    problem can run another round: each is exact, has bound 0 or is at
+    _MAX_EVALUATIONS.
+    """
+    terms = [(w, _Integral(prob, sub_seed, draws))
+             for w, prob, sub_seed in terms]
+    while True:
+        est = _weighted_sum((w, integral.estimate) for w, integral in terms)
+        if done(est):
+            return est
+        open_terms = [(w, integral) for w, integral in terms
+                      if integral.refinable
+                      and integral.estimate.error_bound > 0.0]
+        if not open_terms:
+            return replace(est, converged=False)
+        _, integral = max(open_terms, key=lambda t: (
+            (t[0] * t[1].estimate.error_bound) ** 2
+            / t[1].estimate.evaluations))
+        integral.step()
+
+
 def mvn_rectangle_prob(problem: OrthantProblem,
                        target_abs_error: float,
                        seed: int | tuple[int, ...] = 0
@@ -417,6 +473,12 @@ def mvn_rectangle_prob(problem: OrthantProblem,
     1e-5 and 11 times at 1e-6 (ROADMAP, "Error bounds that hold as often
     as they claim").
 
+    The problem is integrated as a weighted family of one term, weight 1,
+    on _refine.  That gives the integral's own bound b back as
+    sqrt((1 * b)^2), the same double whenever b is at least about 1e-154;
+    below that b^2 underflows, so the reported bound reads 0 and meets
+    any target, as in a set of several problems.
+
     Args:
         problem: the rectangle problem; unit-diagonal correlation.
         target_abs_error: the point count doubles until the error bound
@@ -434,10 +496,5 @@ def mvn_rectangle_prob(problem: OrthantProblem,
         round would pass _MAX_EVALUATIONS).  Rank one is exact.
     """
     _check_target(target_abs_error)
-    integral = _Integral(problem, seed)
-    est = integral.step()
-    while est.error_bound > target_abs_error:
-        if not integral.refinable:
-            return replace(est, converged=False)
-        est = integral.step()
-    return est
+    return _refine([(1, problem, seed)],
+                   lambda est: est.error_bound <= target_abs_error)

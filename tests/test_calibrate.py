@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +156,7 @@ class TestCalibrateBoundaries:
         assert a.boundaries == b.boundaries
 
     def test_pwer_ignores_n(self, calibrated3):
-        other = calibrate_boundaries(TEMPLATE3.with_n(999),
+        other = calibrate_boundaries(replace(TEMPLATE3, n_per_stage=999),
                                      BoundaryShape(), CFG)
         assert other.boundaries == calibrated3.boundaries
 

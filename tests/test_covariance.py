@@ -9,6 +9,7 @@ entry, not just a wrong probability downstream.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,8 +53,9 @@ class TestTrialDesign:
     def test_valid_roundtrip(self):
         d = DESIGN
         assert d.boundaries == (3.471, 2.454, 2.004)
-        assert d.with_n(99).n_per_stage == 99
-        assert d.with_boundaries([4.0, 3.0, 2.0]).boundaries == (4.0, 3.0, 2.0)
+        assert replace(d, n_per_stage=99).n_per_stage == 99
+        assert replace(d, boundaries=[4.0, 3.0, 2.0]).boundaries == (
+            4.0, 3.0, 2.0)
 
     def test_single_arm_design_allowed(self):
         d = TrialDesign(1, 1, 564, (1.96,), 0.025, 2.0)
@@ -84,7 +86,7 @@ class TestTrialDesign:
         assert d.boundaries[0] == math.inf
 
     def test_numpy_n_accepted(self):
-        d = DESIGN.with_n(np.int64(17))
+        d = replace(DESIGN, n_per_stage=np.int64(17))
         assert d.n_per_stage == 17
 
 

@@ -10,6 +10,7 @@ stop event enumerated directly.
 import collections
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from dtldesign.covariance import EffectConfig, TrialDesign, single
 from dtldesign.events import (
     CapacityError,
     EventProblemSet,
-    _weighted_sum,
     global_null_typeI_problems,
     power_lfc_problems,
     pwer_problem,
@@ -30,7 +30,8 @@ from dtldesign.events import (
     total_probability,
     win_problems,
 )
-from dtldesign.mvn import ProbabilityEstimate, mvn_rectangle_prob
+from dtldesign.mvn import (ProbabilityEstimate, _weighted_sum,
+                           mvn_rectangle_prob)
 
 from oracles import normal_tail
 
@@ -127,7 +128,7 @@ class TestPwerProblem:
 
     def test_pwer_does_not_depend_on_n(self):
         a = prob(pwer_problem(DESIGN), seed=5)
-        b = prob(pwer_problem(DESIGN.with_n(17)), seed=5)
+        b = prob(pwer_problem(replace(DESIGN, n_per_stage=17)), seed=5)
         assert a.value == b.value
 
 
@@ -360,7 +361,7 @@ def _boundaries(k, kind):
 def test_raw_rectangles_are_nonempty_and_single_valued(k, kind):
     # each path constrains a coordinate at most once, so a rectangle is its
     # constraint list, pruned when an infinite boundary empties it
-    design = _obf_design(k).with_boundaries(_boundaries(k, kind))
+    design = replace(_obf_design(k), boundaries=_boundaries(k, kind))
     families = [events._stage_rects(design, paths, stages)
                 for paths, stages in ((events._stop_paths, k - 1),
                                       (events._win_paths, k))]
@@ -400,7 +401,7 @@ def test_no_raw_rectangle_holds_a_swapped_pair():
     n_rects = 0
     for k in range(2, 6):
         for kind in ("finite", "dtl"):
-            design = _obf_design(k).with_boundaries(_boundaries(k, kind))
+            design = replace(_obf_design(k), boundaries=_boundaries(k, kind))
             for paths, stages in ((events._stop_paths, k - 1),
                                   (events._win_paths, k),
                                   (events._reject_paths, k)):
@@ -508,25 +509,28 @@ class TestAggregation:
 
     @staticmethod
     def _recorded_integrals(monkeypatch):
-        """The _Integral set_probability makes, each with its step count."""
+        """The _Integral set_probability makes, each with its round count,
+        the first round (run as the integral is made) included."""
         made = []
 
         class Recorded(mvn._Integral):
             def __init__(self, problem, seed, draws=None):
-                super().__init__(problem, seed, draws)
-                self.steps = 0
+                self.rounds = 0
                 made.append((problem, seed, self))
+                super().__init__(problem, seed, draws)
 
             def step(self):
-                assert self.refinable, "stepped past the evaluation cap"
-                self.steps += 1
+                assert self.rounds == 0 or self.refinable, (
+                    "stepped past the evaluation cap")
+                self.rounds += 1
                 return super().step()
 
-        monkeypatch.setattr(events, "_Integral", Recorded)
+        monkeypatch.setattr(mvn, "_Integral", Recorded)
         return made
 
     def test_each_problem_is_a_fresh_integral_at_its_rounds(self,
                                                             monkeypatch):
+        integral_type = mvn._Integral
         made = self._recorded_integrals(monkeypatch)
         pset = stop_stage_problems(DESIGN, LFC)[1]
         est = set_probability(pset, target_abs_error=1e-5, seed=3)
@@ -534,15 +538,15 @@ class TestAggregation:
         terms = []
         for (w, p, seed), (problem, made_seed, integral) in zip(
                 events._seeded(pset, 3), made, strict=True):
-            assert problem is p and made_seed == seed
-            fresh = mvn._Integral(p, seed)
-            for _ in range(integral.steps):
+            assert problem is p and made_seed == seed and integral.rounds
+            fresh = integral_type(p, seed)
+            for _ in range(integral.rounds - 1):
                 fresh.step()
             assert fresh.estimate == integral.estimate
             terms.append((w, fresh.estimate))
         assert est == _weighted_sum(terms)
         # the budget goes where the weighted error is, not uniformly
-        assert len({integral.steps for *_, integral in made}) > 1
+        assert len({integral.rounds for *_, integral in made}) > 1
 
     def test_capped_problems_end_unconverged(self, monkeypatch):
         # each problem fits its first round and one doubling, no more
@@ -552,7 +556,7 @@ class TestAggregation:
         pset = stop_stage_problems(DESIGN, LFC)[1]
         est = set_probability(pset, target_abs_error=1e-12)
         assert not est.converged and est.error_bound > 1e-12
-        assert all(integral.steps <= 2 and not integral.refinable
+        assert all(integral.rounds <= 2 and not integral.refinable
                    for *_, integral in made)
         assert est.evaluations <= len(pset.problems) * mvn._MAX_EVALUATIONS
 
@@ -567,8 +571,8 @@ class TestAggregation:
                                    (2, pwer_problem(DESIGN))))
         est = set_probability(pset, target_abs_error=1e-6)
         assert est.converged and est.error_bound <= 1e-6
-        steps = [integral.steps for *_, integral in made]
-        assert steps[:2] == [1, 1] and steps[2] > 1
+        rounds = [integral.rounds for *_, integral in made]
+        assert rounds[:2] == [0, 0] and rounds[2] > 1
         assert [integral.estimate.error_bound for *_, integral in made[:2]
                 ] == [0.0, 0.0]
         assert est.value == pytest.approx(
@@ -581,7 +585,7 @@ class TestAggregation:
         def refuse(*args):
             raise AssertionError("integrated at a refused target")
 
-        monkeypatch.setattr(events, "_Integral", refuse)
+        monkeypatch.setattr(mvn, "_Integral", refuse)
         with pytest.raises(ValueError, match="positive and finite"):
             set_probability(stop_stage_problems(DESIGN, LFC)[1],
                             target_abs_error=target)

@@ -27,7 +27,7 @@ from dtldesign.calibrate import design_trial
 from dtldesign.characteristics import full_report
 from dtldesign.cli import _load_designed, parse_config
 from dtldesign.covariance import StatCoord, build_moment_problem, single
-from dtldesign.events import pwer_problem
+from dtldesign.events import EventProblemSet, pwer_problem, set_probability
 
 import oracles
 
@@ -378,13 +378,14 @@ def test_estimates_reproduce_recorded_bits(name):
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_BITS))
 def test_refining_in_place_reproduces_recorded_bits(monkeypatch, name):
-    # one round at a time, as events._refine steps each problem of a
-    # family, down to the recorded target: the recorded bits, and no
-    # round spent twice
+    # one round at a time, as mvn._refine steps each problem of a family,
+    # from the first round (none for an exact problem), run as the
+    # integral is made, down to the recorded target: the recorded bits,
+    # and no round spent twice
     make, target, seed, expected = _GOLDEN_BITS[name]
     rows = _record_integrand_rows(monkeypatch)
     integral = mvn._Integral(make(), seed)
-    est = integral.step()
+    est = integral.estimate
     while est.error_bound > target:
         assert integral.refinable
         est = integral.step()
@@ -404,13 +405,27 @@ def test_refining_past_the_cap_reports_nonconvergence(monkeypatch):
                           np.full(5, -1.0), np.full(5, 1.0))
     assert mvn_rectangle_prob(prob, 1e-2, seed=0).converged
     integral = mvn._Integral(prob, 0)
-    est = integral.step()
+    est = integral.estimate
     while integral.refinable:
         est = integral.step()
     assert est.evaluations <= 20_000 < 2 * est.evaluations
     direct = mvn_rectangle_prob(prob, 1e-12, seed=0)
     assert not direct.converged
     assert direct == replace(est, converged=False)
+
+
+@pytest.mark.parametrize("name", ["k3_pwer", "negative_fold"])
+def test_lone_rectangle_is_a_one_term_set(name):
+    # a direct call integrates the problem as a set of one term, weight
+    # 1, on the scheduler every family uses, at the seed the set gives it
+    make, target, _, _ = _GOLDEN_BITS[name]
+    problem = make()
+    direct = mvn_rectangle_prob(problem, target, (5, 2, 0))
+    as_set = set_probability(EventProblemSet(2, ((1, problem),)),
+                             target_abs_error=target, seed=5)
+    assert direct == as_set
+    assert ((direct.value.hex(), direct.error_bound.hex())
+            == (as_set.value.hex(), as_set.error_bound.hex()))
 
 
 def test_mixed_sides_problem_has_mixed_pivot():

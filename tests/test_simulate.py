@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,8 @@ K4 = TrialDesign(4, 4, 156, (4.04876708984375, 2.8629106646734397,
                  0.025, EFF.sigma)
 LFC4 = EffectConfig.least_favorable(4, EFF.theta_prime, EFF.theta_zero)
 # the same design with stopping disabled at stages 1 and 3
-K4_SKIP = K4.with_boundaries((math.inf, K4.boundaries[1], math.inf,
-                              K4.boundaries[3]))
+K4_SKIP = replace(K4, boundaries=(math.inf, K4.boundaries[1], math.inf,
+                                  K4.boundaries[3]))
 
 
 def _draw(design, effects, rng, paths):
