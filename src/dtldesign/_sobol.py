@@ -2,7 +2,9 @@
 
 The direction numbers are Joe & Kuo's (2008), read from the table scipy
 ships beside `scipy.stats` without importing that package, and extended
-by the recurrence of Bratley & Fox (1988).  The scramble follows
+by the recurrence of Bratley & Fox (1988).  Only the leading rows the
+integrator reaches are read, streamed from the table's zip members, so
+the 3 MB table is never held whole.  The scramble follows
 `qmc.Sobol(dim, seed=rng)`: a child of `rng` spawned from its seed
 sequence draws a random digital shift, then a lower-triangular matrix
 with unit diagonal per coordinate (a linear matrix scramble).  Points
@@ -14,6 +16,9 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import math
+import zipfile
+import zlib
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -33,19 +38,74 @@ _POW2 = np.uint32(1) << np.arange(BITS, dtype=np.uint32)
 _LOWER = np.tri(BITS, k=-1, dtype=bool)
 _EYE = np.eye(BITS)
 
+# direction-table rows the first read takes: more cube dimensions than a
+# supported design integrates over, so one read serves a whole process
+_FIRST_ROWS = 16
+
+# most bytes inflated at once while skipping the unused rows of a column
+_SKIP_BYTES = 1 << 16
+
+# the direction rows read so far: how many were asked for, then poly and
+# vinit, which hold fewer rows when the table is shorter
+_rows = (0, np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=np.uint32))
+
 
 def _table_path() -> Path:
     return (Path(importlib.util.find_spec("scipy").origin).parent
             / "stats" / "_sobol_direction_numbers.npz")
 
 
-@functools.lru_cache(maxsize=None)
-def _table() -> tuple[np.ndarray, np.ndarray]:
-    # vinit is kept as uint32, half the 3 MB it loads as.  Freeing the
-    # loaded copy also lifts glibc's mmap threshold above the integrand's
-    # slab buffers, so they reuse heap pages rather than fault in fresh ones
-    with np.load(_table_path()) as table:
-        return table["poly"], table["vinit"].astype(np.uint32)
+def _exactly(stream, size: int) -> bytes:
+    data = stream.read(size)
+    if len(data) != size:
+        raise ValueError("the table ends early")
+    return data
+
+
+def _leading_rows(table: zipfile.ZipFile, name: str, rows: int
+                  ) -> np.ndarray:
+    """The first `rows` rows (all, if it has fewer) of the integer array
+    stored as `name`.npy in `table`, read from the member's stream, so
+    the rest is inflated a bounded piece at a time and never held."""
+    with table.open(f"{name}.npy") as stream:
+        version = np.lib.format.read_magic(stream)
+        if version != (1, 0):
+            raise ValueError(f"{name}: unsupported .npy version {version}")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
+        if dtype.kind not in "iu" or len(shape) not in (1, 2):
+            raise ValueError(f"{name} holds {dtype} of shape {shape}")
+        total, kept = shape[0], min(rows, shape[0])
+        if not fortran or len(shape) == 1:
+            # row-major: the leading rows come first
+            size = kept * math.prod(shape[1:]) * dtype.itemsize
+            return np.frombuffer(_exactly(stream, size), dtype).reshape(
+                kept, *shape[1:])
+        # column-major: the leading rows of each column, then skip the rest
+        out = np.empty((kept, shape[1]), dtype)
+        for j in range(shape[1]):
+            out[:, j] = np.frombuffer(
+                _exactly(stream, kept * dtype.itemsize), dtype)
+            skip = (total - kept) * dtype.itemsize if j + 1 < shape[1] else 0
+            while skip:
+                skip -= len(_exactly(stream, min(skip, _SKIP_BYTES)))
+        return out
+
+
+def _table(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """`poly` and `vinit` (as uint32) of the first `dim` coordinates, or
+    of every coordinate if the table holds fewer.  Each read inflates the
+    whole table, so one read serves every dimension up to the largest
+    asked for so far: at least _FIRST_ROWS rows, doubling when a larger
+    dimension comes."""
+    global _rows
+    asked, poly, vinit = _rows
+    if dim > asked:
+        asked = max(dim, 2 * asked, _FIRST_ROWS)
+        with zipfile.ZipFile(_table_path()) as table:
+            poly = _leading_rows(table, "poly", asked)
+            vinit = _leading_rows(table, "vinit", asked).astype(np.uint32)
+        _rows = asked, poly, vinit
+    return poly, vinit
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,14 +113,16 @@ def _directions(dim: int) -> np.ndarray:
     """Binary digits of the unscrambled direction numbers: [i, k, q] is
     digit q, most significant first, of direction k of coordinate i."""
     try:
-        poly, vinit = _table()
-    except (OSError, KeyError, ValueError) as exc:
+        poly, vinit = _table(dim)
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile,
+            zlib.error) as exc:
         raise RuntimeError(f"cannot read the Sobol direction numbers for "
                            f"dimension {dim} from {_table_path()}: {exc}"
                            ) from exc
-    if dim > len(poly):
+    held = min(len(poly), len(vinit))
+    if dim > held:
         raise RuntimeError(f"no Sobol direction numbers for dimension {dim} "
-                           f"in {_table_path()}: it holds {len(poly)}")
+                           f"in {_table_path()}: it holds {held}")
     v = np.ones((dim, BITS), dtype=np.int64)
     for i in range(1, dim):
         p = int(poly[i])

@@ -157,14 +157,25 @@ def corr_between(a: StatCoord, b: StatCoord) -> float:
     return 0.5 * r * shared
 
 
+def _difference(effects: EffectConfig, c: StatCoord) -> float:
+    # delta_{arm_a} - delta_{arm_b}, group 0 the control
+    deltas = (0.0, *effects.deltas)
+    return deltas[c.arm_a] - deltas[c.arm_b]
+
+
+def _stage_scale(design: TrialDesign, stage: int) -> float:
+    # the mean of a stage-`stage` coordinate per unit of effect difference
+    return math.sqrt(stage * design.n_per_stage) / (design.sigma * math.sqrt(2.0))
+
+
 def mean_of(design: TrialDesign, effects: EffectConfig, c: StatCoord) -> float:
-    """Expected value of a coordinate under the given effects."""
+    """Expected value of a coordinate under the given effects: its effect
+    difference times its stage's scale, one multiply, so a caller that
+    checked the coordinate once can form the same product itself."""
     c.validate(design)
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
-    scale = math.sqrt(c.stage * design.n_per_stage) / (design.sigma * math.sqrt(2.0))
-    deltas = (0.0, *effects.deltas)
-    return (deltas[c.arm_a] - deltas[c.arm_b]) * scale
+    return _difference(effects, c) * _stage_scale(design, c.stage)
 
 
 def build_moment_problem(design: TrialDesign, effects: EffectConfig,

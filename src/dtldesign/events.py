@@ -24,12 +24,15 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .covariance import (
     EffectConfig,
     StatCoord,
     TrialDesign,
+    _difference,
+    _stage_scale,
     build_moment_problem,
-    mean_of,
     single,
 )
 from .mvn import (DEFAULT_TARGET, OrthantProblem, ProbabilityEstimate,
@@ -227,21 +230,30 @@ def _family(design: TrialDesign, effects: EffectConfig, paths,
     """sets_at(n): the collapsed problem sets of one event family for
     stages 1..`stages` at n per arm per stage; relabelings never move the
     `fixed` arms.  Only the means depend on n, so all else is built and
-    checked once, here, and sets_at computes the means."""
+    checked once, here, with each coordinate's effect difference and stage;
+    sets_at forms each mean as covariance.mean_of does, the difference
+    times the stage's scale at n."""
     if design.arms > PERMUTATION_CAP:
         raise CapacityError(f"{design.arms} arms exceeds the enumeration "
                             f"cap of {PERMUTATION_CAP}")
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     gamma = _symmetry_maps(effects.deltas, fixed)
-    family = [(j, _collapse(design, effects, rects, gamma)) for j, rects
-              in enumerate(_stage_rects(design, paths, stages), 1)]
+    family = [(j, [(w, np.array([_difference(effects, c) for c in coords]),
+                    np.array([c.stage - 1 for c in coords]), problem)
+                   for w, coords, problem in _collapse(design, effects,
+                                                       rects, gamma)])
+              for j, rects in enumerate(_stage_rects(design, paths, stages),
+                                        1)]
 
     def sets_at(n: int) -> list[EventProblemSet]:
         at_n = replace(design, n_per_stage=n)
+        scales = np.array([_stage_scale(at_n, j)
+                           for j in range(1, design.stages + 1)])
         return [EventProblemSet(j, tuple(
-            (w, problem.with_mean([mean_of(at_n, effects, c) for c in coords]))
-            for w, coords, problem in terms)) for j, terms in family]
+            (w, problem.with_mean(differences * scales[stage_index]))
+            for w, differences, stage_index, problem in terms))
+            for j, terms in family]
     return sets_at
 
 

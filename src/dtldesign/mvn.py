@@ -65,7 +65,11 @@ _RANDOMIZATIONS = 12
 _MAX_EVALUATIONS = 1 << 24
 
 # Most integrand rows per call; a call holds whole shifts, at least one.
-_SLAB = 1 << 14
+# Each per-column float temporary of a slab is then 64 KiB, under glibc's
+# default 128 KiB mmap threshold, so slabs reuse heap pages rather than
+# fault in fresh ones, whatever the process freed before.  A shift of more
+# points still runs as one call, above the threshold.
+_SLAB = 1 << 13
 
 # Standardizing a bound far from the mean (say 1e308 away) overflows to
 # +-inf, whose ndtr is the exact limit 0 or 1, so such overflow is ignored.

@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import norm
 
 from dtldesign import characteristics, events, mvn
-from dtldesign.covariance import EffectConfig, TrialDesign, single
+from dtldesign.covariance import EffectConfig, TrialDesign, mean_of, single
 from dtldesign.events import (
     CapacityError,
     EventProblemSet,
@@ -156,6 +156,25 @@ class TestWinEvents:
     def test_requires_effect_gap(self):
         with pytest.raises(ValueError):
             power_lfc_problems(DESIGN, 0.1, 0.1)
+
+    @pytest.mark.parametrize("n", [1, 17, 206, 5000])
+    def test_family_means_are_mean_of_bit_for_bit(self, n):
+        # sets_at(n) forms the means from precomputed effect differences;
+        # problems built afresh at n take them from mean_of
+        at_n = replace(DESIGN, n_per_stage=n)
+        gamma = events._symmetry_maps(LFC.deltas, (1,))
+        built = [events._collapse(at_n, LFC, rects, gamma) for rects
+                 in events._stage_rects(at_n, events._win_paths, 3)]
+        sets = events._lfc_family(DESIGN, THETA_P, THETA_0)(n)
+        assert len(sets) == len(built) == 3
+        for pset, terms in zip(sets, built):
+            assert len(pset.problems) == len(terms)
+            for (w, problem), (w_built, coords, _) in zip(pset.problems,
+                                                          terms):
+                assert w == w_built
+                means = np.array([mean_of(at_n, LFC, c) for c in coords])
+                np.testing.assert_array_equal(problem.mean.view(np.int64),
+                                              means.view(np.int64))
 
     def test_dtl_mode_blocks_early_wins(self):
         sets = win_problems(DTL, LFC)

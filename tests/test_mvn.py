@@ -1,5 +1,6 @@
 """Tests for the MVN rectangle-probability integrator."""
 
+import json
 import math
 import os
 import subprocess
@@ -551,7 +552,9 @@ def test_one_integrand_call_per_small_round(monkeypatch):
     assert sum(sum(sizes) for _, sizes in rounds) == est.evaluations
     assert any(mvn._RANDOMIZATIONS * batch > mvn._SLAB for batch, _ in rounds)
     for batch, sizes in rounds:
-        assert len(sizes) < mvn._RANDOMIZATIONS
+        # each call holds as many whole shifts as fit in a slab, at least one
+        shifts_per_call = max(1, mvn._SLAB // batch)
+        assert len(sizes) == math.ceil(mvn._RANDOMIZATIONS / shifts_per_call)
         if mvn._RANDOMIZATIONS * batch <= mvn._SLAB:
             assert sizes == [mvn._RANDOMIZATIONS * batch]
         assert max(sizes) <= max(mvn._SLAB, batch)
@@ -629,13 +632,13 @@ def test_import_leaves_scipy_stats_unloaded(statement):
 
 @pytest.fixture
 def sobol_table(monkeypatch):
-    """Point the Sobol generator at another direction-number table."""
+    """Point the Sobol generator at another direction-number table, with
+    no rows read from it yet."""
     def use(path):
         monkeypatch.setattr(_sobol, "_table_path", lambda: path)
-        _sobol._table.cache_clear()
+        monkeypatch.setattr(_sobol, "_rows", (0, *_sobol._rows[1:]))
         _sobol._directions.cache_clear()
     yield use
-    _sobol._table.cache_clear()
     _sobol._directions.cache_clear()
 
 
@@ -653,10 +656,79 @@ def test_missing_direction_table_is_named(sobol_table, tmp_path):
 
 
 def test_short_direction_table_is_named(sobol_table, tmp_path):
-    poly, vinit = _sobol._table()
+    poly, vinit = _sobol._table(1)
     path = tmp_path / "short.npz"
     np.savez(path, poly=poly[:1], vinit=vinit[:1])
     sobol_table(path)
     with pytest.raises(RuntimeError, match="dimension 2") as exc:
         mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
     assert str(path) in str(exc.value)
+
+
+def test_direction_table_that_is_not_a_zip_is_named(sobol_table, tmp_path):
+    path = tmp_path / "not_a_zip.npz"
+    path.write_bytes(b"not a zip archive")
+    sobol_table(path)
+    with pytest.raises(RuntimeError, match="dimension 2") as exc:
+        mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("dim", [*range(1, 12), _sobol._FIRST_ROWS + 1])
+def test_streamed_direction_rows_match_np_load(sobol_table, dim):
+    path = _sobol._table_path()
+    sobol_table(path)
+    poly, vinit = _sobol._table(dim)
+    with np.load(path) as table:
+        whole_poly, whole_vinit = table["poly"], table["vinit"]
+    assert len(poly) == len(vinit) >= dim
+    np.testing.assert_array_equal(poly, whole_poly[:len(poly)])
+    np.testing.assert_array_equal(vinit, whole_vinit[:len(vinit)])
+
+
+def test_direction_rows_are_read_once_for_smaller_dimensions(sobol_table,
+                                                             monkeypatch):
+    sobol_table(_sobol._table_path())
+    reads = []
+    leading_rows = _sobol._leading_rows
+
+    def recording(table, name, rows):
+        reads.append((name, rows))
+        return leading_rows(table, name, rows)
+    monkeypatch.setattr(_sobol, "_leading_rows", recording)
+    first = _sobol._FIRST_ROWS
+    for dim in [5, 2, first, 1, 11]:
+        _sobol._directions(dim)
+    assert reads == [("poly", first), ("vinit", first)]
+    _sobol._directions(first + 1)
+    _sobol._directions(2 * first)
+    assert reads[2:] == [("poly", 2 * first), ("vinit", 2 * first)]
+
+
+_FIRST_INTEGRAL_MEMORY = """
+import json, tracemalloc
+import numpy as np
+from dtldesign import _sobol
+from dtldesign.mvn import OrthantProblem, mvn_rectangle_prob
+problem = OrthantProblem(np.zeros(3), np.eye(3) * 0.5 + 0.5,
+                         [-np.inf] * 3, [0.0, 0.5, 1.0])
+tracemalloc.start(64)
+mvn_rectangle_prob(problem, 1e-6)
+peak = tracemalloc.get_traced_memory()[1]
+# what the Sobol module's calls allocated and still hold
+held = tracemalloc.take_snapshot().filter_traces(
+    [tracemalloc.Filter(True, _sobol.__file__, all_frames=True)])
+print(json.dumps({"peak": peak,
+                  "held": sum(t.size for t in held.traces)}))
+"""
+
+
+def test_first_integral_reads_direction_rows_in_bounded_memory():
+    # a fresh interpreter, so the first integral reads the direction table
+    src = str(Path(mvn.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", _FIRST_INTEGRAL_MEMORY],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    memory = json.loads(out)
+    assert memory["peak"] < 1_000_000
+    assert memory["held"] < 100_000
