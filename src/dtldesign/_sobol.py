@@ -1,10 +1,8 @@
 """Scrambled Sobol points, bit for bit those of scipy's `qmc.Sobol`.
 
-The direction numbers are Joe & Kuo's (2008), read from the table scipy
-ships beside `scipy.stats` without importing that package, and extended
-by the recurrence of Bratley & Fox (1988).  Only the leading rows the
-integrator reaches are read, streamed from the table's zip members, so
-the 3 MB table is never held whole.  The scramble follows
+The direction numbers are the leading rows of Joe & Kuo's (2008) table,
+the one scipy ships, carried here as a constant and extended by the
+recurrence of Bratley & Fox (1988).  The scramble follows
 `qmc.Sobol(dim, seed=rng)`: a child of `rng` spawned from its seed
 sequence draws a random digital shift, then a lower-triangular matrix
 with unit diagonal per coordinate (a linear matrix scramble).  Points
@@ -15,12 +13,7 @@ is `points[i] / 2**30`.
 from __future__ import annotations
 
 import functools
-import importlib.util
-import math
-import zipfile
-import zlib
 from collections.abc import Iterator
-from pathlib import Path
 
 import numpy as np
 
@@ -38,96 +31,43 @@ _POW2 = np.uint32(1) << np.arange(BITS, dtype=np.uint32)
 _LOWER = np.tri(BITS, k=-1, dtype=bool)
 _EYE = np.eye(BITS)
 
-# direction-table rows the first read takes: more cube dimensions than a
-# supported design integrates over, so one read serves a whole process
-_FIRST_ROWS = 16
-
-# most bytes inflated at once while skipping the unused rows of a column
-_SKIP_BYTES = 1 << 16
-
-# the direction rows read so far: how many were asked for, then poly and
-# vinit, which hold fewer rows when the table is shorter
-_rows = (0, np.empty(0, dtype=np.int64), np.empty((0, 0), dtype=np.uint32))
-
-
-def _table_path() -> Path:
-    return (Path(importlib.util.find_spec("scipy").origin).parent
-            / "stats" / "_sobol_direction_numbers.npz")
-
-
-def _exactly(stream, size: int) -> bytes:
-    data = stream.read(size)
-    if len(data) != size:
-        raise ValueError("the table ends early")
-    return data
-
-
-def _leading_rows(table: zipfile.ZipFile, name: str, rows: int
-                  ) -> np.ndarray:
-    """The first `rows` rows (all, if it has fewer) of the integer array
-    stored as `name`.npy in `table`, read from the member's stream, so
-    the rest is inflated a bounded piece at a time and never held."""
-    with table.open(f"{name}.npy") as stream:
-        version = np.lib.format.read_magic(stream)
-        if version != (1, 0):
-            raise ValueError(f"{name}: unsupported .npy version {version}")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(stream)
-        if dtype.kind not in "iu" or len(shape) not in (1, 2):
-            raise ValueError(f"{name} holds {dtype} of shape {shape}")
-        total, kept = shape[0], min(rows, shape[0])
-        if not fortran or len(shape) == 1:
-            # row-major: the leading rows come first
-            size = kept * math.prod(shape[1:]) * dtype.itemsize
-            return np.frombuffer(_exactly(stream, size), dtype).reshape(
-                kept, *shape[1:])
-        # column-major: the leading rows of each column, then skip the rest
-        out = np.empty((kept, shape[1]), dtype)
-        for j in range(shape[1]):
-            out[:, j] = np.frombuffer(
-                _exactly(stream, kept * dtype.itemsize), dtype)
-            skip = (total - kept) * dtype.itemsize if j + 1 < shape[1] else 0
-            while skip:
-                skip -= len(_exactly(stream, min(skip, _SKIP_BYTES)))
-        return out
-
-
-def _table(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """`poly` and `vinit` (as uint32) of the first `dim` coordinates, or
-    of every coordinate if the table holds fewer.  Each read inflates the
-    whole table, so one read serves every dimension up to the largest
-    asked for so far: at least _FIRST_ROWS rows, doubling when a larger
-    dimension comes."""
-    global _rows
-    asked, poly, vinit = _rows
-    if dim > asked:
-        asked = max(dim, 2 * asked, _FIRST_ROWS)
-        with zipfile.ZipFile(_table_path()) as table:
-            poly = _leading_rows(table, "poly", asked)
-            vinit = _leading_rows(table, "vinit", asked).astype(np.uint32)
-        _rows = asked, poly, vinit
-    return poly, vinit
+# Rows 1-34 of Joe & Kuo's table (row 0, the first coordinate, has every
+# direction number 1): a primitive polynomial over GF(2), as the integer
+# whose bits are its coefficients, and its initial direction numbers, as
+# many as its degree.  Stage i of a K-arm design constrains the K - i + 1
+# arms still in play, so its rectangles span at most K(K+1)/2 coordinates
+# and K(K+1)/2 - 1 cube dimensions: 35, rows 0-34, at the enumeration cap
+# of 8 arms (events.PERMUTATION_CAP).
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)),
+)
 
 
 @functools.lru_cache(maxsize=None)
 def _directions(dim: int) -> np.ndarray:
     """Binary digits of the unscrambled direction numbers: [i, k, q] is
     digit q, most significant first, of direction k of coordinate i."""
-    try:
-        poly, vinit = _table(dim)
-    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile,
-            zlib.error) as exc:
-        raise RuntimeError(f"cannot read the Sobol direction numbers for "
-                           f"dimension {dim} from {_table_path()}: {exc}"
-                           ) from exc
-    held = min(len(poly), len(vinit))
-    if dim > held:
-        raise RuntimeError(f"no Sobol direction numbers for dimension {dim} "
-                           f"in {_table_path()}: it holds {held}")
+    if dim > len(_JOE_KUO) + 1:
+        raise RuntimeError(f"no Sobol direction numbers for dimension {dim}: "
+                           f"{len(_JOE_KUO) + 1} are carried")
     v = np.ones((dim, BITS), dtype=np.int64)
-    for i in range(1, dim):
-        p = int(poly[i])
-        m = p.bit_length() - 1
-        v[i, :m] = vinit[i, :m]
+    for i, (p, initial) in enumerate(_JOE_KUO[:dim - 1], 1):
+        m = len(initial)
+        v[i, :m] = initial
         for j in range(m, BITS):
             new = int(v[i, j - m])
             for k in range(1, m + 1):

@@ -321,6 +321,9 @@ def _load_designed(path: str):
                 effects[name] = EffectConfig(tuple(
                     _typed(x, (int, float), field)
                     for x in _typed(v, list, field)))
+                if len(v) != design.arms:
+                    raise ValueError(f"design record field {field!r} needs "
+                                     f"{design.arms} values, got {len(v)}")
         except KeyError as exc:
             raise ValueError(
                 f"design record lacks the key {exc.args[0]!r}") from None

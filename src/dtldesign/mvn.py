@@ -85,7 +85,10 @@ class ProbabilityEstimate:
     """A rectangle probability together with its integration error.
 
     Attributes:
-        value: estimated probability in [0, 1].
+        value: estimated probability.  Only a single rectangle's value
+            is clamped to [0, 1]; a signed weighted sum of them
+            (_weighted_sum) is not, and can stray outside by about its
+            error bound.
         error_bound: 3 times the standard error estimated from the
             spread of the 12 randomizations, which has 11 degrees of
             freedom, so not a true three-sigma bound (see

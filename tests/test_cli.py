@@ -435,11 +435,13 @@ class TestErrorHandling:
          "'foo'"),
         (lambda r: r["endpoint"].update(type=["binary"]),
          "endpoint.type must be binary or normal, got ['binary']"),
+        (lambda r: r["effects"]["lfc"].pop(),
+         "design record field 'effects.lfc' needs 3 values, got 2"),
     ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects",
             "string_alpha", "number_effects", "string_endpoint",
             "string_p_control", "number_boundaries", "string_effect_entry",
             "bool_effect_entry", "bool_boundary", "string_boundary",
-            "list_endpoint_type"])
+            "list_endpoint_type", "short_effects"])
     def test_malformed_record_is_refused_by_name(self, tmp_path, capsys,
                                                  edit, message):
         record = json.loads(K3_RECORD.read_text(encoding="utf-8"))

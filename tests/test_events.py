@@ -8,6 +8,7 @@ stop event enumerated directly.
 """
 
 import collections
+import contextlib
 import itertools
 import math
 from dataclasses import replace
@@ -362,6 +363,35 @@ def test_k5_lfc_problem_counts():
     stop = stop_stage_problems(design, _COLLAPSE_EFFECTS["lfc"](5))
     assert [len(s.problems) for s in win] == [1, 2, 4, 8, 16]
     assert [len(s.problems) for s in stop] == [2, 6, 16, 40]
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_cube_dimension_reaches_its_triangular_bound(k, monkeypatch):
+    # stage i constrains the k - i + 1 arms still in play, so a rectangle
+    # spans at most k(k+1)/2 coordinates and k(k+1)/2 - 1 cube dimensions;
+    # _sobol carries direction rows for that bound at PERMUTATION_CAP arms
+    dims = []
+
+    def draw(dim, seed):
+        dims.append(dim)
+        raise _Drawn  # the dimension is known; skip the integration
+    monkeypatch.setattr(mvn, "_draw", draw)
+    design = _obf_design(k)
+    problems = [pwer_problem(design)]
+    for effects in (EffectConfig.global_null(k),
+                    EffectConfig.least_favorable(k, THETA_P, THETA_0),
+                    EffectConfig.all_relevant(k, THETA_P)):
+        for family in (win_problems, reject_problems, stop_stage_problems):
+            problems += [problem for pset in family(design, effects)
+                         for _, problem in pset.problems]
+    for problem in problems:
+        with contextlib.suppress(_Drawn):
+            mvn._Integral(problem, 0)
+    assert max(dims) == k * (k + 1) // 2 - 1
 
 
 def _boundaries(k, kind):

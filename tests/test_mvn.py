@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -28,7 +29,12 @@ from dtldesign.calibrate import design_trial
 from dtldesign.characteristics import full_report
 from dtldesign.cli import _load_designed, parse_config
 from dtldesign.covariance import StatCoord, build_moment_problem, single
-from dtldesign.events import EventProblemSet, pwer_problem, set_probability
+from dtldesign.events import (
+    PERMUTATION_CAP,
+    EventProblemSet,
+    pwer_problem,
+    set_probability,
+)
 
 import oracles
 
@@ -585,7 +591,7 @@ def test_k4_pwer_matches_scipy_cdf(seed):
 _SCHEDULE = [128] + [128 << k for k in range(10)]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 11])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 11, 35])
 @pytest.mark.parametrize("seed", [0, 1, 7, (3, 2, 5)])
 def test_sobol_points_match_scipy(dim, seed):
     # a scipy release that changes its Sobol sequence fails here, not as
@@ -630,105 +636,68 @@ def test_import_leaves_scipy_stats_unloaded(statement):
     assert out.strip() == "False"
 
 
-@pytest.fixture
-def sobol_table(monkeypatch):
-    """Point the Sobol generator at another direction-number table, with
-    no rows read from it yet."""
-    def use(path):
-        monkeypatch.setattr(_sobol, "_table_path", lambda: path)
-        monkeypatch.setattr(_sobol, "_rows", (0, *_sobol._rows[1:]))
-        _sobol._directions.cache_clear()
-    yield use
-    _sobol._directions.cache_clear()
-
-
-def _cube_dim_two_problem():
-    return OrthantProblem(np.zeros(3), np.eye(3) * 0.5 + 0.5,
-                          [-INF] * 3, [0.0, 0.5, 1.0])
-
-
-def test_missing_direction_table_is_named(sobol_table, tmp_path):
-    path = tmp_path / "absent.npz"
-    sobol_table(path)
-    with pytest.raises(RuntimeError, match="dimension 2") as exc:
-        mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
-    assert str(path) in str(exc.value)
-
-
-def test_short_direction_table_is_named(sobol_table, tmp_path):
-    poly, vinit = _sobol._table(1)
-    path = tmp_path / "short.npz"
-    np.savez(path, poly=poly[:1], vinit=vinit[:1])
-    sobol_table(path)
-    with pytest.raises(RuntimeError, match="dimension 2") as exc:
-        mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
-    assert str(path) in str(exc.value)
-
-
-def test_direction_table_that_is_not_a_zip_is_named(sobol_table, tmp_path):
-    path = tmp_path / "not_a_zip.npz"
-    path.write_bytes(b"not a zip archive")
-    sobol_table(path)
-    with pytest.raises(RuntimeError, match="dimension 2") as exc:
-        mvn_rectangle_prob(_cube_dim_two_problem(), 1e-6)
-    assert str(path) in str(exc.value)
-
-
-@pytest.mark.parametrize("dim", [*range(1, 12), _sobol._FIRST_ROWS + 1])
-def test_streamed_direction_rows_match_np_load(sobol_table, dim):
-    path = _sobol._table_path()
-    sobol_table(path)
-    poly, vinit = _sobol._table(dim)
+def test_carried_direction_rows_match_scipy_table():
+    # the rows scipy installs, read whole, are the oracle for the constant
+    path = (Path(scipy.__file__).parent / "stats"
+            / "_sobol_direction_numbers.npz")
     with np.load(path) as table:
-        whole_poly, whole_vinit = table["poly"], table["vinit"]
-    assert len(poly) == len(vinit) >= dim
-    np.testing.assert_array_equal(poly, whole_poly[:len(poly)])
-    np.testing.assert_array_equal(vinit, whole_vinit[:len(vinit)])
+        poly, vinit = table["poly"], table["vinit"]
+    rows = len(_sobol._JOE_KUO)
+    assert poly[0] == 1 and vinit[0, 0] == 1 and not vinit[0, 1:].any()
+    assert [p for p, _ in _sobol._JOE_KUO] == poly[1:rows + 1].tolist()
+    for i, (p, initial) in enumerate(_sobol._JOE_KUO, 1):
+        assert len(initial) == p.bit_length() - 1
+        assert list(initial) == vinit[i, :len(initial)].tolist()
+        assert not vinit[i, len(initial):].any()
 
 
-def test_direction_rows_are_read_once_for_smaller_dimensions(sobol_table,
-                                                             monkeypatch):
-    sobol_table(_sobol._table_path())
-    reads = []
-    leading_rows = _sobol._leading_rows
+def test_carried_direction_rows_reach_the_enumeration_cap():
+    # K arms span at most K(K+1)/2 - 1 cube dimensions, so a change to
+    # the cap fails here until the carried rows match it
+    assert (len(_sobol._JOE_KUO) + 1
+            == PERMUTATION_CAP * (PERMUTATION_CAP + 1) // 2 - 1)
 
-    def recording(table, name, rows):
-        reads.append((name, rows))
-        return leading_rows(table, name, rows)
-    monkeypatch.setattr(_sobol, "_leading_rows", recording)
-    first = _sobol._FIRST_ROWS
-    for dim in [5, 2, first, 1, 11]:
-        _sobol._directions(dim)
-    assert reads == [("poly", first), ("vinit", first)]
-    _sobol._directions(first + 1)
-    _sobol._directions(2 * first)
-    assert reads[2:] == [("poly", 2 * first), ("vinit", 2 * first)]
+
+def test_dimension_past_the_carried_rows_is_named():
+    with pytest.raises(RuntimeError, match="dimension 36"):
+        _sobol._directions(36)
+    # rank 37, so 36 cube dimensions
+    problem = OrthantProblem(np.zeros(37), np.eye(37), [-INF] * 37,
+                             [0.0] * 37)
+    with pytest.raises(RuntimeError, match="dimension 36"):
+        mvn_rectangle_prob(problem, 1e-3)
 
 
 _FIRST_INTEGRAL_MEMORY = """
-import json, tracemalloc
+import json, sys, tracemalloc
 import numpy as np
 from dtldesign import _sobol
 from dtldesign.mvn import OrthantProblem, mvn_rectangle_prob
 problem = OrthantProblem(np.zeros(3), np.eye(3) * 0.5 + 0.5,
                          [-np.inf] * 3, [0.0, 0.5, 1.0])
+opened, watching = [], [True]
+sys.addaudithook(lambda event, args: opened.append(str(args[0]))
+                 if event == "open" and watching else None)
 tracemalloc.start(64)
 mvn_rectangle_prob(problem, 1e-6)
 peak = tracemalloc.get_traced_memory()[1]
+watching.clear()
 # what the Sobol module's calls allocated and still hold
 held = tracemalloc.take_snapshot().filter_traces(
     [tracemalloc.Filter(True, _sobol.__file__, all_frames=True)])
-print(json.dumps({"peak": peak,
+print(json.dumps({"peak": peak, "opened": opened,
                   "held": sum(t.size for t in held.traces)}))
 """
 
 
 def test_first_integral_reads_direction_rows_in_bounded_memory():
-    # a fresh interpreter, so the first integral reads the direction table
+    # a fresh interpreter, so the first integral builds the direction
+    # numbers, and opens no file to do it
     src = str(Path(mvn.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", _FIRST_INTEGRAL_MEMORY],
                          check=True, capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     memory = json.loads(out)
+    assert memory["opened"] == []
     assert memory["peak"] < 1_000_000
     assert memory["held"] < 100_000
