@@ -56,7 +56,8 @@ def main(argv=None):
                         help="print this many worst points")
     args = parser.parse_args(argv)
 
-    parsed = parse_config(pathlib.Path(args.config).read_text())
+    parsed = parse_config(
+        pathlib.Path(args.config).read_text(encoding="utf-8-sig"))
     design = parsed.design
     if design is None:
         design = design_trial(parsed.arms, parsed.shape, parsed.calibration,

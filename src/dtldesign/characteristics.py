@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .calibrate import ConvergenceError, _converged, _no_crossing
+from .calibrate import ConvergenceError, _no_crossing
 from .covariance import EffectConfig, TrialDesign, mean_of, single
 from .endpoint import NormalEffectSpec
 from .events import (
@@ -196,22 +196,17 @@ def full_report(design: TrialDesign, endpoint: NormalEffectSpec,
     every named configuration; an empty map yields a report with the
     scalar fields only.
     """
-    ess: dict[str, float] = {}
-    stops: dict[str, tuple[float, ...]] = {}
-    for name, effects in named_effect_configs.items():
-        probs = stop_stage_probabilities(
-            design, effects, target_abs_error=target_abs_error, seed=seed)
-        stops[name] = probs
-        ess[name] = _ess_from_stop_probs(design, probs)
+    kw = {"target_abs_error": target_abs_error, "seed": seed}
+    stops = {name: stop_stage_probabilities(design, effects, **kw)
+             for name, effects in named_effect_configs.items()}
     return OperatingCharacteristics(
         pwer=pwer(design),
         power_lfc=power_lfc(design, endpoint.theta_prime,
-                            endpoint.theta_zero,
-                            target_abs_error=target_abs_error, seed=seed),
-        type_i_global_null=type_i_global_null(
-            design, target_abs_error=target_abs_error, seed=seed),
+                            endpoint.theta_zero, **kw),
+        type_i_global_null=type_i_global_null(design, **kw),
         max_n=max_total_patients(design),
-        ess=ess,
+        ess={name: _ess_from_stop_probs(design, probs)
+             for name, probs in stops.items()},
         stop_probs=stops,
     )
 
@@ -221,18 +216,17 @@ def analytic_estimates(design: TrialDesign, effects: EffectConfig, *,
                        seed: int = 0) -> dict[str, float]:
     """simulate.estimate_characteristics' metrics, computed analytically.
 
-    Every integration must converge, but set bounds are not held to
-    ERROR_ALLOWANCE, so a cheap cross-check may run at a coarse target.
-    focal_crossing is the no-crossing quadrature at arm 1's per-stage
-    drift, delta_1 sqrt(n) / (sigma sqrt(2)).
+    Every number is held to ERROR_ALLOWANCE, as full_report's are, and the
+    stop stages are checked first, so a refusal names what evaluate's
+    would.  focal_crossing is the no-crossing quadrature at arm 1's
+    per-stage drift, delta_1 sqrt(n) / (sigma sqrt(2)).
     """
     kw = {"target_abs_error": target_abs_error, "seed": seed}
-    win = total_probability(win_problems(design, effects), **kw)
-    rej = total_probability(reject_problems(design, effects), **kw)
-    stops = tuple(_converged(est, f"stop-stage {j}") for j, est in
-                  enumerate(_stop_estimates(design, effects, **kw), start=1))
-    out = {"power": _converged(win, "power"),
-           "reject": _converged(rej, "reject"),
+    stops = stop_stage_probabilities(design, effects, **kw)
+    out = {"power": _checked(total_probability(
+               win_problems(design, effects), **kw), "power"),
+           "reject": _checked(total_probability(
+               reject_problems(design, effects), **kw), "reject"),
            "focal_crossing": 1.0 - _no_crossing(
                design.boundaries, mean_of(design, effects, single(1, 1))),
            "ess": _ess_from_stop_probs(design, stops)}

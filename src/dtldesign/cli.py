@@ -36,6 +36,7 @@ from .calibrate import (
 )
 from .characteristics import (
     DEFAULT_TARGET,
+    ERROR_ALLOWANCE,
     analytic_estimates,
     full_report,
     max_total_patients,
@@ -306,7 +307,7 @@ def _design_from_record(rec: dict) -> TrialDesign:
 def _load_designed(path: str):
     """A complete design plus its endpoint and effect configs, from either a
     design record or a config file that pins boundaries and n."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         rec = json.loads(text)
@@ -425,7 +426,7 @@ def _integration(cfg: RunConfig) -> dict:
 
 
 def _read_config(path: str) -> ParsedConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_config(fh.read())
 
 
@@ -601,7 +602,9 @@ def main(argv=None) -> int:
     tol_help = ("error bound each event set of a characteristic is "
                 "integrated to, and below which the sample size search "
                 "stops refining a power still within its bound of the "
-                f"power target (default {DEFAULT_TARGET:g})")
+                f"power target (default {DEFAULT_TARGET:g}); evaluate, "
+                "simulate and compare refuse a number whose bound exceeds "
+                f"{ERROR_ALLOWANCE:g}")
     specs = {
         "design": "calibrate boundaries and sample size, write the record",
         "evaluate": "operating characteristics of a designed trial",

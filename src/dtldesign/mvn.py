@@ -335,8 +335,8 @@ class _Integral:
     def __init__(self, problem: OrthantProblem, seed: int | tuple[int, ...],
                  draws: dict | None = None):
         parts = seed if isinstance(seed, tuple) else (seed,)
-        if not all(isinstance(s, (int, np.integer)) and s >= 0
-                   for s in parts):
+        if not all(isinstance(s, (int, np.integer))
+                   and not isinstance(s, bool) and s >= 0 for s in parts):
             raise ValueError("seed must be a non-negative integer or a tuple "
                              f"of them, got {seed!r}")
         self._problem, self._seed = problem, seed

@@ -209,10 +209,11 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
     Deterministic given (seed, reps); independent of batching and of the
     number of CPUs.
     """
-    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
-        raise ValueError(f"reps must be an integer, got {reps!r}")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    for name, value, least in (("reps", reps, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}")
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     stages = design.stages

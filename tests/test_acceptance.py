@@ -339,7 +339,7 @@ def test_criterion_9_byte_identical_reports(tmp_path):
     for run_idx in (0, 1):
         out = tmp_path / f"sim{run_idx}.json"
         assert run(RunConfig("simulate", str(record), out_path=str(out),
-                             seed=7, reps=2_000, tol=1e-3)) == 0
+                             seed=7, reps=2_000)) == 0
         sims.append(out.read_bytes())
     assert sims[0] == sims[1]
     print("\n[PASS] criterion 9: design and simulate reports are "

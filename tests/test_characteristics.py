@@ -354,8 +354,7 @@ class TestComparators:
 
 class TestAnalyticEstimates:
     def test_keys_are_the_simulator_metric_names(self):
-        est = analytic_estimates(DESIGN, CONFIGS["lfc"],
-                                 target_abs_error=1e-3)
+        est = analytic_estimates(DESIGN, CONFIGS["lfc"])
         sim = estimate_characteristics(DESIGN, CONFIGS["lfc"], 100)
         assert list(est) == list(sim.estimates)
 
@@ -366,11 +365,15 @@ class TestAnalyticEstimates:
 
     def test_same_numbers_as_the_checked_characteristics(self, report):
         # same problems, target and seed: the same floats
-        est = analytic_estimates(DESIGN, CONFIGS["lfc"])
-        assert est["power"] == report.power_lfc
-        assert est["ess"] == report.ess["lfc"]
-        assert tuple(est[f"stop_stage_{j}"] for j in (1, 2, 3)) == \
-            report.stop_probs["lfc"]
+        est = {name: analytic_estimates(DESIGN, effects)
+               for name, effects in CONFIGS.items()}
+        assert est["lfc"]["power"] == report.power_lfc
+        assert est["global_null"]["reject"] == report.type_i_global_null
+        assert est["global_null"]["focal_crossing"] == report.pwer
+        for name, got in est.items():
+            assert got["ess"] == report.ess[name], name
+            assert tuple(got[f"stop_stage_{j}"] for j in (1, 2, 3)) == \
+                report.stop_probs[name], name
 
 
 class TestFullReport:

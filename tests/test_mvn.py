@@ -119,7 +119,8 @@ def test_rejects_target_outside_positive_finite(target):
         mvn_rectangle_prob(prob, target)
 
 
-@pytest.mark.parametrize("seed", [-1, (0, -2, 1), 1.0, "0", (0, 0.5)])
+@pytest.mark.parametrize("seed", [-1, (0, -2, 1), 1.0, "0", (0, 0.5),
+                                  True, (0, False)])
 def test_rejects_seed_that_is_not_a_non_negative_integer(seed):
     prob = OrthantProblem([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]],
                           [-INF, -INF], [0.0, 0.0])

@@ -24,6 +24,18 @@ def test_type1_sweep_designs_and_passes(capsys):
     assert "all points within alpha + 4 SE" in out
 
 
+def test_type1_sweep_reads_a_config_with_a_byte_order_mark(tmp_path,
+                                                           capsys):
+    text = (SCRIPTS.parent / "configs" / "poptarts.cfg").read_text(
+        encoding="utf-8")
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    sweep = _load("type1_sweep")
+    assert sweep.main(["--config", str(path), "--points", "2",
+                       "--reps", "2000"]) == 0
+    assert "design: n=206/arm/stage" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["--points", "0"], ["--points", "1"],
                                   ["--reps", "0"], ["--reps", "-5"]])
 def test_type1_sweep_refuses_a_vacuous_lattice(argv, capsys):

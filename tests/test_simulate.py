@@ -236,6 +236,12 @@ class TestEstimateCharacteristics:
         with pytest.raises(ValueError,
                            match="reps must be an integer, got True"):
             estimate_characteristics(DESIGN, NULL, True)
+        for seed in (True, 1.5, "3"):
+            with pytest.raises(ValueError,
+                               match=f"seed must be an integer, got {seed!r}"):
+                estimate_characteristics(DESIGN, NULL, 10, seed=seed)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            estimate_characteristics(DESIGN, NULL, 10, seed=-1)
 
 
 # exact estimates at seed 0, recorded from the earlier (paths, arms, stages)
