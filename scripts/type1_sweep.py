@@ -51,8 +51,8 @@ def main(argv=None):
                         help="lattice points per axis (default 5, at least 2)")
     parser.add_argument("--reps", type=_at_least(1), default=100_000,
                         help="simulation replicates per point")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--show", type=int, default=10,
+    parser.add_argument("--seed", type=_at_least(0), default=0)
+    parser.add_argument("--show", type=_at_least(0), default=10,
                         help="print this many worst points")
     args = parser.parse_args(argv)
 

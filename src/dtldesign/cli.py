@@ -470,9 +470,9 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[dict, str]:
     integration = {**_integration(cfg), "seed": _ANALYTIC_SEED}
     configs = {}
     for name, effect in effects.items():
+        analytic = analytic_estimates(design, effect, **integration)
         sim = estimate_characteristics(design, effect, cfg.reps,
                                        seed=cfg.seed)
-        analytic = analytic_estimates(design, effect, **integration)
         empirical = {metric: list(sim.estimates[metric])
                      for metric in analytic}
         configs[name] = {"analytic": analytic, "empirical": empirical}

@@ -46,3 +46,13 @@ def test_type1_sweep_refuses_a_vacuous_lattice(argv, capsys):
     assert exc.value.code == 2
     assert "must be at least" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--show", "-1"]])
+def test_type1_sweep_refuses_a_negative_seed_or_count(argv, capsys):
+    # refused by argparse before the design runs; a negative --show would
+    # silently drop the last points from the listing
+    sweep = _load("type1_sweep")
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least 0" in capsys.readouterr().err
