@@ -41,7 +41,7 @@ from .characteristics import (
     full_report,
     max_total_patients,
 )
-from .covariance import EffectConfig, TrialDesign
+from .covariance import EffectConfig, TrialDesign, _stage_scale
 from .endpoint import BinaryEndpointSpec, NormalEffectSpec, binary_to_normal
 from .simulate import estimate_characteristics
 
@@ -328,13 +328,22 @@ def _load_designed(path: str):
         except KeyError as exc:
             raise ValueError(
                 f"design record lacks the key {exc.args[0]!r}") from None
-        return design, endpoint, normal, effects
-    parsed = parse_config(text)
-    if parsed.design is None:
-        raise ValueError(
-            "config does not pin a complete design (custom boundaries plus "
-            "design.n); run the design command first and pass its record")
-    return parsed.design, parsed.endpoint, parsed.normal, parsed.effects
+    else:
+        parsed = parse_config(text)
+        if parsed.design is None:
+            raise ValueError(
+                "config does not pin a complete design (custom boundaries "
+                "plus design.n); run the design command first and pass its "
+                "record")
+        design, endpoint = parsed.design, parsed.endpoint
+        normal, effects = parsed.normal, parsed.effects
+    for name, effect in effects.items():
+        # the largest mean: a last-stage contrast, the control's 0 included
+        spread = max(0.0, *effect.deltas) - min(0.0, *effect.deltas)
+        if not math.isfinite(spread * _stage_scale(design, design.stages)):
+            raise ValueError(f"effects.{name} makes a statistic's mean "
+                             "overflow for this design")
+    return design, endpoint, normal, effects
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ generator that matches scipy's `qmc.Sobol` bit for bit without importing
 truncation is involved: a pivot side infinite on every row is the
 constant 0 or 1, and pivot 0, the same at every point, is computed once.
 Each doubling round evaluates its shifts together, in slabs of at most
-_SLAB points that never split a shift.  An integration advances one round
-at a time (_Integral), and one scheduler (_refine) shares an error budget
-across the problems of a weighted family by advancing whichever problem
-dominates its bound; a lone rectangle is a family of one term.
+_SLAB points that split only a longer shift.  An integration advances one
+round at a time (_Integral), and one scheduler (_refine) shares an error
+budget across the problems of a weighted family by advancing whichever
+problem dominates its bound; a lone rectangle is a family of one term.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ _RANDOMIZATIONS = 12
 # Integrand evaluations after which a problem returns with converged=False.
 _MAX_EVALUATIONS = 1 << 24
 
-# Most integrand rows per call; a call holds whole shifts, at least one.
+# Most integrand rows per call, whole shifts or pieces of a longer one.
 # Each per-column float temporary of a slab is then 64 KiB, under glibc's
 # default 128 KiB mmap threshold, so slabs reuse heap pages rather than
-# fault in fresh ones, whatever the process freed before.  A shift of more
-# points still runs as one call, above the threshold.
+# fault in fresh ones, whatever the process freed before.  The simulator's
+# chunks and uniform blocks keep to the same size.
 _SLAB = 1 << 13
 
 # Standardizing a bound far from the mean (say 1e308 away) overflows to
@@ -385,12 +385,18 @@ class _Integral:
         base = next(sobol_rounds(*self._scramble, done=self._n_per))
         batch = base.shape[0]
         group = max(1, _SLAB // batch)
+        # a longer shift runs in pieces of a power of two points, no fewer
+        # than the first round's 128, and their sums add in the balanced
+        # tree numpy's pairwise sum makes of the whole shift: the same bits
+        piece = min(batch, 1 << (max(_SLAB, 128).bit_length() - 1))
         for r in range(0, _RANDOMIZATIONS, group):
-            points = base ^ shifts[r:r + group, None]
-            sums[r:r + group] += _sov_integrand(
-                pivots, points.reshape(-1, dim)
-            ).reshape(-1, batch).sum(axis=1)
-            del points  # freed before the next slab: a lower peak RSS
+            parts = [_sov_integrand(
+                pivots, (base[i:i + piece] ^ shifts[r:r + group, None])
+                .reshape(-1, dim)).reshape(-1, piece).sum(axis=1)
+                for i in range(0, batch, piece)]
+            while len(parts) > 1:
+                parts = [a + b for a, b in zip(parts[::2], parts[1::2])]
+            sums[r:r + group] += parts[0]
         self._n_per += batch
         estimates = sums / self._n_per
         value = float(estimates.mean())

@@ -19,13 +19,14 @@ window.  The estimates are therefore bit-identical however the replicates
 are batched and however many CPUs share them, and the integer accumulators
 make the aggregation order immaterial as well.
 
-Layout: the replicates are cut into chunks dealt round-robin to one stripe
-per CPU the process may use; stripe 0 runs on the calling thread and the
-others on threads that live for one call, where the inverse CDF and the
-Philox draws run without the interpreter lock.  A chunk is held as
-(groups, stages, paths) arrays, paths last, so every step runs on
-contiguous per-group vectors.  Each path sees the same float operations
-and comparisons in any layout, so no result depends on it.
+Layout: the replicates are cut into chunks of mvn's _SLAB paths, dealt
+round-robin to one stripe per CPU the process may use; stripe 0 runs on the
+calling thread and the others on threads that live for one call, where the
+inverse CDF and the Philox draws run without the interpreter lock.  A chunk
+is held as (groups, stages, paths) arrays, paths last, so every step runs
+on contiguous per-group vectors of 64 KiB whatever the CPU count: the
+integrator's slab rule.  Each path sees the same float operations and
+comparisons in any layout, so no result depends on it.
 """
 
 from __future__ import annotations
@@ -41,15 +42,12 @@ from scipy.special import ndtri
 
 from .characteristics import stage_total_patients
 from .covariance import EffectConfig, TrialDesign
+from .mvn import _SLAB
 
 __all__ = [
     "SimulationResult",
     "estimate_characteristics",
 ]
-
-# replicates in flight across all stripes, each stripe's chunk its share;
-# results do not depend on this value
-_CHUNK = 1 << 15
 
 # stripes per call: the CPUs this process may run on; results do not depend
 # on this value
@@ -148,9 +146,9 @@ def _decide_paths(design: TrialDesign, z: np.ndarray):
 
 
 def _increment_chunks(seed: int, reps: int, arms: int, stages: int,
-                      chunk: int, stripe: int, stripes: int):
+                      stripe: int, stripes: int):
     """Standard normal increments (arms+1, stages, m) for the chunks of at
-    most `chunk` replicates starting at stripe * chunk, every `stripes`-th
+    most _SLAB replicates starting at stripe * _SLAB, every `stripes`-th
     chunk, written into buffers reused across chunks.
 
     Replicate r reads blocks [r*B, (r+1)*B) of one Philox stream, B =
@@ -162,11 +160,11 @@ def _increment_chunks(seed: int, reps: int, arms: int, stages: int,
     width = 4 * -(-words // 4)
     bitgen = np.random.Philox(np.random.SeedSequence(seed))
     gen = np.random.Generator(bitgen)
-    u = np.empty((min(chunk, reps), width))
+    u = np.empty((min(_SLAB, reps), width))
     xi = np.empty((arms + 1, stages, len(u)))
     pos = 0
-    for start in range(stripe * chunk, reps, stripes * chunk):
-        m = min(chunk, reps - start)
+    for start in range(stripe * _SLAB, reps, stripes * _SLAB):
+        m = min(_SLAB, reps - start)
         bitgen.advance((start - pos) * (width // 4))
         pos = start + m
         gen.random(out=u[:m])
@@ -176,14 +174,13 @@ def _increment_chunks(seed: int, reps: int, arms: int, stages: int,
 
 
 def _stripe_counts(design: TrialDesign, effects: EffectConfig, reps: int,
-                   seed: int, chunk: int, stripe: int,
-                   stripes: int) -> np.ndarray:
+                   seed: int, stripe: int, stripes: int) -> np.ndarray:
     """One stripe's integer counts: arm 1's wins, rejections and boundary
     crossings, then the paths ending at each stage."""
     u_arr = np.asarray(design.boundaries)
     counts = np.zeros(3 + design.stages, dtype=np.int64)
     for xi in _increment_chunks(seed, reps, design.arms, design.stages,
-                                chunk, stripe, stripes):
+                                stripe, stripes):
         z = _z_from_increments(design, effects, xi)
         stop, won, rejected = _decide_paths(design, z)
         counts[0] += np.count_nonzero(won)
@@ -217,10 +214,9 @@ def estimate_characteristics(design: TrialDesign, effects: EffectConfig,
     if len(effects.deltas) != design.arms:
         raise ValueError("effects length must match the number of arms")
     stages = design.stages
-    chunk = max(1, _CHUNK // _WORKERS)
     # a stripe with no chunk would start a thread for nothing
-    stripes = min(_WORKERS, -(-reps // chunk))
-    args = (design, effects, reps, seed, chunk)
+    stripes = min(_WORKERS, -(-reps // _SLAB))
+    args = (design, effects, reps, seed)
     # the pool starts threads only on submit, so one stripe starts none
     with ThreadPoolExecutor(max(stripes - 1, 1)) as pool:
         others = [pool.submit(_stripe_counts, *args, s, stripes)

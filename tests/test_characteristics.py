@@ -358,11 +358,6 @@ class TestAnalyticEstimates:
         sim = estimate_characteristics(DESIGN, CONFIGS["lfc"], 100)
         assert list(est) == list(sim.estimates)
 
-    def test_null_focal_crossing_is_the_pwer(self):
-        est = analytic_estimates(DESIGN, CONFIGS["global_null"],
-                                 target_abs_error=1e-3)
-        assert est["focal_crossing"] == pwer(DESIGN)
-
     def test_same_numbers_as_the_checked_characteristics(self, report):
         # same problems, target and seed: the same floats
         est = {name: analytic_estimates(DESIGN, effects)

@@ -238,7 +238,8 @@ class TestSimulateCommand:
                              reps=50_000)) == 0
         block = json.loads(path.read_text())["configs"]["lfc"]
         value, se = block["empirical"]["power"]
-        assert abs(value - block["analytic"]["power"]) <= 4.0 * se + 1e-3
+        assert abs(value - block["analytic"]["power"]) <= \
+            4.0 * se + characteristics.ERROR_ALLOWANCE
 
 
     def test_default_target_is_the_library_default(self, tmp_path):
@@ -465,11 +466,13 @@ class TestErrorHandling:
          "endpoint.type must be binary or normal, got ['binary']"),
         (lambda r: r["effects"]["lfc"].pop(),
          "design record field 'effects.lfc' needs 3 values, got 2"),
+        (lambda r: r["effects"]["lfc"].__setitem__(0, 1e308),
+         "effects.lfc makes a statistic's mean overflow for this design"),
     ], ids=["float_arms", "bool_n", "unknown_endpoint", "no_effects",
             "string_alpha", "number_effects", "string_endpoint",
             "string_p_control", "number_boundaries", "string_effect_entry",
             "bool_effect_entry", "bool_boundary", "string_boundary",
-            "list_endpoint_type", "short_effects"])
+            "list_endpoint_type", "short_effects", "huge_effect"])
     def test_malformed_record_is_refused_by_name(self, tmp_path, capsys,
                                                  edit, message):
         record = json.loads(K3_RECORD.read_text(encoding="utf-8"))
@@ -479,6 +482,18 @@ class TestErrorHandling:
         assert cli.main(["evaluate", "--config", str(path)]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
+
+    def test_huge_effect_in_a_pinned_config_is_refused_by_name(
+            self, tmp_path, capsys):
+        path = tmp_path / "pinned.cfg"
+        path.write_text(MOTIVATING.replace(
+            "shape = obf",
+            "shape = custom\nboundaries = 3.471, 2.454, 2.004\nn = 206")
+            + "\n[effects]\nhuge = 0, -1e308, 1e308\n")
+        assert cli.main(["evaluate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: effects.huge makes a statistic's mean overflow for this "
+            "design\n")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -537,7 +537,8 @@ def _doubling_rounds(rows):
     return rounds
 
 
-@pytest.mark.parametrize("name", ["k3_pwer", "negative_fold", "two_sided"])
+@pytest.mark.parametrize("name", ["k3_pwer", "k3_lfc_deep", "negative_fold",
+                                  "two_sided"])
 @pytest.mark.parametrize("slab", [1, 1000])
 def test_slab_size_leaves_estimates_unchanged(monkeypatch, name, slab):
     make, target, seed, _ = _GOLDEN_BITS[name]
@@ -549,22 +550,33 @@ def test_slab_size_leaves_estimates_unchanged(monkeypatch, name, slab):
     assert sum(len(sizes) for _, sizes in rounds) == len(rows)
     for batch, sizes in rounds:
         for n in sizes:
-            assert n % batch == 0 and n <= max(slab, batch)
+            # whole shifts, or one piece of a shift longer than a slab
+            assert n % batch == 0 or batch % n == 0
+            assert n <= max(slab, 128)
 
 
 def test_one_integrand_call_per_small_round(monkeypatch):
     rows = _record_integrand_rows(monkeypatch)
-    est = mvn_rectangle_prob(_k3_pwer_problem(), 1e-6, seed=0)
-    rounds = _doubling_rounds(rows)
-    assert sum(sum(sizes) for _, sizes in rounds) == est.evaluations
-    assert any(mvn._RANDOMIZATIONS * batch > mvn._SLAB for batch, _ in rounds)
-    for batch, sizes in rounds:
-        # each call holds as many whole shifts as fit in a slab, at least one
-        shifts_per_call = max(1, mvn._SLAB // batch)
-        assert len(sizes) == math.ceil(mvn._RANDOMIZATIONS / shifts_per_call)
-        if mvn._RANDOMIZATIONS * batch <= mvn._SLAB:
-            assert sizes == [mvn._RANDOMIZATIONS * batch]
-        assert max(sizes) <= max(mvn._SLAB, batch)
+    # k3_lfc_deep's last rounds have shifts longer than a slab
+    for name in ("k3_pwer", "k3_lfc_deep"):
+        make, target, seed, _ = _GOLDEN_BITS[name]
+        rows.clear()
+        est = mvn_rectangle_prob(make(), target, seed=seed)
+        rounds = _doubling_rounds(rows)
+        assert sum(sum(sizes) for _, sizes in rounds) == est.evaluations
+        assert any(mvn._RANDOMIZATIONS * batch > mvn._SLAB
+                   for batch, _ in rounds)
+        for batch, sizes in rounds:
+            # each call holds as many whole shifts as fit in a slab, at
+            # least one; a longer shift runs in slab-sized pieces
+            shifts_per_call = max(1, mvn._SLAB // batch)
+            pieces = max(1, batch // mvn._SLAB)
+            assert len(sizes) == pieces * math.ceil(mvn._RANDOMIZATIONS
+                                                    / shifts_per_call)
+            if mvn._RANDOMIZATIONS * batch <= mvn._SLAB:
+                assert sizes == [mvn._RANDOMIZATIONS * batch]
+            assert max(sizes) <= max(mvn._SLAB, 128)
+    assert any(batch > mvn._SLAB for batch, _ in rounds)
 
 
 # stage boundaries of the arms = 4 design of configs/poptarts.cfg

@@ -1,6 +1,10 @@
 """Monte Carlo machinery: path laws, trial mechanics, estimator agreement."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -188,7 +192,7 @@ class TestEstimateCharacteristics:
 
     def test_batching_does_not_change_results(self, monkeypatch):
         reference = estimate_characteristics(DESIGN, LFC, 50_000, seed=4)
-        monkeypatch.setattr(simulate, "_CHUNK", 977)
+        monkeypatch.setattr(simulate, "_SLAB", 977)
         assert estimate_characteristics(DESIGN, LFC, 50_000, seed=4) == \
             reference
 
@@ -398,30 +402,37 @@ def _recorded_case(name):
     return K4, LFC4
 
 
+# the default chunk, and one four times as long
+_CHUNKS = (simulate._SLAB, 4 * simulate._SLAB)
+
+
 @pytest.mark.parametrize("name, reps, chunk", [
-    *((name, reps, simulate._CHUNK) for name, reps in _RECORDED_ESTIMATES),
+    *((name, reps, chunk) for name, reps in _RECORDED_ESTIMATES
+      for chunk in _CHUNKS),
     ("k4_lfc", 12_345, 977),
 ])
 def test_estimates_reproduce_recorded_bits(name, reps, chunk, monkeypatch):
-    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    monkeypatch.setattr(simulate, "_SLAB", chunk)
     design, effects = _recorded_case(name)
     res = estimate_characteristics(design, effects, reps, seed=0)
     assert res.estimates == _RECORDED_ESTIMATES[name, reps]
 
 
 @pytest.mark.parametrize("name, reps, chunk", [
-    *((name, reps, simulate._CHUNK) for name, reps in _RECORDED_ESTIMATES),
+    *((name, reps, chunk) for name, reps in _RECORDED_ESTIMATES
+      for chunk in _CHUNKS),
     # stripes end unevenly, the last chunk short
     ("k4_lfc", 12_345, 977),
     # two chunks, so three workers run two stripes
+    ("k4_lfc", 12_345, 6_400),
+    # fewer replicates than one chunk, so one stripe runs
     ("k4_lfc", 12_345, 24_576),
-    # fewer replicates than one stripe's chunk
     ("k4_lfc", 12_345, 40_000),
 ])
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_stripes_reproduce_recorded_bits(name, reps, chunk, workers,
                                          monkeypatch):
-    monkeypatch.setattr(simulate, "_CHUNK", chunk)
+    monkeypatch.setattr(simulate, "_SLAB", chunk)
     monkeypatch.setattr(simulate, "_WORKERS", workers)
     design, effects = _recorded_case(name)
     res = estimate_characteristics(design, effects, reps, seed=0)
@@ -445,6 +456,41 @@ def test_stripes_leave_no_thread(workers, started, monkeypatch):
     estimate_characteristics(DESIGN, LFC, 100_000, seed=5)
     assert len(starts) == started
     assert threading.active_count() == before
+
+
+_SIMULATOR_MEMORY = """
+import json, sys, tracemalloc
+from dtldesign import simulate
+from dtldesign.covariance import EffectConfig, TrialDesign
+simulate._WORKERS = int(sys.argv[1])
+peaks = []
+tracemalloc.start()
+for reps in (100_000, 1_000_000):
+    tracemalloc.reset_peak()
+    simulate.estimate_characteristics({design!r}, {effects!r}, reps)
+    peaks.append(tracemalloc.get_traced_memory()[1])
+print(json.dumps(peaks))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stripe_memory_does_not_grow_with_replicates(workers):
+    # a fresh interpreter, so the trace holds the simulator's own buffers
+    code = _SIMULATOR_MEMORY.format(design=K4, effects=LFC4)
+    src = str(Path(simulate.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, str(workers)],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    peaks = json.loads(out)
+    # per stripe: one chunk's increments, (groups, stages, _SLAB) floats,
+    # its uniforms, _SLAB rows of its words rounded up to a whole Philox
+    # block of 4, and ten per-path vectors of _SLAB floats
+    words = (K4.arms + 1) * K4.stages
+    bound = (words + 4 * -(-words // 4) + 10) * simulate._SLAB * 8
+    assert max(peaks) <= workers * bound
+    # threads may meet their peaks together in one run and not in the
+    # other: at most one stripe's bound per extra stripe
+    assert peaks[1] <= peaks[0] + 4096 + (workers - 1) * bound
 
 
 def _random_design(design_seed):
